@@ -96,9 +96,7 @@ def _cmd_minrank(args) -> int:
     if args.q_override is not None:
         inst = dataclasses.replace(inst, q=FieldOrder(args.q_override))
     users = _parse_users(args.users)
-    result = minrank.minrank_bnb(
-        inst, users=users, node_limit=args.node_limit, parallel=args.parallel
-    )
+    result = minrank.minrank_bnb(inst, users=users, node_limit=args.node_limit)
     oracle_kappa = None
     if args.oracle:
         oracle = minrank.minrank_oracle(inst, users=users)
@@ -120,11 +118,12 @@ def _cmd_minrank(args) -> int:
     if oracle_kappa is not None:
         payload["oracle_kappa"] = oracle_kappa
     if args.stats:
-        payload["stats"] = result.stats
-        payload["complexity"] = minrank.complexity_report(
+        complexity = minrank.complexity_report(
             inst, users=users,
             candidate_sizes=result.stats["candidates_per_user"],
         )
+        payload["stats"] = result.stats
+        payload["complexity"] = complexity
     if args.json:
         _emit(json.dumps(payload, indent=2, default=str), args.out)
     else:
@@ -142,11 +141,7 @@ def _cmd_minrank(args) -> int:
         if args.stats:
             rows += [(k, v) for k, v in result.stats.items()
                      if k != "candidates_per_user"]
-            comp = minrank.complexity_report(
-                inst, users=users,
-                candidate_sizes=result.stats["candidates_per_user"],
-            )
-            rows += [(k, v) for k, v in comp.items()
+            rows += [(k, v) for k, v in complexity.items()
                      if k not in ("users", "filtered_candidates_per_user")]
         _emit(_tsv(rows), args.out)
     return 0
@@ -277,8 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against exhaustive code search (exit 3 on mismatch)")
     p.add_argument("--stats", action="store_true", help="include search statistics")
-    p.add_argument("--parallel", action="store_true",
-                   help="explore first-level branches on worker threads")
     p.add_argument("--users", metavar="LIST",
                    help="comma-separated users that must decode (default: all)")
     p.add_argument("--node-limit", type=int, metavar="N",

@@ -29,6 +29,7 @@ from .graphs import (
     SideInfoBipartiteGraph,
     StructureWitness,
     _find_tree_sequence,
+    _pack_trees,
     find_covered_pairs,
     search_bicliques,
     single_edge_witness,
@@ -195,17 +196,10 @@ def tree_cover(inst: EicpInstance, exact: bool = False) -> CoverPlan:
     else:
         pool = set(inst.messages)
         structures = _take_disjoint_pairs(find_covered_pairs(graph, sorted(pool)), pool)
-        while True:
-            remaining = sorted(pool)
-            seq = None
-            for n in range(3, len(remaining) + 1):
-                seq = _find_tree_sequence(graph, remaining, n)
-                if seq is not None:
-                    break
-            if seq is None:
-                break
-            structures.append(StructureWitness(REGULAR_TREE, seq, seq))
-            pool -= set(seq)
+        trees = _pack_trees(graph, sorted(pool), range(3, len(pool) + 1))
+        for w in trees:
+            pool -= set(w.msg_seq)
+        structures += trees
         for m in sorted(pool):
             w = single_edge_witness(graph, m)
             assert w is not None, f"message {m} has no outside holder"

@@ -300,24 +300,31 @@ def _find_tree_sequence(g: SideInfoBipartiteGraph, pool: list[int], n: int):
     return tuple(seq) if extend(0) else None
 
 
-def search_regular_trees(g: SideInfoBipartiteGraph, msg_pool, n_max: int | None = None
-                         ) -> list[StructureWitness]:
+def _pack_trees(g: SideInfoBipartiteGraph, remaining: list[int], sizes
+                ) -> list[StructureWitness]:
+    """Greedy message-disjoint packing of regular-tree witnesses.
+
+    For each n in `sizes`, in order, takes the lexicographically first size-n
+    tree of the sorted `remaining` messages until none is left. Removing
+    messages never creates a tree, so a size that found nothing is never
+    worth trying again.
+    """
+    found: list[StructureWitness] = []
+    for n in sizes:
+        while len(remaining) >= n:
+            seq = _find_tree_sequence(g, remaining, n)
+            if seq is None:
+                break
+            found.append(StructureWitness(REGULAR_TREE, seq, seq))
+            remaining = [m for m in remaining if m not in seq]
+    return found
+
+
+def search_regular_trees(g: SideInfoBipartiteGraph, msg_pool) -> list[StructureWitness]:
     """Greedy message-disjoint packing of regular-tree witnesses, largest first."""
     limit = min(g.num_users, g.num_messages)
     remaining = sorted(m for m in set(msg_pool) if m <= limit)
-    if n_max is None:
-        n_max = len(remaining)
-    found: list[StructureWitness] = []
-    n = min(n_max, len(remaining))
-    while n >= 3:
-        seq = _find_tree_sequence(g, remaining, n)
-        if seq is None:
-            n -= 1
-            continue
-        found.append(StructureWitness(REGULAR_TREE, seq, seq))
-        remaining = [m for m in remaining if m not in set(seq)]
-        n = min(n, len(remaining))
-    return found
+    return _pack_trees(g, remaining, range(len(remaining), 2, -1))
 
 
 def find_covered_pairs(g: SideInfoBipartiteGraph, msg_pool) -> list[StructureWitness]:
@@ -389,8 +396,7 @@ def _covering_user(g: SideInfoBipartiteGraph, members) -> int | None:
     )
 
 
-def search_bicliques(g: SideInfoBipartiteGraph, msg_pool, n_max: int | None = None
-                     ) -> list[StructureWitness]:
+def search_bicliques(g: SideInfoBipartiteGraph, msg_pool) -> list[StructureWitness]:
     """Greedy packing of the pool by mutual-knowledge cliques, largest first.
 
     Leftover messages come out as single edges; a message no other user holds
@@ -398,16 +404,12 @@ def search_bicliques(g: SideInfoBipartiteGraph, msg_pool, n_max: int | None = No
     """
     limit = min(g.num_users, g.num_messages)
     remaining = sorted(m for m in set(msg_pool) if m <= limit)
-    if n_max is None:
-        n_max = len(remaining)
     found: list[StructureWitness] = []
     while True:
         adj = _mutual_knowledge_edges(g, remaining)
         clique = _max_clique(remaining, adj)
         if len(clique) < 2:
             break
-        if len(clique) > n_max:
-            clique = clique[:n_max]
         members = tuple(sorted(clique))
         cov = _covering_user(g, members)
         if len(members) == 2 and cov is not None:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .codes import (
@@ -38,7 +37,12 @@ from .codes import (
     unit_vector,
     verify_code,
 )
-from .errors import GuardExceededError, InvalidCodeError, OracleExhaustedError
+from .errors import (
+    ConsistencyError,
+    GuardExceededError,
+    InvalidCodeError,
+    OracleExhaustedError,
+)
 from .gf import EchelonBasis, GfMatrix, GfVector, basis_insert, in_span
 from .graphs import BipartiteProblemGraph
 from .model import EicpInstance, require_valid
@@ -86,36 +90,34 @@ def _resolve_users(inst: EicpInstance, users) -> tuple[int, ...]:
     return users
 
 
-def build_candidates(inst: EicpInstance, users=None) -> list[CandidateSet]:
+def build_candidates(inst: EicpInstance, users=None,
+                     pool: list[tuple[GfVector, int]] | None = None) -> list[CandidateSet]:
     """Candidate rows per user: demand unit plus side-info combination, transmittable.
 
     A row is transmittable when its support sits inside some other user's
-    side information. The zero combination always survives (someone else
-    holds the demand on a valid instance), so no candidate set is empty.
+    side information. The rows are read off the transmission pool (built
+    here unless passed in): user i's rows are the pool directions v with
+    v[d_i] != 0 and support inside K_i + {d_i}, scaled so that v[d_i] = 1.
+    Such a direction's sender holds d_i, so it is never i itself. The unit
+    vector of the demand always survives (someone else holds the demand on a
+    valid instance), so no candidate set is empty.
     """
     users = _resolve_users(inst, users)
+    if pool is None:
+        pool = _transmission_pool(inst)
     q = inst.q
-    m = inst.num_messages
+    inv = _inverses(q)
+    supports = [message_support(vec) for vec, _sender in pool]
     out = []
     for i in users:
-        side = sorted(inst.knows(i))
-        total = q ** len(side)
-        if total > CANDIDATES_PER_USER_LIMIT:
-            raise GuardExceededError(
-                f"user {i} has {total} side-info combinations "
-                f"(limit {CANDIDATES_PER_USER_LIMIT})"
-            )
         d = inst.demand(i)
-        base = unit_vector(q, m, d)
+        allowed = inst.knows(i) | {d}
         vectors = []
-        for combo in itertools.product(range(q), repeat=len(side)):
-            coords = list(base.coords)
-            for c, k in zip(combo, side):
-                coords[k - 1] = (coords[k - 1] + c) % q
-            vec = GfVector(q, tuple(coords))
-            supp = message_support(vec)
-            if any(j != i and supp <= inst.knows(j) for j in inst.users):
-                vectors.append(vec)
+        for (vec, _sender), supp in zip(pool, supports):
+            lead = vec.coords[d - 1]
+            if lead and supp <= allowed:
+                scale = inv[lead]
+                vectors.append(GfVector(q, tuple(scale * c % q for c in vec.coords)))
         vectors.sort(key=lambda v: (len(message_support(v)), v.coords))
         out.append(CandidateSet(i, tuple(vectors)))
     return out
@@ -213,8 +215,8 @@ def _first_leaf(order: list[CandidateSet], kappa: int) -> dict[int, GfVector]:
 
     q = order[0].vectors[0].q
     dim = len(order[0].vectors[0])
-    found = walk(0, EchelonBasis.empty(q, dim), 0)
-    assert found, "no assignment reaches the computed optimum"
+    if not walk(0, EchelonBasis.empty(q, dim), 0):
+        raise ConsistencyError("no assignment reaches the computed optimum")
     return choice
 
 
@@ -223,7 +225,7 @@ def extract_code(inst: EicpInstance, witness: GfMatrix, users) -> EmbeddedIndexC
 
     The transmitter of a row is the smallest user, other than the row's
     owner, whose side information contains the row's support. Every covered
-    user can decode from the result; this is asserted before returning.
+    user can decode from the result; this is checked before returning.
     """
     users = _resolve_users(inst, users)
     if witness.num_rows != len(users):
@@ -246,8 +248,8 @@ def extract_code(inst: EicpInstance, witness: GfMatrix, users) -> EmbeddedIndexC
         transmissions.append(Transmission(sender, row))
     code = EmbeddedIndexCode(inst, tuple(transmissions))
     columns = [t.coeffs for t in code.transmissions]
-    assert all(decodable_from(inst, columns, i) for i in users), \
-        "extracted code fails a covered user"
+    if not all(decodable_from(inst, columns, i) for i in users):
+        raise ConsistencyError("extracted code fails a covered user")
     return code
 
 
@@ -324,21 +326,20 @@ def _decode_row(code: EmbeddedIndexCode, inst: EicpInstance, user: int) -> GfVec
     return GfVector(inst.q, tuple(coords))
 
 
-def minrank_bnb(inst: EicpInstance, users=None, node_limit: int | None = None,
-                parallel: bool = False) -> MinrankResult:
+def minrank_bnb(inst: EicpInstance, users=None,
+                node_limit: int | None = None) -> MinrankResult:
     """Exact optimal code length by two-stage branch and bound.
 
     Stage one minimizes the stacked-matrix rank. The uncoded scheme seeds the
     incumbent at the number of distinct demands, users enter the search with
     the smallest candidate sets first, and a subtree is cut as soon as its
-    partial stack already reaches the incumbent. With parallel=True the
-    first-level branches of this stage run on worker threads, each against a
-    private incumbent, so the result stays deterministic.
+    partial stack already reaches the incumbent.
 
     Stage two searches transmittable column subsets strictly smaller than the
     stage-one rank; it usually finds nothing, but on chain-like instances the
     shortest code's columns are not decodable rows for any single user and
-    only this stage sees them.
+    only this stage sees them. Both stages read one transmission pool, built
+    once per call.
 
     The returned artifacts are deterministic. When stage one stands, a second
     pass picks the first row assignment in search order that attains the
@@ -349,7 +350,8 @@ def minrank_bnb(inst: EicpInstance, users=None, node_limit: int | None = None,
     require_valid(inst)
     users = _resolve_users(inst, users)
     limit = _node_limit(node_limit)
-    candidate_sets = build_candidates(inst, users)
+    pool = _transmission_pool(inst)
+    candidate_sets = build_candidates(inst, users, pool)
     order = _search_order(candidate_sets)
 
     start_incumbent = len({inst.demand(i) for i in users})
@@ -359,30 +361,13 @@ def minrank_bnb(inst: EicpInstance, users=None, node_limit: int | None = None,
 
     q = inst.q
     dim = inst.num_messages
-    empty = EchelonBasis.empty(q, dim)
-    if parallel and len(order) > 1:
-        first = order[0]
-        budgets = [_Budget(limit) for _ in first.vectors]
-
-        def run(idx: int) -> int:
-            budgets[idx].spend()
-            basis, _ = basis_insert(empty, first.vectors[idx])
-            return _branch(order, 1, basis, idx, start_incumbent, budgets[idx])
-
-        with ThreadPoolExecutor() as pool:
-            results = list(pool.map(run, range(len(first.vectors))))
-        row_rank = min([start_incumbent, *results])
-        nodes = sum(b.used for b in budgets)
-    else:
-        budget = _Budget(limit)
-        row_rank = _branch(order, 0, empty, 0, start_incumbent, budget)
-        nodes = budget.used
+    budget = _Budget(limit)
+    row_rank = _branch(order, 0, EchelonBasis.empty(q, dim), 0, start_incumbent, budget)
 
     column_budget = _Budget(limit, "code search")
     improvement = None
     pool_size = 0
     if row_rank > 1:
-        pool = _transmission_pool(inst)
         pool_size = len(pool)
         improvement = _column_search(inst, users, pool, row_rank, column_budget)
 
@@ -399,9 +384,10 @@ def minrank_bnb(inst: EicpInstance, users=None, node_limit: int | None = None,
         _recheck_through_code_path(inst, users, code)
         rows = [_decode_row(code, inst, i).coords for i in users]
         witness = GfMatrix.from_rows(q, rows, num_cols=dim)
-    assert code.length == kappa, "extracted code length differs from the optimum"
+    if code.length != kappa:
+        raise ConsistencyError("extracted code length differs from the optimum")
     stats = {
-        "nodes_explored": nodes,
+        "nodes_explored": budget.used,
         "candidates_total": sum(len(cs.vectors) for cs in candidate_sets),
         "candidates_per_user": {cs.user: len(cs.vectors) for cs in candidate_sets},
         "product_size": product,
@@ -413,12 +399,9 @@ def minrank_bnb(inst: EicpInstance, users=None, node_limit: int | None = None,
     return MinrankResult(kappa, users, witness, code, stats)
 
 
-def _scalar_normalize(coords: tuple[int, ...], q: int) -> tuple[int, ...]:
-    from .gf import field_inv
-
-    lead = next(c for c in coords if c)
-    inv = field_inv(lead, q)
-    return tuple((inv * c) % q for c in coords)
+def _inverses(q: int) -> list[int]:
+    """inv[a] = a^-1 in F_q for a in 1..q-1 (Fermat); inv[0] is a placeholder."""
+    return [0] + [pow(a, q - 2, q) for a in range(1, q)]
 
 
 def _transmission_pool(inst: EicpInstance) -> list[tuple[GfVector, int]]:
@@ -429,6 +412,7 @@ def _transmission_pool(inst: EicpInstance) -> list[tuple[GfVector, int]]:
     """
     q = inst.q
     m = inst.num_messages
+    inv = _inverses(q)
     seen: dict[tuple[int, ...], int] = {}
     for j in inst.users:
         side = sorted(inst.knows(j))
@@ -439,15 +423,14 @@ def _transmission_pool(inst: EicpInstance) -> list[tuple[GfVector, int]]:
                 f"(limit {CANDIDATES_PER_USER_LIMIT})"
             )
         for combo in itertools.product(range(q), repeat=len(side)):
-            if not any(combo):
+            lead = next((c for c in combo if c), 0)
+            if not lead:
                 continue
+            scale = inv[lead]
             coords = [0] * m
             for c, k in zip(combo, side):
-                coords[k - 1] = c
-            key = _scalar_normalize(tuple(coords), q)
-            if key not in seen or j < seen[key]:
-                seen[key] = j
-        # On a valid instance every user misses a message, so total stays sane.
+                coords[k - 1] = scale * c % q
+            seen.setdefault(tuple(coords), j)
     pool = [(GfVector(q, coords), sender) for coords, sender in seen.items()]
     pool.sort(key=lambda p: (len(message_support(p[0])), p[0].coords))
     return pool
@@ -509,13 +492,14 @@ def _subset_serves(inst, users, unit_bases, demand_units, subset) -> bool:
 def _recheck_through_code_path(inst, users, code) -> None:
     """Dual-route confirmation of an oracle hit via the code checker."""
     if len(users) == inst.num_users:
-        report = verify_code(code, inst)
-        assert report.overall, "oracle accepted a code the checker rejects"
+        ok = verify_code(code, inst).overall
     else:
-        assert not support_violations(code)
         columns = [t.coeffs for t in code.transmissions]
-        assert all(decodable_from(inst, columns, i) for i in users), \
-            "oracle accepted a code the checker rejects"
+        ok = not support_violations(code) and all(
+            decodable_from(inst, columns, i) for i in users
+        )
+    if not ok:
+        raise ConsistencyError("oracle accepted a code the checker rejects")
 
 
 def complexity_report(inst: EicpInstance, users=None,

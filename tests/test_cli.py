@@ -1,13 +1,20 @@
 """Command line behavior: outputs, exit codes, round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import eicp.cli
 import eicp.minrank
 from eicp.cli import main
+from eicp.experiments import random_single_unicast, regular_tree_instance
 from eicp.minrank import MinrankResult
+from eicp.model import serialize_instance
 
 from conftest import fixture_path
 
@@ -130,6 +137,30 @@ def test_minrank_mismatch_exit(capsys, monkeypatch):
     assert err.startswith("mismatch:")
 
 
+def test_minrank_checker_rejection_exit(capsys, monkeypatch):
+    monkeypatch.setattr(eicp.minrank, "verify_code",
+                        lambda code, inst: SimpleNamespace(overall=False))
+    code, out, err = run(capsys, "minrank", "--oracle", MIXED4)
+    assert code == 3
+    assert err.startswith("mismatch:") and "checker rejects" in err
+
+
+def test_minrank_checker_rejection_exit_under_optimize():
+    # The consistency checks are raises, not asserts, so -O keeps them.
+    script = (
+        "import sys, types, eicp.minrank\n"
+        "from eicp.cli import main\n"
+        "eicp.minrank.verify_code = lambda c, i: types.SimpleNamespace(overall=False)\n"
+        f"sys.exit(main(['minrank', '--oracle', {MIXED4!r}]))\n"
+    )
+    src = str(Path(eicp.minrank.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("mismatch:")
+
+
 def test_verify_good_code(capsys):
     code, out, err = run(capsys, "verify", MIXED4, MIXED4_CODE)
     assert code == 0
@@ -199,6 +230,29 @@ def test_structures_listing(capsys):
     assert code == 0
     assert "trees\tregular_tree\t1,2,3,4\t-" in out
     assert "cliques\tbiclique\t1,2,3,4\t5" in out
+
+
+def _tree_lines(out):
+    return [line for line in out.splitlines() if line.startswith("trees\t")]
+
+
+def test_structures_tree_lines_pinned(capsys, tmp_path):
+    # Largest first: random_single_unicast(7, 2, .35, 44) gives its 5-tree,
+    # where the greedy tree cover takes a 4-tree.
+    code, out, err = run(capsys, "structures", SEVEN)
+    assert _tree_lines(out) == ["trees\tregular_tree\t1,2,3,4\t-",
+                                "trees\tregular_tree\t5,6,7\t-"]
+    cases = [(regular_tree_instance(n),
+              ["trees\tregular_tree\t" + ",".join(map(str, range(1, n + 1))) + "\t-"])
+             for n in (3, 4, 5, 6, 7)]
+    cases.append((random_single_unicast(7, 2, 0.35, 44),
+                  ["trees\tregular_tree\t1,6,2,5,4\t-"]))
+    for idx, (inst, expected) in enumerate(cases):
+        path = tmp_path / f"inst{idx}.json"
+        path.write_text(serialize_instance(inst))
+        code, out, err = run(capsys, "structures", str(path))
+        assert code == 0
+        assert _tree_lines(out) == expected
 
 
 def test_experiment_fig5(capsys):

@@ -13,7 +13,7 @@ from eicp.covers import (
 )
 from eicp.gf import FieldOrder
 from eicp.minrank import minrank_bnb
-from eicp.experiments import biclique_instance
+from eicp.experiments import biclique_instance, random_single_unicast, regular_tree_instance
 from eicp.model import EicpInstance, gen_random
 
 
@@ -63,6 +63,22 @@ def test_tree_cover_seven_user(seven_user):
     assert got == [("covered_pair", (1, 2), 3), ("covered_pair", (3, 4), 1),
                    ("covered_pair", (5, 6), 7), ("single_edge", (7,), 5)]
     assert plan.flags == {"task_based": True, "all_covered": True}
+
+
+def test_greedy_tree_cover_structures_pinned():
+    # Ascending sizes: random_single_unicast(7, 2, .35, 44) holds a 5-tree,
+    # but the greedy pass takes the 4-tree inside it first.
+    cases = [(regular_tree_instance(3),
+              [("covered_pair", (1, 3), 2), ("single_edge", (2,), 1)])]
+    cases += [(regular_tree_instance(n),
+               [("regular_tree", tuple(range(1, n + 1)), None)])
+              for n in (4, 5, 6, 7)]
+    cases.append((random_single_unicast(7, 2, 0.35, 44),
+                  [("regular_tree", (1, 6, 2, 5), None), ("single_edge", (3,), 2),
+                   ("single_edge", (4,), 2), ("single_edge", (7,), 2)]))
+    for inst, expected in cases:
+        got = [(w.kind, w.msg_seq, w.covering_user) for w in tree_cover(inst).structures]
+        assert got == expected
 
 
 def test_biclique_cover_seven_user(seven_user):

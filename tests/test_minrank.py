@@ -2,11 +2,19 @@
 
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
+import eicp.minrank
 from eicp.codes import message_support, unit_vector, verify_code
-from eicp.errors import GuardExceededError, InvalidCodeError, OracleExhaustedError
+from eicp.errors import (
+    ConsistencyError,
+    GenerationError,
+    GuardExceededError,
+    InvalidCodeError,
+    OracleExhaustedError,
+)
 from eicp.gf import FieldOrder, GfMatrix, rank
 from eicp.graphs import build_problem_graph
 from eicp.minrank import (
@@ -91,14 +99,14 @@ def test_bnb_example_artifacts(mixed4):
     assert verify_code(r.code, mixed4).overall
 
 
-def test_bnb_deterministic_and_parallel_equal(mixed4, dense4):
+def test_bnb_deterministic(mixed4, dense4):
     for inst in (mixed4, dense4):
         a = minrank_bnb(inst)
         b = minrank_bnb(inst)
-        c = minrank_bnb(inst, parallel=True)
-        assert a.kappa == b.kappa == c.kappa
-        assert a.witness == b.witness == c.witness
-        assert a.code == b.code == c.code
+        assert a.kappa == b.kappa
+        assert a.witness == b.witness
+        assert a.code == b.code
+        assert a.stats == b.stats
 
 
 def test_bnb_user_subset(dense4):
@@ -194,6 +202,49 @@ def test_transmission_pool_is_scalar_free():
     for (a, _), (b, _) in itertools.combinations(pool, 2):
         scaled = {tuple((c * s) % 3 for c in a.coords) for s in (1, 2)}
         assert tuple(b.coords) not in scaled
+
+
+def test_candidates_equal_direct_enumeration():
+    # Rows read off the transmission pool against the definition: e_d plus
+    # every side-info combination whose support some other user holds.
+    checked = 0
+    for q in (2, 3, 5):
+        for seed in range(12):
+            try:
+                inst = gen_random(3 + seed % 3, 3 + seed % 4, q,
+                                  (0.3, 0.5, 0.7)[seed % 3], seed)
+            except GenerationError:
+                continue
+            for users in (None, inst.users[::2]):
+                sets = build_candidates(inst, users)
+                assert [cs.user for cs in sets] == list(users or inst.users)
+                for cs in sets:
+                    i = cs.user
+                    side = sorted(inst.knows(i))
+                    expected = []
+                    for combo in itertools.product(range(q), repeat=len(side)):
+                        coords = [0] * inst.num_messages
+                        coords[inst.demand(i) - 1] = 1
+                        for c, k in zip(combo, side):
+                            coords[k - 1] = c
+                        supp = {k for k in inst.messages if coords[k - 1]}
+                        if any(j != i and supp <= inst.knows(j) for j in inst.users):
+                            expected.append(tuple(coords))
+                    expected.sort(key=lambda c: (sum(1 for x in c if x), c))
+                    assert [v.coords for v in cs.vectors] == expected
+                    checked += 1
+    assert checked >= 150
+
+
+def test_checker_rejection_raises_consistency_error(mixed4, dense4, monkeypatch):
+    monkeypatch.setattr(eicp.minrank, "verify_code",
+                        lambda code, inst: SimpleNamespace(overall=False))
+    with pytest.raises(ConsistencyError, match="checker rejects"):
+        minrank_oracle(mixed4)
+    # A user subset is re-checked per user instead of by the full checker.
+    monkeypatch.setattr(eicp.minrank, "decodable_from", lambda inst, cols, i: False)
+    with pytest.raises(ConsistencyError, match="checker rejects"):
+        minrank_oracle(dense4, users=(2, 3))
 
 
 def test_graph_supports_match_candidates():
