@@ -14,7 +14,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import InstanceFormatError, InvalidCodeError, InvalidInstanceError, NotDecodableError
+from .errors import (
+    ConsistencyError,
+    InstanceFormatError,
+    InvalidCodeError,
+    InvalidInstanceError,
+    NotDecodableError,
+)
 from .gf import EchelonBasis, FieldOrder, GfMatrix, GfVector, basis_insert, field_inv, in_span
 from .model import EicpInstance
 
@@ -138,8 +144,8 @@ def verify_code(code: EmbeddedIndexCode, inst: EicpInstance) -> DecodeReport:
     """Full check: supports, and per-user decodability with and without own columns.
 
     For a support-clean code the two decodability answers always agree (a
-    user's own columns lie inside its side-information span); this is
-    asserted, and the others-only answer is the operative one.
+    user's own columns lie inside its side-information span); a disagreement
+    raises ConsistencyError, and the others-only answer is the operative one.
     """
     _require_same_instance(code, inst)
     bad = support_violations(code)
@@ -149,8 +155,8 @@ def verify_code(code: EmbeddedIndexCode, inst: EicpInstance) -> DecodeReport:
         others = decodable_from(
             inst, [t.coeffs for t in code.transmissions if t.user != i], i
         )
-        if not bad:
-            assert others == using_own, f"own-column dependence for user {i}"
+        if not bad and others != using_own:
+            raise ConsistencyError(f"own-column dependence for user {i}")
         per_user.append(UserDecode(i, others, using_own))
     overall = not bad and all(u.decodable for u in per_user)
     return DecodeReport(overall, code.length, tuple(per_user), bad)
@@ -228,7 +234,8 @@ def decode_coeffs(code: EmbeddedIndexCode, inst: EicpInstance, user: int
     for c, k in zip(correction.coords, side):
         acc[k - 1] = (acc[k - 1] - c) % q
     expected = unit_vector(q, m, inst.demand(user)).coords
-    assert tuple(acc) == expected, "decode identity failed"
+    if tuple(acc) != expected:
+        raise ConsistencyError("decode identity failed")
     return combo, correction
 
 

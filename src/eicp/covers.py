@@ -15,11 +15,10 @@ Costs, with I(s) = 1 when structure s has a covering user:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .codes import EmbeddedIndexCode, Transmission, verify_code
-from .errors import GuardExceededError, NotSingleUnicastError
+from .errors import ConsistencyError, GuardExceededError, NotSingleUnicastError
 from .gf import GfVector
 from .graphs import (
     BICLIQUE,
@@ -28,6 +27,7 @@ from .graphs import (
     SINGLE_EDGE,
     SideInfoBipartiteGraph,
     StructureWitness,
+    _clique_witness,
     _find_tree_sequence,
     _pack_trees,
     find_covered_pairs,
@@ -47,7 +47,8 @@ class CoverPlan:
     """A structure partition plus the code it induces.
 
     counts carries the cost identity of the scheme and is re-derived and
-    asserted at construction, so a plan can never misreport its own length.
+    checked at construction (ConsistencyError), so a plan can never misreport
+    its own length.
     """
 
     scheme: str
@@ -58,18 +59,24 @@ class CoverPlan:
 
     def __post_init__(self):
         c = self.counts
-        assert c["length"] == self.code.length, "counts disagree with the code"
-        assert c["structures"] == len(self.structures)
         if self.scheme == TREE_SCHEME:
-            lone = sum(1 for w in self.structures if w.kind == SINGLE_EDGE)
-            assert c["single_edges"] == lone
-            assert c["length"] == c["messages"] - c["structures"] + lone
+            key = "single_edges"
+            extra = sum(1 for w in self.structures if w.kind == SINGLE_EDGE)
+            length = c["messages"] - c["structures"] + extra
         elif self.scheme == BICLIQUE_SCHEME:
-            uncov = sum(1 for w in self.structures if not w.covered)
-            assert c["uncovered"] == uncov
-            assert c["length"] == c["structures"] + uncov
+            key = "uncovered"
+            extra = sum(1 for w in self.structures if not w.covered)
+            length = c["structures"] + extra
         else:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        for identity, holds in (
+            ("length matches the code", c["length"] == self.code.length),
+            ("structures matches the witnesses", c["structures"] == len(self.structures)),
+            (f"{key} matches the witnesses", c[key] == extra),
+            ("length meets the cost identity", c["length"] == length),
+        ):
+            if not holds:
+                raise ConsistencyError(f"{self.scheme} plan counts {c}: {identity} fails")
 
     def to_json_obj(self) -> dict:
         return {
@@ -147,15 +154,16 @@ def _usage_bound(w: StructureWitness) -> int:
 def _finish_plan(inst, graph, demander, scheme: str,
                  structures: list[StructureWitness]) -> CoverPlan:
     for w in structures:
-        assert verify_structure(graph, w), f"structure {w} does not embed"
-    covered_msgs = sorted(m for w in structures for m in w.msg_seq)
-    assert covered_msgs == list(inst.messages), "structures must partition the messages"
+        if not verify_structure(graph, w):
+            raise ConsistencyError(f"structure {w} does not embed")
+    if sorted(m for w in structures for m in w.msg_seq) != list(inst.messages):
+        raise ConsistencyError("structures do not partition the messages")
     transmissions = []
     for w in structures:
         transmissions.extend(_structure_transmissions(inst, demander, w))
     code = EmbeddedIndexCode(inst, tuple(transmissions))
-    report = verify_code(code, inst)
-    assert report.overall, "cover scheme produced an unusable code"
+    if not verify_code(code, inst).overall:
+        raise ConsistencyError("cover scheme produced an unusable code")
     counts = {
         "messages": inst.num_messages,
         "structures": len(structures),
@@ -202,7 +210,8 @@ def tree_cover(inst: EicpInstance, exact: bool = False) -> CoverPlan:
         structures += trees
         for m in sorted(pool):
             w = single_edge_witness(graph, m)
-            assert w is not None, f"message {m} has no outside holder"
+            if w is None:
+                raise ConsistencyError(f"message {m} has no outside holder")
             structures.append(w)
     return _finish_plan(inst, graph, demander, TREE_SCHEME, structures)
 
@@ -219,36 +228,10 @@ def biclique_cover(inst: EicpInstance, exact: bool = False) -> CoverPlan:
         structures = _exact_cover(inst, graph, BICLIQUE_SCHEME)
     else:
         structures = search_bicliques(graph, list(inst.messages))
-        order = {m: idx for idx, w in enumerate(structures) for m in w.msg_seq}
-        assert len(order) == inst.num_messages, "clique packing missed a message"
     return _finish_plan(inst, graph, demander, BICLIQUE_SCHEME, structures)
 
 
 # ---------- exact partition search ----------
-
-def _pair_cover_user(graph: SideInfoBipartiteGraph, a: int, b: int) -> int | None:
-    if b not in graph.knows[a - 1] or a not in graph.knows[b - 1]:
-        return None
-    return next(
-        (c for c in range(1, graph.num_users + 1)
-         if c not in (a, b) and {a, b} <= graph.knows[c - 1]),
-        None,
-    )
-
-
-def _clique_info(graph: SideInfoBipartiteGraph, members: tuple[int, ...]):
-    """(is_clique, covering_user_or_None) for a candidate member set."""
-    for a, b in itertools.combinations(members, 2):
-        if b not in graph.knows[a - 1] or a not in graph.knows[b - 1]:
-            return False, None
-    member_set = set(members)
-    cov = next(
-        (c for c in range(1, graph.num_users + 1)
-         if c not in member_set and member_set <= graph.knows[c - 1]),
-        None,
-    )
-    return True, cov
-
 
 def _exact_cover(inst, graph, scheme: str) -> list[StructureWitness]:
     """Minimum-cost partition by dynamic programming over message subsets.
@@ -292,24 +275,18 @@ def _exact_cover(inst, graph, scheme: str) -> list[StructureWitness]:
             sub = (sub - 1) & rest_mask
             members = members_of(block)
             size = len(members)
-            if scheme == TREE_SCHEME:
-                if size == 2:
-                    cov = _pair_cover_user(graph, *members)
-                    if cov is not None:
-                        out.append((1, 0, block,
-                                    StructureWitness(COVERED_PAIR, members, members, cov, True)))
-                else:
-                    seq = tree_seq(block)
-                    if seq is not None:
-                        out.append((size - 1, 0, block,
-                                    StructureWitness(REGULAR_TREE, seq, seq)))
-            else:
-                is_clique, cov = _clique_info(graph, members)
-                if is_clique:
-                    kind = COVERED_PAIR if size == 2 and cov is not None else BICLIQUE
-                    cost = 1 if cov is not None else 2
-                    out.append((cost, 0 if cov is not None else 1, block,
-                                StructureWitness(kind, members, members, cov, cov is not None)))
+            if scheme == TREE_SCHEME and size > 2:
+                seq = tree_seq(block)
+                if seq is not None:
+                    out.append((size - 1, 0, block, StructureWitness(REGULAR_TREE, seq, seq)))
+                continue
+            # A two-member tree block is a covered pair; the clique scheme
+            # also takes uncovered cliques, at two transmissions.
+            w = _clique_witness(graph, members)
+            if w is None or (scheme == TREE_SCHEME and not w.covered):
+                continue
+            cost, extra = (1, 0) if w.covered else (2, 1)
+            out.append((cost, extra, block, w))
         return out
 
     best: dict[int, tuple[int, int, tuple]] = {0: (0, 0, ())}
@@ -326,7 +303,8 @@ def _exact_cover(inst, graph, scheme: str) -> list[StructureWitness]:
                     tuple(sorted(rest[2] + ((key, witness),))))
             if answer is None or cand < answer:
                 answer = cand
-        assert answer is not None, "a lone message was not coverable"
+        if answer is None:
+            raise ConsistencyError("a lone message was not coverable")
         best[mask] = answer
         return answer
 
@@ -339,15 +317,15 @@ def compare_schemes(inst: EicpInstance, node_limit: int | None = None,
     """Lengths of both cover schemes next to the exact optimum.
 
     Both covers are working codes, so the optimum can never exceed either
-    length; that is asserted, not assumed.
+    length; that is checked (ConsistencyError), not assumed.
     """
     from .minrank import minrank_bnb
 
     tree = tree_cover(inst, exact=exact)
     biclique = biclique_cover(inst, exact=exact)
     result = minrank_bnb(inst, node_limit=node_limit)
-    assert result.kappa <= tree.counts["length"], "optimum exceeds the tree cover"
-    assert result.kappa <= biclique.counts["length"], "optimum exceeds the clique cover"
+    if result.kappa > min(tree.counts["length"], biclique.counts["length"]):
+        raise ConsistencyError("the optimum exceeds a cover scheme's length")
     return {
         "tree_length": tree.counts["length"],
         "biclique_length": biclique.counts["length"],

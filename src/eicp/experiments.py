@@ -206,19 +206,11 @@ def experiment_fig5(q: int = 2) -> ExperimentReport:
     symbols) and asks whether any of them admits a shorter code. The claim
     under test: that happens exactly for the connected classes.
     """
-    classes: dict[bytes, tuple[int, ...]] = {}
-    for masks in itertools.product(range(7), repeat=3):
-        if not _family_valid(masks, 3):
-            continue
-        family = _mask_family_to_sets(masks, 3)
-        graph = SideInfoBipartiteGraph(3, 3, family)
-        key = canonical_form(graph)
-        classes.setdefault(key, family)
-
+    classes = sorted(_canonical_family_reps(3, 3))
     rows = []
     ok = True
     connected_count = 0
-    for idx, family in enumerate(sorted(classes.values()), start=1):
+    for idx, family in enumerate(classes, start=1):
         graph = SideInfoBipartiteGraph(3, 3, family)
         connected = is_connected(graph)
         connected_count += connected

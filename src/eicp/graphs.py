@@ -152,11 +152,7 @@ def prune_degree_one(g: SideInfoBipartiteGraph) -> PrunedGraph:
     )
     keep = set(x_prime)
     adjacency = tuple(tuple(m for m in k if m in keep) for k in g.adjacency)
-    pruned = PrunedGraph(g, x_prime, adjacency)
-    assert all(
-        g.message_degree(m) >= 2 for m in x_prime
-    ), "pruned graph kept a low-degree message"
-    return pruned
+    return PrunedGraph(g, x_prime, adjacency)
 
 
 def uniq_demanded(demands, message_subset=None) -> int:
@@ -320,38 +316,56 @@ def _pack_trees(g: SideInfoBipartiteGraph, remaining: list[int], sizes
     return found
 
 
+def _member_pool(g: SideInfoBipartiteGraph, msg_pool) -> list[int]:
+    """The distinct pool messages that have a member user, sorted."""
+    limit = min(g.num_users, g.num_messages)
+    return sorted(m for m in set(msg_pool) if m <= limit)
+
+
+def _covering_user(g: SideInfoBipartiteGraph, members) -> int | None:
+    """Smallest user outside `members` that holds every member message."""
+    member_set = set(members)
+    return next(
+        (c for c in range(1, g.num_users + 1)
+         if c not in member_set and member_set <= g.knows[c - 1]),
+        None,
+    )
+
+
+def _clique_witness(g: SideInfoBipartiteGraph, members: tuple[int, ...]
+                    ) -> StructureWitness | None:
+    """Mutual-knowledge witness on the sorted `members`, or None if two miss each other.
+
+    Two members with a covering user form a covered pair; any other clique is
+    a biclique, covered when some outside user holds all of it.
+    """
+    for a, b in itertools.combinations(members, 2):
+        if b not in g.knows[a - 1] or a not in g.knows[b - 1]:
+            return None
+    cov = _covering_user(g, members)
+    kind = COVERED_PAIR if len(members) == 2 and cov is not None else BICLIQUE
+    return StructureWitness(kind, members, members, cov, cov is not None)
+
+
 def search_regular_trees(g: SideInfoBipartiteGraph, msg_pool) -> list[StructureWitness]:
     """Greedy message-disjoint packing of regular-tree witnesses, largest first."""
-    limit = min(g.num_users, g.num_messages)
-    remaining = sorted(m for m in set(msg_pool) if m <= limit)
+    remaining = _member_pool(g, msg_pool)
     return _pack_trees(g, remaining, range(len(remaining), 2, -1))
 
 
 def find_covered_pairs(g: SideInfoBipartiteGraph, msg_pool) -> list[StructureWitness]:
     """Every covered pair available inside msg_pool, lexicographic, smallest cover user."""
-    limit = min(g.num_users, g.num_messages)
-    pool = sorted(m for m in set(msg_pool) if m <= limit)
     out = []
-    for a, b in itertools.combinations(pool, 2):
-        if b not in g.knows[a - 1] or a not in g.knows[b - 1]:
-            continue
-        cov = next(
-            (c for c in range(1, g.num_users + 1)
-             if c not in (a, b) and {a, b} <= g.knows[c - 1]),
-            None,
-        )
-        if cov is not None:
-            out.append(StructureWitness(COVERED_PAIR, (a, b), (a, b), cov, True))
+    for pair in itertools.combinations(_member_pool(g, msg_pool), 2):
+        w = _clique_witness(g, pair)
+        if w is not None and w.kind == COVERED_PAIR:
+            out.append(w)
     return out
 
 
 def single_edge_witness(g: SideInfoBipartiteGraph, message: int) -> StructureWitness | None:
     """Lone message delivered plainly by its smallest non-demanding holder."""
-    cov = next(
-        (c for c in range(1, g.num_users + 1)
-         if c != message and message in g.knows[c - 1]),
-        None,
-    )
+    cov = _covering_user(g, (message,))
     if cov is None:
         return None
     return StructureWitness(SINGLE_EDGE, (message,), (message,), cov, True)
@@ -387,23 +401,13 @@ def _max_clique(vertices: list[int], adj: dict[int, set[int]]) -> list[int]:
     return best
 
 
-def _covering_user(g: SideInfoBipartiteGraph, members) -> int | None:
-    member_set = set(members)
-    return next(
-        (c for c in range(1, g.num_users + 1)
-         if c not in member_set and member_set <= g.knows[c - 1]),
-        None,
-    )
-
-
 def search_bicliques(g: SideInfoBipartiteGraph, msg_pool) -> list[StructureWitness]:
     """Greedy packing of the pool by mutual-knowledge cliques, largest first.
 
     Leftover messages come out as single edges; a message no other user holds
     is silently skipped (cannot happen on valid instances).
     """
-    limit = min(g.num_users, g.num_messages)
-    remaining = sorted(m for m in set(msg_pool) if m <= limit)
+    remaining = _member_pool(g, msg_pool)
     found: list[StructureWitness] = []
     while True:
         adj = _mutual_knowledge_edges(g, remaining)
@@ -411,12 +415,7 @@ def search_bicliques(g: SideInfoBipartiteGraph, msg_pool) -> list[StructureWitne
         if len(clique) < 2:
             break
         members = tuple(sorted(clique))
-        cov = _covering_user(g, members)
-        if len(members) == 2 and cov is not None:
-            kind = COVERED_PAIR
-        else:
-            kind = BICLIQUE
-        found.append(StructureWitness(kind, members, members, cov, cov is not None))
+        found.append(_clique_witness(g, members))
         remaining = [m for m in remaining if m not in set(members)]
     for m in remaining:
         w = single_edge_witness(g, m)
@@ -446,5 +445,4 @@ def canonical_form(g: SideInfoBipartiteGraph, max_size: int = CANONICAL_SIZE_LIM
         key = tuple(cols)
         if best is None or key < best:
             best = key
-    assert best is not None
     return bytes([g.num_users, g.num_messages, *best])

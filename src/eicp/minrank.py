@@ -156,10 +156,6 @@ def _search_order(candidate_sets: list[CandidateSet]) -> list[CandidateSet]:
     )
 
 
-def _same_group(a: CandidateSet, b: CandidateSet) -> bool:
-    return tuple(v.coords for v in a.vectors) == tuple(v.coords for v in b.vectors)
-
-
 class _Budget:
     __slots__ = ("used", "limit", "label")
 
@@ -177,47 +173,42 @@ class _Budget:
             )
 
 
-def _branch(order: list[CandidateSet], depth: int, basis: EchelonBasis,
-            prev_choice: int, incumbent: int, budget: _Budget) -> int:
-    """Best achievable rank strictly below `incumbent` in this subtree, else incumbent."""
-    if basis.rank >= incumbent:
-        return incumbent
-    if depth == len(order):
-        return basis.rank
-    cs = order[depth]
-    start = prev_choice if depth > 0 and _same_group(cs, order[depth - 1]) else 0
-    for idx in range(start, len(cs.vectors)):
-        budget.spend()
-        new_basis, _ = basis_insert(basis, cs.vectors[idx])
-        incumbent = _branch(order, depth + 1, new_basis, idx, incumbent, budget)
-        if incumbent == 1:
-            break
-    return incumbent
+def _row_search(order: list[CandidateSet], incumbent: int,
+                budget: _Budget) -> tuple[int, dict[int, GfVector] | None]:
+    """Smallest stacked rank below `incumbent`, and the rows of a leaf reaching it.
 
+    Depth-first in search order; a subtree is cut once its partial stack
+    reaches the incumbent, and the walk stops as soon as the incumbent is
+    down to 1. Every leaf that improves the incumbent records its rows,
+    so the rows returned are those of the first leaf in search order with
+    the final rank; they are None when no leaf beat the starting incumbent.
+    """
+    keys = [tuple(v.coords for v in cs.vectors) for cs in order]
+    same_group = [d > 0 and keys[d] == keys[d - 1] for d in range(len(order))]
+    chosen: list[GfVector] = []
+    best: dict[int, GfVector] | None = None
 
-def _first_leaf(order: list[CandidateSet], kappa: int) -> dict[int, GfVector]:
-    """Deterministic witness: first assignment (in search order) of rank kappa."""
-    choice: dict[int, GfVector] = {}
-
-    def walk(depth: int, basis: EchelonBasis, prev_choice: int) -> bool:
-        if basis.rank > kappa:
-            return False
+    def walk(depth: int, basis: EchelonBasis, prev_choice: int) -> None:
+        nonlocal incumbent, best
+        if basis.rank >= incumbent:
+            return
         if depth == len(order):
-            return basis.rank == kappa
-        cs = order[depth]
-        start = prev_choice if depth > 0 and _same_group(cs, order[depth - 1]) else 0
-        for idx in range(start, len(cs.vectors)):
-            new_basis, _ = basis_insert(basis, cs.vectors[idx])
-            if walk(depth + 1, new_basis, idx):
-                choice[cs.user] = cs.vectors[idx]
-                return True
-        return False
+            incumbent = basis.rank
+            best = {cs.user: v for cs, v in zip(order, chosen)}
+            return
+        vectors = order[depth].vectors
+        for idx in range(prev_choice if same_group[depth] else 0, len(vectors)):
+            budget.spend()
+            new_basis, _ = basis_insert(basis, vectors[idx])
+            chosen.append(vectors[idx])
+            walk(depth + 1, new_basis, idx)
+            chosen.pop()
+            if incumbent <= 1:
+                return
 
-    q = order[0].vectors[0].q
-    dim = len(order[0].vectors[0])
-    if not walk(0, EchelonBasis.empty(q, dim), 0):
-        raise ConsistencyError("no assignment reaches the computed optimum")
-    return choice
+    first = order[0].vectors[0]
+    walk(0, EchelonBasis.empty(first.q, len(first)), 0)
+    return incumbent, best
 
 
 def extract_code(inst: EicpInstance, witness: GfMatrix, users) -> EmbeddedIndexCode:
@@ -341,11 +332,14 @@ def minrank_bnb(inst: EicpInstance, users=None,
     only this stage sees them. Both stages read one transmission pool, built
     once per call.
 
-    The returned artifacts are deterministic. When stage one stands, a second
-    pass picks the first row assignment in search order that attains the
-    optimum and reads the code off its independent rows; when stage two
-    improves it, the winning columns become the code and each witness row is
-    recomputed from its user's decoding recipe.
+    The returned artifacts are deterministic. When stage one stands, the
+    witness is the first row assignment in search order that attains the
+    optimum, and the code is read off its independent rows. Stage one records
+    that assignment as it goes. When nothing beats the uncoded scheme, the
+    witness is the first leaf: each user's first candidate is the unit vector
+    of its demand, and their stack has the distinct-demand rank. When stage
+    two improves on stage one, the winning columns become the code and each
+    witness row is recomputed from its user's decoding recipe.
     """
     require_valid(inst)
     users = _resolve_users(inst, users)
@@ -362,7 +356,7 @@ def minrank_bnb(inst: EicpInstance, users=None,
     q = inst.q
     dim = inst.num_messages
     budget = _Budget(limit)
-    row_rank = _branch(order, 0, EchelonBasis.empty(q, dim), 0, start_incumbent, budget)
+    row_rank, choice = _row_search(order, start_incumbent, budget)
 
     column_budget = _Budget(limit, "code search")
     improvement = None
@@ -373,7 +367,8 @@ def minrank_bnb(inst: EicpInstance, users=None,
 
     if improvement is None:
         kappa = row_rank
-        choice = _first_leaf(order, kappa)
+        if choice is None:
+            choice = {cs.user: cs.vectors[0] for cs in order}
         witness = GfMatrix.from_rows(q, [choice[i].coords for i in users], num_cols=dim)
         code = extract_code(inst, witness, users)
     else:

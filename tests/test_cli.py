@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import eicp.cli
+import eicp.covers
 import eicp.minrank
 from eicp.cli import main
 from eicp.experiments import random_single_unicast, regular_tree_instance
@@ -145,20 +146,39 @@ def test_minrank_checker_rejection_exit(capsys, monkeypatch):
     assert err.startswith("mismatch:") and "checker rejects" in err
 
 
-def test_minrank_checker_rejection_exit_under_optimize():
-    # The consistency checks are raises, not asserts, so -O keeps them.
+def _run_rejecting_checker_optimized(module: str, argv: list[str]):
+    """Run the CLI under python -O with `module`.verify_code rejecting every code."""
     script = (
-        "import sys, types, eicp.minrank\n"
+        f"import sys, types, {module}\n"
         "from eicp.cli import main\n"
-        "eicp.minrank.verify_code = lambda c, i: types.SimpleNamespace(overall=False)\n"
-        f"sys.exit(main(['minrank', '--oracle', {MIXED4!r}]))\n"
+        f"{module}.verify_code = lambda c, i: types.SimpleNamespace(overall=False)\n"
+        f"sys.exit(main({argv!r}))\n"
     )
     src = str(Path(eicp.minrank.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+    return subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def test_minrank_checker_rejection_exit_under_optimize():
+    # The consistency checks are raises, not asserts, so -O keeps them.
+    proc = _run_rejecting_checker_optimized("eicp.minrank", ["minrank", "--oracle", MIXED4])
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("mismatch:")
+
+
+def test_cover_checker_rejection_exit(capsys, monkeypatch):
+    monkeypatch.setattr(eicp.covers, "verify_code",
+                        lambda code, inst: SimpleNamespace(overall=False))
+    code, out, err = run(capsys, "cover", "--scheme", "tree", SEVEN)
+    assert code == 3
+    assert err.startswith("mismatch:") and "unusable code" in err
+
+
+def test_cover_checker_rejection_exit_under_optimize():
+    proc = _run_rejecting_checker_optimized("eicp.covers", ["cover", "--scheme", "tree", SEVEN])
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert proc.stderr.startswith("mismatch:") and "unusable code" in proc.stderr
 
 
 def test_verify_good_code(capsys):

@@ -1,9 +1,13 @@
 """Structure covers: both schemes, their cost identities, and scheme comparison."""
 
+import dataclasses
+from types import SimpleNamespace
+
 import pytest
 
+import eicp.covers
 from eicp.codes import verify_code
-from eicp.errors import NotSingleUnicastError
+from eicp.errors import ConsistencyError, NotSingleUnicastError
 from eicp.covers import (
     CoverPlan,
     biclique_cover,
@@ -79,6 +83,88 @@ def test_greedy_tree_cover_structures_pinned():
     for inst, expected in cases:
         got = [(w.kind, w.msg_seq, w.covering_user) for w in tree_cover(inst).structures]
         assert got == expected
+
+
+def _plan_obj(scheme, counts, flags, structures, transmissions):
+    """A plan's to_json_obj() from (kind, messages, covering_user) and (user, coeffs)."""
+    return {
+        "scheme": scheme,
+        "length": counts["length"],
+        "counts": counts,
+        "flags": flags,
+        "structures": [
+            {"kind": kind, "users": list(msgs), "messages": list(msgs),
+             "covered": cov is not None, **({} if cov is None else {"covering_user": cov})}
+            for kind, msgs, cov in structures
+        ],
+        "transmissions": [{"user": u, "coeffs": list(c)} for u, c in transmissions],
+    }
+
+
+def test_exact_cover_plans_pinned(seven_user):
+    # The exact search takes its pair and clique blocks from the graph
+    # module's structure rules; these plans must not move.
+    rsu8 = random_single_unicast(8, 2, 0.5, 0)
+    cases = [
+        (tree_cover, seven_user, _plan_obj(
+            "tree", {"messages": 7, "structures": 3, "length": 4, "single_edges": 0},
+            {"task_based": True, "all_covered": False},
+            [("covered_pair", (1, 2), 3), ("covered_pair", (3, 4), 1),
+             ("regular_tree", (5, 6, 7), None)],
+            [(3, (1, 1, 0, 0, 0, 0, 0)), (1, (0, 0, 1, 1, 0, 0, 0)),
+             (5, (0, 0, 0, 0, 0, 1, 1)), (6, (0, 0, 0, 0, 1, 0, 1))])),
+        (biclique_cover, seven_user, _plan_obj(
+            "biclique", {"messages": 7, "structures": 3, "length": 3, "uncovered": 0},
+            {"task_based": True, "all_covered": True},
+            [("biclique", (1, 2, 3, 4), 5), ("single_edge", (5,), 6),
+             ("covered_pair", (6, 7), 5)],
+            [(5, (1, 1, 1, 1, 0, 0, 0)), (6, (0, 0, 0, 0, 1, 0, 0)),
+             (5, (0, 0, 0, 0, 0, 1, 1))])),
+        (tree_cover, rsu8, _plan_obj(
+            "tree", {"messages": 8, "structures": 3, "length": 6, "single_edges": 1},
+            {"task_based": False, "all_covered": False},
+            [("covered_pair", (1, 5), 3), ("regular_tree", (8, 6, 4, 2, 3), None),
+             ("single_edge", (7,), 4)],
+            [(2, (1, 0, 0, 0, 1, 0, 0, 0)), (7, (0, 0, 0, 1, 0, 1, 0, 0)),
+             (6, (0, 1, 0, 1, 0, 0, 0, 0)), (4, (0, 1, 1, 0, 0, 0, 0, 0)),
+             (1, (0, 0, 1, 0, 0, 0, 0, 1)), (4, (0, 0, 0, 0, 0, 0, 1, 0))])),
+        (biclique_cover, rsu8, _plan_obj(
+            "biclique", {"messages": 8, "structures": 6, "length": 6, "uncovered": 0},
+            {"task_based": True, "all_covered": True},
+            [("single_edge", (1,), 3), ("covered_pair", (2, 4), 6),
+             ("single_edge", (3,), 2), ("covered_pair", (5, 6), 8),
+             ("single_edge", (7,), 4), ("single_edge", (8,), 2)],
+            [(2, (1, 0, 0, 0, 0, 0, 0, 0)), (6, (0, 1, 0, 1, 0, 0, 0, 0)),
+             (1, (0, 0, 1, 0, 0, 0, 0, 0)), (7, (0, 0, 0, 0, 1, 1, 0, 0)),
+             (4, (0, 0, 0, 0, 0, 0, 1, 0)), (1, (0, 0, 0, 0, 0, 0, 0, 1))])),
+    ]
+    for build, inst, expected in cases:
+        assert build(inst, exact=True).to_json_obj() == expected
+
+
+def test_rejected_plan_raises_consistency_error(monkeypatch):
+    monkeypatch.setattr(eicp.covers, "verify_code",
+                        lambda code, inst: SimpleNamespace(overall=False))
+    inst = regular_tree_instance(5)
+    for build in (tree_cover, biclique_cover):
+        with pytest.raises(ConsistencyError, match="unusable code"):
+            build(inst)
+
+
+def test_plan_counts_name_the_broken_identity(seven_user):
+    tree = tree_cover(seven_user)
+    biclique = biclique_cover(seven_user)
+    cases = [
+        (tree, "length", 1, "length matches the code"),
+        (tree, "structures", 1, "structures matches the witnesses"),
+        (tree, "single_edges", 1, "single_edges matches the witnesses"),
+        (tree, "messages", 1, "length meets the cost identity"),
+        (biclique, "uncovered", 1, "uncovered matches the witnesses"),
+    ]
+    for plan, key, delta, identity in cases:
+        counts = dict(plan.counts, **{key: plan.counts[key] + delta})
+        with pytest.raises(ConsistencyError, match=identity):
+            dataclasses.replace(plan, counts=counts)
 
 
 def test_biclique_cover_seven_user(seven_user):

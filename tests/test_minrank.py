@@ -85,18 +85,29 @@ def test_candidates_empty_side_info():
 
 
 def test_bnb_example_artifacts(mixed4):
-    r = minrank_bnb(mixed4)
-    assert r.kappa == 3
-    assert r.users == (1, 2, 3, 4)
-    assert r.witness.rows == ((1, 1, 0, 0), (0, 0, 0, 1),
-                              (1, 1, 0, 0), (0, 0, 1, 0))
-    assert [(t.user, t.coeffs.coords) for t in r.code.transmissions] == [
-        (2, (1, 1, 0, 0)), (3, (0, 0, 0, 1)), (2, (0, 0, 1, 0))]
-    assert r.stats["candidates_total"] == 7
-    assert r.stats["product_size"] == 8
-    assert r.stats["row_rank_bound"] == 3
-    assert r.stats["incumbent_initial"] == 4
-    assert verify_code(r.code, mixed4).overall
+    # mixed4: stage one beats the four distinct demands and records its
+    # witness on the way. gen_random(4, 4, 2, .5, 0): nothing beats the three
+    # distinct demands, so the witness is the demand unit rows.
+    cases = [
+        (mixed4, ((1, 1, 0, 0), (0, 0, 0, 1), (1, 1, 0, 0), (0, 0, 1, 0)),
+         [(2, (1, 1, 0, 0)), (3, (0, 0, 0, 1)), (2, (0, 0, 1, 0))],
+         {"nodes_explored": 13, "candidates_total": 7, "product_size": 8,
+          "incumbent_initial": 4}),
+        (gen_random(4, 4, 2, 0.5, 0),
+         ((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 1, 0, 0)),
+         [(3, (1, 0, 0, 0)), (1, (0, 0, 1, 0)), (2, (0, 1, 0, 0))],
+         {"nodes_explored": 7, "candidates_total": 7, "product_size": 8,
+          "incumbent_initial": 3}),
+    ]
+    for inst, rows, transmissions, stats in cases:
+        r = minrank_bnb(inst)
+        assert r.kappa == 3
+        assert r.users == (1, 2, 3, 4)
+        assert r.witness.rows == rows
+        assert [(t.user, t.coeffs.coords) for t in r.code.transmissions] == transmissions
+        assert {k: r.stats[k] for k in stats} == stats
+        assert r.stats["row_rank_bound"] == 3
+        assert verify_code(r.code, inst).overall
 
 
 def test_bnb_deterministic(mixed4, dense4):
