@@ -1,13 +1,21 @@
 """Exact arithmetic and linear algebra over prime fields F_q, 2 <= q <= 251.
 
-Everything here is immutable and deterministic. Pivot choice is always the
-first nonzero entry scanning left-to-right, top-to-bottom, so reduced forms
-are canonical and reproducible across runs.
+Two representations live here. The reference one (GfVector, GfMatrix,
+EchelonBasis, rank, basis_insert, in_span) is immutable, validated and
+deterministic: pivot choice is always the first nonzero entry scanning
+left-to-right, top-to-bottom, so reduced forms are canonical and
+reproducible across runs. It is the API and the independent check route
+(the oracle, the code checker, the covers).
+
+The packed one (packed_space) holds each vector in one Python int and does
+no validation per operation. It is the kernel of the two search loops of
+the branch and bound, which pack their rows once per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import FieldError
 
@@ -20,9 +28,14 @@ _PRIMES = frozenset(
 
 
 class FieldOrder(int):
-    """A validated prime field order. Behaves as a plain int."""
+    """A validated prime field order. Behaves as a plain int.
+
+    A FieldOrder passed in is returned as is: it was validated when made.
+    """
 
     def __new__(cls, q) -> "FieldOrder":
+        if type(q) is cls:
+            return q
         q = int(q)
         if q > MAX_FIELD_ORDER:
             raise FieldError(f"field order {q} exceeds the supported maximum {MAX_FIELD_ORDER}")
@@ -231,7 +244,106 @@ def basis_insert(basis: EchelonBasis, v: GfVector) -> tuple[EchelonBasis, bool]:
 
 
 def in_span(basis: EchelonBasis, v: GfVector) -> bool:
-    """True iff v lies in the span of the basis. The hot call of the search loops."""
+    """True iff v lies in the span of the basis."""
     if v.q != basis.q or len(v.coords) != basis.dim:
         raise ValueError("vector does not match basis field or dimension")
     return not any(_reduce_against(basis.rows, basis.pivots, list(v.coords), basis.q))
+
+
+class PackedSpace:
+    """F_q^dim with every vector packed into one int: the search-loop kernel.
+
+    Coordinate k (0-based) occupies `width` bits from bit k * width. A basis
+    is a tuple of entries in insertion order, each zero on the pivots of the
+    entries before it, so reducing a vector against the entries in order
+    clears every pivot, and reduce(basis + (e,), v) equals
+    reduce((e,), reduce(basis, v)). Subclasses fix the entry layout.
+    """
+
+    width = 1
+
+    def __init__(self, q: int, dim: int):
+        self.q = int(FieldOrder(q))
+        self.dim = dim
+        self.lane = (1 << self.width) - 1
+
+    def pack(self, coords) -> int:
+        if len(coords) != self.dim:
+            raise ValueError(f"{len(coords)} coordinates for a {self.dim}-dimensional space")
+        return sum(int(c) % self.q << (self.width * k) for k, c in enumerate(coords))
+
+    def mask(self, coords) -> int:
+        """Mask covering the 0-based coordinates `coords`; `v & mask` keeps only them."""
+        return sum(self.lane << (self.width * k) for k in coords)
+
+    def insert(self, basis: tuple, v: int) -> tuple[tuple, bool]:
+        """(basis with v appended if independent, grew), as basis_insert."""
+        w = self.reduce(basis, v)
+        if not w:
+            return basis, False
+        return basis + (self.entry(w),), True
+
+
+class _XorSpace(PackedSpace):
+    """q = 2: bit k is coordinate k and addition is XOR.
+
+    An entry is (pivot bit, row), the pivot being the row's lowest set bit.
+    """
+
+    def reduce(self, basis: tuple, v: int) -> int:
+        for pivot, row in basis:
+            if v & pivot:
+                v ^= row
+        return v
+
+    def entry(self, w: int) -> tuple:
+        return w & -w, w
+
+
+class _LaneSpace(PackedSpace):
+    """Odd q: W-bit lanes, W the bit length of 2q - 2 plus a guard bit.
+
+    Two lanes below q sum to at most 2q - 2, which fits below the guard bit,
+    so integer addition adds lanewise with no carry between lanes. Adding
+    2^(W-1) - q to every lane then sets the guard bit exactly of the lanes
+    that reached q, and q is subtracted from those. An entry is (pivot shift,
+    negs), negs[f] being -f times the row scaled to a 1 on its pivot lane.
+    """
+
+    def __init__(self, q: int, dim: int):
+        self.width = (2 * q - 2).bit_length() + 1
+        super().__init__(q, dim)
+        self._guard = self.width - 1
+        self._high = sum(1 << (self._guard + self.width * k) for k in range(dim))
+        self._offset = sum(((1 << self._guard) - q) << (self.width * k) for k in range(dim))
+        # _negs[a] picks negs out of the multiples (0, w, 2w, ...) of a row w
+        # whose pivot lane holds a: negs[f] = -f * a^-1 * w.
+        self._negs = [None] + [
+            itemgetter(*[(q - f) * inv % q for f in range(q)])
+            for inv in (pow(a, q - 2, q) for a in range(1, q))
+        ]
+
+    def reduce(self, basis: tuple, v: int) -> int:
+        lane, offset, high, guard, q = self.lane, self._offset, self._high, self._guard, self.q
+        for shift, negs in basis:
+            f = (v >> shift) & lane
+            if f:
+                s = v + negs[f]
+                v = s - (((s + offset) & high) >> guard) * q
+        return v
+
+    def entry(self, w: int) -> tuple:
+        offset, high, guard, q = self._offset, self._high, self._guard, self.q
+        shift = ((w & -w).bit_length() - 1) // self.width * self.width
+        multiples = [0, w]
+        s = w
+        for _ in range(q - 2):
+            s += w
+            s -= (((s + offset) & high) >> guard) * q
+            multiples.append(s)
+        return shift, self._negs[(w >> shift) & self.lane](multiples)
+
+
+def packed_space(q: int, dim: int) -> PackedSpace:
+    """The packed kernel for F_q^dim: XOR bits at q = 2, guarded lanes otherwise."""
+    return _XorSpace(q, dim) if q == 2 else _LaneSpace(q, dim)

@@ -43,7 +43,7 @@ from .errors import (
     InvalidCodeError,
     OracleExhaustedError,
 )
-from .gf import EchelonBasis, GfMatrix, GfVector, basis_insert, in_span
+from .gf import EchelonBasis, GfMatrix, GfVector, basis_insert, in_span, packed_space
 from .graphs import BipartiteProblemGraph
 from .model import EicpInstance, require_valid
 
@@ -182,32 +182,35 @@ def _row_search(order: list[CandidateSet], incumbent: int,
     down to 1. Every leaf that improves the incumbent records its rows,
     so the rows returned are those of the first leaf in search order with
     the final rank; they are None when no leaf beat the starting incumbent.
+    The candidate rows are packed once and the stack is a packed basis.
     """
     keys = [tuple(v.coords for v in cs.vectors) for cs in order]
     same_group = [d > 0 and keys[d] == keys[d - 1] for d in range(len(order))]
-    chosen: list[GfVector] = []
+    first = order[0].vectors[0]
+    space = packed_space(first.q, len(first))
+    insert = space.insert
+    packed = [[space.pack(coords) for coords in key] for key in keys]
+    chosen: list[int] = []
     best: dict[int, GfVector] | None = None
 
-    def walk(depth: int, basis: EchelonBasis, prev_choice: int) -> None:
+    def walk(depth: int, basis: tuple, prev_choice: int) -> None:
         nonlocal incumbent, best
-        if basis.rank >= incumbent:
+        if len(basis) >= incumbent:
             return
         if depth == len(order):
-            incumbent = basis.rank
-            best = {cs.user: v for cs, v in zip(order, chosen)}
+            incumbent = len(basis)
+            best = {cs.user: cs.vectors[idx] for cs, idx in zip(order, chosen)}
             return
-        vectors = order[depth].vectors
-        for idx in range(prev_choice if same_group[depth] else 0, len(vectors)):
+        rows = packed[depth]
+        for idx in range(prev_choice if same_group[depth] else 0, len(rows)):
             budget.spend()
-            new_basis, _ = basis_insert(basis, vectors[idx])
-            chosen.append(vectors[idx])
-            walk(depth + 1, new_basis, idx)
+            chosen.append(idx)
+            walk(depth + 1, insert(basis, rows[idx])[0], idx)
             chosen.pop()
             if incumbent <= 1:
                 return
 
-    first = order[0].vectors[0]
-    walk(0, EchelonBasis.empty(first.q, len(first)), 0)
+    walk(0, (), 0)
     return incumbent, best
 
 
@@ -262,22 +265,26 @@ def _column_search(inst: EicpInstance, users, pool, incumbent: int,
     Depth-first over the scalar-normalized transmittable columns in pool
     order, extending only with columns independent of those already chosen
     (a dependent column never enlarges any user's decoding span, so minimal
-    serving subsets are independent). `pending` carries, for each user still
-    unserved, the basis of its side-info units plus the chosen columns; a
-    user is dropped the moment its demand unit enters that span.
+    serving subsets are independent). Decodability is tested by projection:
+    with P_i the map zeroing K_i's coordinates, span(C + E_K_i) is
+    span(P_i C) + span(E_K_i), so user i decodes from the chosen columns C
+    iff P_i e_d_i lies in span(P_i C), and P_i e_d_i = e_d_i since d_i is not
+    in K_i. `pending` carries, for each user still unserved, its mask, the
+    packed basis of its projected columns and the residue of its demand unit
+    against that basis; a user is dropped the moment the residue is zero.
     """
-    demand_units = {
-        i: unit_vector(inst.q, inst.num_messages, inst.demand(i)) for i in users
-    }
-    start_pending = {
-        i: basis
-        for i, basis in _side_unit_bases(inst, users).items()
-        if not in_span(basis, demand_units[i])
-    }
+    space = packed_space(inst.q, inst.num_messages)
+    insert, reduce = space.insert, space.reduce
+    columns = [space.pack(vec.coords) for vec, _sender in pool]
+    start_pending = [
+        (space.mask(m - 1 for m in inst.messages if m not in inst.knows(i)), (),
+         space.pack(unit_vector(inst.q, inst.num_messages, inst.demand(i)).coords))
+        for i in users
+    ]
     best: tuple | None = None
     best_size = incumbent
 
-    def walk(pos: int, chosen: list, chosen_basis: EchelonBasis, pending) -> None:
+    def walk(pos: int, chosen: list, chosen_basis: tuple, pending: list) -> None:
         nonlocal best, best_size
         if not pending:
             best = tuple(chosen)
@@ -285,22 +292,25 @@ def _column_search(inst: EicpInstance, users, pool, incumbent: int,
             return
         if len(chosen) + 1 >= best_size:
             return
-        for idx in range(pos, len(pool)):
-            vec, _sender = pool[idx]
+        for idx in range(pos, len(columns)):
+            col = columns[idx]
             budget.spend()
-            new_basis, grew = basis_insert(chosen_basis, vec)
+            new_basis, grew = insert(chosen_basis, col)
             if not grew:
                 continue
-            new_pending = {}
-            for i, basis in pending.items():
-                nb, _ = basis_insert(basis, vec)
-                if not in_span(nb, demand_units[i]):
-                    new_pending[i] = nb
+            new_pending = []
+            for keep, basis, residue in pending:
+                basis, grew = insert(basis, col & keep)
+                if grew:
+                    residue = reduce(basis[-1:], residue)
+                    if not residue:
+                        continue
+                new_pending.append((keep, basis, residue))
             chosen.append(pool[idx])
             walk(idx + 1, chosen, new_basis, new_pending)
             chosen.pop()
 
-    walk(0, [], EchelonBasis.empty(inst.q, inst.num_messages), start_pending)
+    walk(0, [], (), start_pending)
     return best
 
 
@@ -330,7 +340,8 @@ def minrank_bnb(inst: EicpInstance, users=None,
     stage-one rank; it usually finds nothing, but on chain-like instances the
     shortest code's columns are not decodable rows for any single user and
     only this stage sees them. Both stages read one transmission pool, built
-    once per call.
+    once per call, and search on the packed kernel `gf.packed_space`; the
+    reference kernel only extracts and checks the answer.
 
     The returned artifacts are deterministic. When stage one stands, the
     witness is the first row assignment in search order that attains the

@@ -13,6 +13,7 @@ from eicp.gf import (
     basis_insert,
     field_inv,
     in_span,
+    packed_space,
     rank,
 )
 
@@ -26,6 +27,13 @@ def test_field_order_rejects_composites_and_out_of_range():
     for bad in (0, 1, 4, 6, 9, 252, 1024):
         with pytest.raises(FieldError):
             FieldOrder(bad)
+
+
+def test_field_order_passes_a_field_order_through():
+    q = FieldOrder(7)
+    assert FieldOrder(q) is q
+    assert EchelonBasis.empty(q, 3).q is q
+    assert GfVector(q, (1, 2)).q is q
 
 
 def test_field_inv_examples():
@@ -173,3 +181,76 @@ def test_vector_field_mismatch_rejected():
     b = GfVector(3, (1, 0))
     with pytest.raises(ValueError):
         _ = a + b
+
+
+def _differential_stack(rng, q, dim):
+    """Rows mixing random vectors, zero vectors, repeats and in-span combinations;
+    every third stack starts with a full-rank block."""
+    stack = []
+    if rng.random() < 1 / 3:
+        rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        for _ in range(3 * dim):
+            i, j = rng.sample(range(dim), 2) if dim > 1 else (0, 0)
+            if i != j:
+                a = rng.randrange(q)
+                rows[i] = [(x + a * y) % q for x, y in zip(rows[i], rows[j])]
+        rng.shuffle(rows)
+        stack.extend(tuple(r) for r in rows)
+    for _ in range(rng.randint(1, 12)):
+        kind = rng.random()
+        if kind < 0.1 or not stack and kind < 0.4:
+            stack.append((0,) * dim)
+        elif kind < 0.25 and stack:
+            stack.append(rng.choice(stack))
+        elif kind < 0.4 and stack:
+            a, b = rng.choice(stack), rng.choice(stack)
+            f, g = rng.randrange(q), rng.randrange(q)
+            stack.append(tuple((f * x + g * y) % q for x, y in zip(a, b)))
+        else:
+            density = rng.choice((0.2, 0.5, 1.0))
+            stack.append(tuple(rng.randrange(q) if rng.random() < density else 0
+                               for _ in range(dim)))
+    return stack
+
+
+@pytest.mark.parametrize("q", (2, 3, 5, 7, 251))
+def test_packed_space_agrees_with_reference_kernel(q):
+    rng = random.Random(1000 + q)
+    for trial in range(120):
+        dim = 1 + trial % 12
+        space = packed_space(q, dim)
+        stack = _differential_stack(rng, q, dim)
+        ref, packed = EchelonBasis.empty(q, dim), ()
+        for coords in stack:
+            v, w = GfVector(q, coords), space.pack(coords)
+            assert (space.reduce(packed, w) == 0) == in_span(ref, v)
+            before = packed
+            ref, grew = basis_insert(ref, v)
+            packed, packed_grew = space.insert(packed, w)
+            assert packed_grew == grew and len(packed) == ref.rank
+            if grew:
+                # The residue update of the column search: reducing against a
+                # grown basis is reducing the old residue against its last entry.
+                probe = space.pack([rng.randrange(q) for _ in range(dim)])
+                assert (space.reduce(packed, probe)
+                        == space.reduce(packed[-1:], space.reduce(before, probe)))
+        assert len(packed) == rank(GfMatrix.from_rows(q, stack, num_cols=dim))
+        for _ in range(4):
+            coords = tuple(rng.randrange(q) for _ in range(dim))
+            assert (space.reduce(packed, space.pack(coords)) == 0) == in_span(ref, GfVector(q, coords))
+        keep = {k for k in range(dim) if rng.random() < 0.5}
+        coords = tuple(rng.randrange(q) for _ in range(dim))
+        masked = tuple(c if k in keep else 0 for k, c in enumerate(coords))
+        assert space.pack(coords) & space.mask(keep) == space.pack(masked)
+
+
+def test_packed_lanes_hold_the_largest_sums():
+    # At q = 251, reducing (1, 250, ..., 250) by the all-ones row adds 250 to
+    # every lane: lane 0 reaches q and the others 2q - 2 = 500.
+    q, dim = 251, 12
+    space = packed_space(q, dim)
+    basis, grew = space.insert((), space.pack([1] * dim))
+    assert grew
+    v = space.pack([1] + [q - 1] * (dim - 1))
+    assert space.reduce(basis, v) == space.pack([0] + [q - 2] * (dim - 1))
+    assert space.reduce(basis, space.pack([q - 1] * dim)) == 0

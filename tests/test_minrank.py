@@ -6,8 +6,10 @@ from types import SimpleNamespace
 
 import pytest
 
+import eicp.codes
 import eicp.minrank
 from eicp.codes import message_support, unit_vector, verify_code
+from eicp.experiments import regular_tree_instance
 from eicp.errors import (
     ConsistencyError,
     GenerationError,
@@ -177,6 +179,86 @@ def test_two_stage_improvement_on_chain():
     assert r.kappa == 3
     assert r.stats["column_nodes_explored"] > 0
     assert r.code.length == 3
+
+
+# kappa, witness rows, transmissions and stats recorded from the search on
+# the reference GF kernel; the packed kernel must replay the same search.
+PINNED_SEARCHES = [
+    # q = 2 gap: stage two beats the row rank 3.
+    (gen_random(6, 6, 2, 0.5, 1), None, 2,
+     ((1, 1, 0, 0, 1, 0), (1, 0, 0, 0, 0, 1), (0, 1, 0, 0, 1, 1),
+      (0, 1, 0, 0, 1, 1), (1, 1, 0, 0, 1, 0), (1, 0, 0, 0, 0, 1)),
+     [(1, (1, 0, 0, 0, 0, 1)), (6, (1, 1, 0, 0, 1, 0))],
+     {"nodes_explored": 666, "candidates_total": 70,
+      "candidates_per_user": {1: 12, 2: 8, 3: 5, 4: 5, 5: 20, 6: 20},
+      "product_size": 960000, "incumbent_initial": 4, "row_rank_bound": 3,
+      "column_nodes_explored": 765, "column_pool_size": 51}),
+    # The same instance with a users subset.
+    (gen_random(6, 6, 2, 0.5, 1), (1, 2, 3, 5), 2,
+     ((1, 1, 0, 0, 1, 0), (1, 0, 0, 0, 0, 1), (0, 1, 0, 0, 1, 1), (1, 1, 0, 0, 1, 0)),
+     [(1, (1, 0, 0, 0, 0, 1)), (6, (1, 1, 0, 0, 1, 0))],
+     {"nodes_explored": 905, "candidates_total": 45,
+      "candidates_per_user": {1: 12, 2: 8, 3: 5, 5: 20},
+      "product_size": 9600, "incumbent_initial": 4, "row_rank_bound": 3,
+      "column_nodes_explored": 765, "column_pool_size": 51}),
+    # q = 3 gap.
+    (gen_random(5, 5, 3, 0.7, 5), None, 2,
+     ((2, 0, 1, 0, 0), (1, 0, 2, 0, 0), (1, 0, 2, 0, 0), (1, 0, 0, 0, 1), (1, 0, 0, 0, 1)),
+     [(2, (0, 0, 1, 0, 1)), (4, (1, 0, 2, 0, 0))],
+     {"nodes_explored": 4485, "candidates_total": 75,
+      "candidates_per_user": {1: 3, 2: 9, 3: 27, 4: 27, 5: 9},
+      "product_size": 177147, "incumbent_initial": 3, "row_rank_bound": 3,
+      "column_nodes_explored": 567, "column_pool_size": 67}),
+    # q = 5, stage one stands after 820 column nodes.
+    (gen_random(4, 4, 5, 0.5, 3), None, 3,
+     ((0, 1, 1, 0), (0, 0, 0, 1), (0, 1, 1, 0), (1, 0, 0, 0)),
+     [(2, (0, 1, 1, 0)), (3, (0, 0, 0, 1)), (1, (1, 0, 0, 0))],
+     {"nodes_explored": 1205, "candidates_total": 48,
+      "candidates_per_user": {1: 9, 2: 5, 3: 9, 4: 25},
+      "product_size": 10125, "incumbent_initial": 4, "row_rank_bound": 3,
+      "column_nodes_explored": 820, "column_pool_size": 40}),
+    # q = 5 gap.
+    (regular_tree_instance(4, 5), None, 3,
+     ((1, 0, 1, 0), (0, 1, 0, 0), (1, 0, 1, 0), (4, 0, 0, 1)),
+     [(1, (0, 1, 0, 0)), (2, (0, 0, 1, 1)), (3, (1, 0, 0, 4))],
+     {"nodes_explored": 156, "candidates_total": 16,
+      "candidates_per_user": {1: 1, 2: 5, 3: 5, 4: 5},
+      "product_size": 125, "incumbent_initial": 4, "row_rank_bound": 4,
+      "column_nodes_explored": 355, "column_pool_size": 16}),
+]
+
+
+@pytest.mark.parametrize("inst, users, kappa, rows, transmissions, stats", PINNED_SEARCHES)
+def test_bnb_search_pinned(inst, users, kappa, rows, transmissions, stats):
+    r = minrank_bnb(inst, users=users)
+    assert r.kappa == kappa
+    assert r.witness.rows == rows
+    assert [(t.user, t.coeffs.coords) for t in r.code.transmissions] == transmissions
+    assert r.stats == stats
+
+
+@pytest.mark.parametrize("inst", [regular_tree_instance(7), regular_tree_instance(5, 5)])
+def test_search_loops_stay_off_the_reference_kernel(inst, monkeypatch):
+    # Only the code extraction and the checker may use the reference kernel:
+    # verify_code decodes each user twice from at most kappa <= n columns plus
+    # its side-info units, so n users and m messages bound the calls whatever
+    # the number of search nodes.
+    calls = {"basis_insert": 0, "in_span": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for module in (eicp.minrank, eicp.codes):
+        for name in calls:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    r = minrank_bnb(inst)
+    n, m = inst.num_users, inst.num_messages
+    assert r.stats["column_nodes_explored"] >= 2000
+    assert 0 < calls["basis_insert"] <= 2 * n * (n + m)
+    assert 0 < calls["in_span"] <= 2 * n
 
 
 def test_witness_rows_decode_for_their_users():
