@@ -18,7 +18,7 @@ import warnings
 from pathlib import Path
 
 from . import covers, experiments, graphs, minrank, model
-from .codes import parse_code, verify_code
+from .codes import parse_code, transmissions_json, verify_code
 from .errors import (
     ConsistencyError,
     EicpError,
@@ -47,6 +47,10 @@ def _bool(b: bool) -> str:
 
 def _csv(values) -> str:
     return ",".join(str(v) for v in values)
+
+
+def _transmission_rows(code) -> list[tuple]:
+    return [("transmission", t.user, _csv(t.coeffs.coords)) for t in code.transmissions]
 
 
 def _load_instance(path: str, check: bool = True) -> model.EicpInstance:
@@ -110,10 +114,7 @@ def _cmd_minrank(args) -> int:
         "kappa": result.kappa,
         "users": list(result.users),
         "witness": [list(row) for row in result.witness.rows],
-        "transmissions": [
-            {"user": t.user, "coeffs": list(t.coeffs.coords)}
-            for t in result.code.transmissions
-        ],
+        "transmissions": transmissions_json(result.code),
     }
     if oracle_kappa is not None:
         payload["oracle_kappa"] = oracle_kappa
@@ -134,10 +135,7 @@ def _cmd_minrank(args) -> int:
             ("witness_row", u, _csv(row))
             for u, row in zip(result.users, result.witness.rows)
         ]
-        rows += [
-            ("transmission", t.user, _csv(t.coeffs.coords))
-            for t in result.code.transmissions
-        ]
+        rows += _transmission_rows(result.code)
         if args.stats:
             rows += [(k, v) for k, v in result.stats.items()
                      if k != "candidates_per_user"]
@@ -162,10 +160,7 @@ def _cmd_cover(args) -> int:
              w.covering_user if w.covering_user is not None else "-")
             for w in plan.structures
         ]
-        rows += [
-            ("transmission", t.user, _csv(t.coeffs.coords))
-            for t in plan.code.transmissions
-        ]
+        rows += _transmission_rows(plan.code)
         _emit(_tsv(rows), args.out)
     return 0
 

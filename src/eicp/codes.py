@@ -245,7 +245,7 @@ def parse_code(text: str, inst: EicpInstance) -> EmbeddedIndexCode:
     """Parse {"transmissions": [{"user": u, "coeffs": [...]}, ...]} against an instance."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise InstanceFormatError(f"not valid JSON: {e}") from e
     if not isinstance(obj, dict) or set(obj) != {"transmissions"}:
         raise InstanceFormatError("code file must be an object with the single key 'transmissions'")
@@ -270,10 +270,10 @@ def parse_code(text: str, inst: EicpInstance) -> EmbeddedIndexCode:
     return EmbeddedIndexCode(inst, tuple(transmissions))
 
 
+def transmissions_json(code: EmbeddedIndexCode) -> list[dict]:
+    """The transmissions in the JSON form parse_code reads: [{"user", "coeffs"}, ...]."""
+    return [{"user": t.user, "coeffs": list(t.coeffs.coords)} for t in code.transmissions]
+
+
 def serialize_code(code: EmbeddedIndexCode) -> str:
-    obj = {
-        "transmissions": [
-            {"user": t.user, "coeffs": list(t.coeffs.coords)} for t in code.transmissions
-        ]
-    }
-    return json.dumps(obj)
+    return json.dumps({"transmissions": transmissions_json(code)})

@@ -8,7 +8,8 @@ user indices when transmissions are assembled.
 Costs, with I(s) = 1 when structure s has a covering user:
   path-pattern cover:   a size-n structure costs n - 1 transmissions and a
                         lone message costs 1, so length = N - K + K_e with K
-                        structures of which K_e are lone messages;
+                        structures of which K_e are lone messages (the
+                        pattern's edges are graphs.path_pattern_edges);
   mutual-knowledge cover: a clique costs 2 - I(s), lone messages are always
                         coverable, so length = K + K_u with K_u uncovered.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import EmbeddedIndexCode, Transmission, verify_code
+from .codes import EmbeddedIndexCode, Transmission, transmissions_json, verify_code
 from .errors import ConsistencyError, GuardExceededError, NotSingleUnicastError
 from .gf import GfVector
 from .graphs import (
@@ -31,6 +32,7 @@ from .graphs import (
     _find_tree_sequence,
     _pack_trees,
     find_covered_pairs,
+    path_pattern_edges,
     search_bicliques,
     single_edge_witness,
     verify_structure,
@@ -85,10 +87,7 @@ class CoverPlan:
             "counts": dict(self.counts),
             "flags": dict(self.flags),
             "structures": [w.to_json_obj() for w in self.structures],
-            "transmissions": [
-                {"user": t.user, "coeffs": list(t.coeffs.coords)}
-                for t in self.code.transmissions
-            ],
+            "transmissions": transmissions_json(self.code),
         }
 
 
@@ -116,15 +115,14 @@ def _combination(inst: EicpInstance, messages) -> GfVector:
 
 
 def _tree_transmissions(inst, demander, w: StructureWitness) -> list[Transmission]:
-    # Slot j sends the sum of the next two slots' messages; the last slot
-    # only listens. n - 1 symbols, each inside its sender's side info.
+    # Each slot holding two pattern messages sends their sum; the last slot
+    # holds one and only listens. n - 1 symbols inside their senders' side info.
     seq = w.msg_seq
-    n = len(seq)
-    out = []
-    for j in range(1, n):
-        sender = demander[seq[j - 1]]
-        out.append(Transmission(sender, _combination(inst, (seq[j % n], seq[(j + 1) % n]))))
-    return out
+    held: list[list[int]] = [[] for _ in seq]
+    for slot, msg_slot in path_pattern_edges(len(seq)):
+        held[slot].append(seq[msg_slot])
+    return [Transmission(demander[seq[slot]], _combination(inst, msgs))
+            for slot, msgs in enumerate(held) if len(msgs) == 2]
 
 
 def _structure_transmissions(inst, demander, w: StructureWitness) -> list[Transmission]:

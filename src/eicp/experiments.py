@@ -20,11 +20,12 @@ from .graphs import (
     build_side_info_graph,
     canonical_form,
     is_connected,
+    path_pattern_edges,
     prune_degree_one,
     uniq_demanded,
 )
 from .minrank import minrank_bnb, minrank_oracle
-from .model import EicpInstance, MessageCountWarning, require_valid, validate
+from .model import EicpInstance, MessageCountWarning, enumerate_demands, require_valid, validate
 
 
 @dataclass(frozen=True)
@@ -57,22 +58,15 @@ class ExperimentReport:
 def regular_tree_instance(n: int, q: int = 2) -> EicpInstance:
     """The path-pattern instance on n users and n messages, demands on the diagonal.
 
-    User j holds the next two messages, the last two users wrap onto message
-    1, and the final user holds only message 1. The shortest code for it has
-    n - 1 symbols.
+    User j holds the messages of the slots that pattern slot j holds
+    (graphs.path_pattern_edges). The shortest code for it has n - 1 symbols.
     """
     if n < 3:
         raise ValueError("the path pattern needs at least 3 users")
-    side = []
-    for j in range(1, n + 1):
-        if j <= n - 2:
-            side.append((j + 1, j + 2))
-        elif j == n - 1:
-            side.append((1, n))
-        else:
-            side.append((1,))
-    demands = tuple(range(1, n + 1))
-    inst = EicpInstance(FieldOrder(q), n, n, tuple(side), demands)
+    side: list[list[int]] = [[] for _ in range(n)]
+    for slot, held in path_pattern_edges(n):
+        side[slot].append(held + 1)
+    inst = EicpInstance(FieldOrder(q), n, n, tuple(side), tuple(range(1, n + 1)))
     require_valid(inst)
     return inst
 
@@ -215,10 +209,10 @@ def experiment_fig5(q: int = 2) -> ExperimentReport:
         connected = is_connected(graph)
         connected_count += connected
         kappas = []
-        for perm in itertools.permutations((1, 2, 3)):
-            if any(perm[i] in family[i] for i in range(3)):
+        for demands in enumerate_demands(family, 3):
+            if len(set(demands)) < 3:
                 continue
-            inst = EicpInstance(FieldOrder(q), 3, 3, family, perm)
+            inst = EicpInstance(FieldOrder(q), 3, 3, family, demands)
             if validate(inst):
                 continue
             kappas.append(minrank_bnb(inst).kappa)
@@ -249,9 +243,14 @@ def experiment_fig5(q: int = 2) -> ExperimentReport:
 
 
 def _canonical_family_reps(num_users: int, num_messages: int):
+    """One valid family per isomorphism class, each the lexicographically first.
+
+    A class is closed under user reordering, so its first family is sorted,
+    and the sorted families alone meet every class in the same order.
+    """
     reps: dict[bytes, tuple[tuple[int, ...], ...]] = {}
     full = (1 << num_messages) - 1
-    for masks in itertools.product(range(full), repeat=num_users):
+    for masks in itertools.combinations_with_replacement(range(full), num_users):
         if not _family_valid(masks, num_messages):
             continue
         family = _mask_family_to_sets(masks, num_messages)
@@ -288,10 +287,7 @@ def experiment_theorem2(max_users: int = 4, max_messages: int = 4,
                     connected = is_connected(graph)
                     pruned = prune_degree_one(graph)
                     x_prime = set(pruned.x_prime)
-                    pools = [
-                        [d for d in range(1, m + 1) if d not in k] for k in family
-                    ]
-                    for demands in itertools.product(*pools):
+                    for demands in enumerate_demands(family, m):
                         inst = EicpInstance(FieldOrder(q), n, m, family, demands)
                         if validate(inst):
                             continue

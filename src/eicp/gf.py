@@ -15,6 +15,7 @@ the branch and bound, which pack their rows once per call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from operator import itemgetter
 
 from .errors import FieldError
@@ -55,6 +56,16 @@ def field_inv(a: int, q: int) -> int:
         raise ZeroDivisionError(f"0 has no multiplicative inverse in F_{int(q)}")
     # Fermat: a^(q-2) = a^(-1) for prime q.
     return pow(a, q - 2, q)
+
+
+_INVERSE_TABLES: dict[int, tuple[int, ...]] = {}
+
+
+def inverse_table(q: int) -> tuple[int, ...]:
+    """inv[a] = a^-1 in F_q (Fermat), inv[0] a placeholder; built once per field."""
+    if q not in _INVERSE_TABLES:
+        _INVERSE_TABLES[q] = (0,) + tuple(pow(a, q - 2, q) for a in range(1, q))
+    return _INVERSE_TABLES[q]
 
 
 @dataclass(frozen=True)
@@ -300,6 +311,16 @@ class _XorSpace(PackedSpace):
         return w & -w, w
 
 
+@cache
+def _neg_pickers(q: int) -> tuple:
+    # _neg_pickers(q)[a] picks negs out of the multiples (0, w, 2w, ...) of a
+    # row w whose pivot lane holds a: negs[f] = -f * a^-1 * w.
+    inv = inverse_table(q)
+    return (None,) + tuple(
+        itemgetter(*[(q - f) * inv[a] % q for f in range(q)]) for a in range(1, q)
+    )
+
+
 class _LaneSpace(PackedSpace):
     """Odd q: W-bit lanes, W the bit length of 2q - 2 plus a guard bit.
 
@@ -316,12 +337,7 @@ class _LaneSpace(PackedSpace):
         self._guard = self.width - 1
         self._high = sum(1 << (self._guard + self.width * k) for k in range(dim))
         self._offset = sum(((1 << self._guard) - q) << (self.width * k) for k in range(dim))
-        # _negs[a] picks negs out of the multiples (0, w, 2w, ...) of a row w
-        # whose pivot lane holds a: negs[f] = -f * a^-1 * w.
-        self._negs = [None] + [
-            itemgetter(*[(q - f) * inv % q for f in range(q)])
-            for inv in (pow(a, q - 2, q) for a in range(1, q))
-        ]
+        self._negs = _neg_pickers(self.q)
 
     def reduce(self, basis: tuple, v: int) -> int:
         lane, offset, high, guard, q = self.lane, self._offset, self._high, self._guard, self.q

@@ -11,6 +11,9 @@ of message i. Under that convention a structure's member users are exactly
 the demanders of its member messages, while covering users and transmitters
 may be any other user, including pure helpers with indices above the message
 count.
+
+The path pattern (the regular tree of the tree cover scheme) is defined
+once, by path_pattern_edges; every other module reads it from there.
 """
 
 from __future__ import annotations
@@ -189,32 +192,19 @@ class StructureWitness:
         return obj
 
 
-def _tree_edge_constraints(n: int):
-    """Required (slot, message-slot) adjacencies of the size-n path pattern.
+def path_pattern_edges(n: int) -> list[tuple[int, int]]:
+    """The 2n - 1 (slot, message-slot) edges of the size-n path pattern, 0-based.
 
-    Slot j (1-based) must be adjacent to message slots j+1 (j <= n-1), j+2
-    (j <= n-2), and slot n-1 and slot n are both adjacent to message slot 1.
+    Slot j holds message slots j + 1 and j + 2, read mod n, so the last two
+    slots wrap onto slot 0 and the last slot holds slot 0 only.
     """
-    wants: list[list[int]] = [[] for _ in range(n)]
-    for j in range(1, n):
-        wants[j - 1].append(j + 1)
-    for j in range(1, n - 1):
-        wants[j - 1].append(j + 2)
-    wants[n - 2].append(1)
-    wants[n - 1].append(1)
-    return wants
+    return [(j, (j + k) % n) for j in range(n) for k in (1, 2) if j + k <= n]
 
 
 def tree_witness_edges(w: StructureWitness) -> set[tuple[int, int]]:
     """The 2n-1 (user, message) edges a regular-tree witness asserts."""
-    n = w.size
     seq = w.msg_seq
-    edges = set()
-    for j in range(1, n + 1):
-        edges.add((seq[j - 1], seq[j % n]))
-    for j in range(1, n):
-        edges.add((seq[j - 1], seq[(j + 1) % n]))
-    return edges
+    return {(seq[slot], seq[held]) for slot, held in path_pattern_edges(w.size)}
 
 
 def verify_structure(g: SideInfoBipartiteGraph, w: StructureWitness) -> bool:
@@ -264,17 +254,12 @@ def verify_structure(g: SideInfoBipartiteGraph, w: StructureWitness) -> bool:
 
 def _find_tree_sequence(g: SideInfoBipartiteGraph, pool: list[int], n: int):
     """Lexicographically first index sequence forming the size-n pattern, or None."""
-    wants = _tree_edge_constraints(n)
-
-    def ok(seq: list[int], slot: int) -> bool:
-        # Check every constraint that became fully instantiated by filling `slot`.
-        for j in range(slot + 1):
-            known = g.knows[seq[j] - 1]
-            for t in wants[j]:
-                if t - 1 <= slot and seq[t - 1] not in known:
-                    return False
-        return True
-
+    # Filling a slot closes the edges whose later end it is; the edges
+    # closed earlier held when their slots were filled.
+    closes: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for slot, held in path_pattern_edges(n):
+        closes[max(slot, held)].append((slot, held))
+    knows = g.knows
     seq: list[int] = []
     used: set[int] = set()
 
@@ -284,10 +269,11 @@ def _find_tree_sequence(g: SideInfoBipartiteGraph, pool: list[int], n: int):
                 continue
             seq.append(m)
             used.add(m)
-            if ok(seq, slot):
-                if slot == n - 1:
-                    return True
-                if extend(slot + 1):
+            for s, held in closes[slot]:
+                if seq[held] not in knows[seq[s] - 1]:
+                    break
+            else:
+                if slot == n - 1 or extend(slot + 1):
                     return True
             seq.pop()
             used.discard(m)

@@ -43,7 +43,7 @@ from .errors import (
     InvalidCodeError,
     OracleExhaustedError,
 )
-from .gf import EchelonBasis, GfMatrix, GfVector, basis_insert, in_span, packed_space
+from .gf import EchelonBasis, GfMatrix, GfVector, basis_insert, in_span, inverse_table, packed_space
 from .graphs import BipartiteProblemGraph
 from .model import EicpInstance, require_valid
 
@@ -106,7 +106,7 @@ def build_candidates(inst: EicpInstance, users=None,
     if pool is None:
         pool = _transmission_pool(inst)
     q = inst.q
-    inv = _inverses(q)
+    inv = inverse_table(q)
     supports = [message_support(vec) for vec, _sender in pool]
     out = []
     for i in users:
@@ -387,7 +387,7 @@ def minrank_bnb(inst: EicpInstance, users=None,
         code = EmbeddedIndexCode(
             inst, tuple(Transmission(sender, vec) for vec, sender in improvement)
         )
-        _recheck_through_code_path(inst, users, code)
+        _recheck_through_code_path(inst, users, code, "the branch and bound's stage two")
         rows = [_decode_row(code, inst, i).coords for i in users]
         witness = GfMatrix.from_rows(q, rows, num_cols=dim)
     if code.length != kappa:
@@ -405,11 +405,6 @@ def minrank_bnb(inst: EicpInstance, users=None,
     return MinrankResult(kappa, users, witness, code, stats)
 
 
-def _inverses(q: int) -> list[int]:
-    """inv[a] = a^-1 in F_q for a in 1..q-1 (Fermat); inv[0] is a placeholder."""
-    return [0] + [pow(a, q - 2, q) for a in range(1, q)]
-
-
 def _transmission_pool(inst: EicpInstance) -> list[tuple[GfVector, int]]:
     """Every transmittable column up to scalar, with its smallest sender.
 
@@ -418,7 +413,7 @@ def _transmission_pool(inst: EicpInstance) -> list[tuple[GfVector, int]]:
     """
     q = inst.q
     m = inst.num_messages
-    inv = _inverses(q)
+    inv = inverse_table(q)
     seen: dict[tuple[int, ...], int] = {}
     for j in inst.users:
         side = sorted(inst.knows(j))
@@ -475,7 +470,7 @@ def minrank_oracle(inst: EicpInstance, l_max: int | None = None, users=None,
             code = EmbeddedIndexCode(
                 inst, tuple(Transmission(sender, vec) for vec, sender in subset)
             )
-            _recheck_through_code_path(inst, users, code)
+            _recheck_through_code_path(inst, users, code, "the oracle")
             stats = {
                 "subsets_examined": examined,
                 "pool_size": len(pool),
@@ -495,8 +490,8 @@ def _subset_serves(inst, users, unit_bases, demand_units, subset) -> bool:
     return True
 
 
-def _recheck_through_code_path(inst, users, code) -> None:
-    """Dual-route confirmation of an oracle hit via the code checker."""
+def _recheck_through_code_path(inst, users, code, route: str) -> None:
+    """Dual-route confirmation, via the code checker, of a code `route` built."""
     if len(users) == inst.num_users:
         ok = verify_code(code, inst).overall
     else:
@@ -505,7 +500,7 @@ def _recheck_through_code_path(inst, users, code) -> None:
             decodable_from(inst, columns, i) for i in users
         )
     if not ok:
-        raise ConsistencyError("oracle accepted a code the checker rejects")
+        raise ConsistencyError(f"{route} accepted a code the checker rejects")
 
 
 def complexity_report(inst: EicpInstance, users=None,

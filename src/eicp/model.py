@@ -250,7 +250,7 @@ def parse_instance(text: str, check: bool = True) -> EicpInstance:
     """
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise InstanceFormatError(f"not valid JSON: {e}") from e
     if not isinstance(obj, dict):
         raise InstanceFormatError("instance file must contain a JSON object")

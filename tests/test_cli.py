@@ -58,6 +58,15 @@ def test_validate_malformed_file(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [["validate"], ["verify", MIXED4]], ids=["validate", "verify"])
+def test_deeply_nested_json_is_an_input_error(capsys, tmp_path, argv):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000)
+    code, out, err = run(capsys, *argv, str(nested))
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_validate_missing_file(capsys):
     code, out, err = run(capsys, "validate", "/nonexistent/instance.json")
     assert code == 1

@@ -22,6 +22,7 @@ from eicp.codes import (
 )
 from eicp.errors import InstanceFormatError, InvalidCodeError, NotDecodableError
 from eicp.gf import FieldOrder, GfVector
+from eicp.minrank import minrank_bnb
 from eicp.model import EicpInstance, gen_random, parse_instance
 
 
@@ -281,3 +282,16 @@ def test_parse_code_rejects_bad_shapes(mixed4):
         parse_code(
             '{"transmissions": [{"user": 1, "coeffs": [1, 0, "0", 0]}]}',
             mixed4)
+
+
+def test_serialize_code_of_bnb_codes_pinned(mixed4, seven_user):
+    expected = {
+        "mixed4": '{"transmissions": [{"user": 2, "coeffs": [1, 1, 0, 0]}, '
+                  '{"user": 3, "coeffs": [0, 0, 0, 1]}, '
+                  '{"user": 2, "coeffs": [0, 0, 1, 0]}]}',
+        "seven_user": '{"transmissions": [{"user": 5, "coeffs": [1, 1, 1, 1, 0, 0, 0]}, '
+                      '{"user": 6, "coeffs": [0, 0, 0, 0, 1, 0, 0]}, '
+                      '{"user": 5, "coeffs": [0, 0, 0, 0, 0, 1, 1]}]}',
+    }
+    for name, inst in (("mixed4", mixed4), ("seven_user", seven_user)):
+        assert serialize_code(minrank_bnb(inst).code) == expected[name]

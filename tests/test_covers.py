@@ -268,3 +268,14 @@ def test_compare_schemes(seven_user):
     assert got == {"tree_length": 4, "biclique_length": 3, "kappa": 3}
     got = compare_schemes(_tree(4))
     assert got == {"tree_length": 3, "biclique_length": 4, "kappa": 3}
+
+
+def test_greedy_tree_cover_transmissions_pinned():
+    # (sender, support) of each transmission; every coefficient is 1 at q = 2.
+    chain = {n: [(j, (j + 1, j + 2)) for j in range(1, n - 1)] + [(n - 1, (1, n))]
+             for n in range(4, 10)}
+    assert chain[4] == [(1, (2, 3)), (2, (3, 4)), (3, (1, 4))]
+    expected = {3: [(2, (1, 3)), (1, (2,))], **chain}
+    for n, sends in expected.items():
+        got = [(t.user, t.coeffs.coords) for t in tree_cover(regular_tree_instance(n)).code.transmissions]
+        assert got == [(u, tuple(int(m in supp) for m in range(1, n + 1))) for u, supp in sends]

@@ -1,13 +1,23 @@
 """Experiment drivers: instance families and the three study reports."""
 
+import itertools
+
 import pytest
 
 from eicp.errors import GenerationError
-from eicp.graphs import build_side_info_graph, is_connected
+from eicp.graphs import (
+    SideInfoBipartiteGraph,
+    build_side_info_graph,
+    canonical_form,
+    is_connected,
+)
 from eicp.minrank import minrank_bnb
 from eicp.model import validate
 from eicp.experiments import (
     ExperimentReport,
+    _canonical_family_reps,
+    _family_valid,
+    _mask_family_to_sets,
     biclique_instance,
     experiment_fig5,
     experiment_lemma_sweep,
@@ -103,3 +113,30 @@ def test_report_serialization():
     obj = report.to_json_obj()
     assert obj["rows"] == [[1, "x"], [2, "y"]]
     assert obj["details"] == {"k": 3}
+
+
+def test_regular_tree_instance_side_info_pinned():
+    # User j holds j+1 and j+2; user n-1 wraps onto 1 and holds n; user n holds 1.
+    expected = {
+        3: ((2, 3), (1, 3), (1,)),
+        4: ((2, 3), (3, 4), (1, 4), (1,)),
+        5: ((2, 3), (3, 4), (4, 5), (1, 5), (1,)),
+        6: ((2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (1,)),
+        7: ((2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 7), (1,)),
+        8: ((2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (1, 8), (1,)),
+        9: ((2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9), (1, 9), (1,)),
+    }
+    for n, side in expected.items():
+        assert regular_tree_instance(n).side_info == side
+
+
+def test_family_reps_match_the_full_product_dedupe():
+    # Reference: every ordered family in product order, kept when its
+    # canonical form is new.
+    for n, m in itertools.product(range(1, 4), range(1, 5)):
+        reps = {}
+        for masks in itertools.product(range((1 << m) - 1), repeat=n):
+            if _family_valid(masks, m):
+                family = _mask_family_to_sets(masks, m)
+                reps.setdefault(canonical_form(SideInfoBipartiteGraph(n, m, family)), family)
+        assert _canonical_family_reps(n, m) == list(reps.values())

@@ -13,6 +13,7 @@ from eicp.gf import (
     basis_insert,
     field_inv,
     in_span,
+    inverse_table,
     packed_space,
     rank,
 )
@@ -254,3 +255,11 @@ def test_packed_lanes_hold_the_largest_sums():
     v = space.pack([1] + [q - 1] * (dim - 1))
     assert space.reduce(basis, v) == space.pack([0] + [q - 2] * (dim - 1))
     assert space.reduce(basis, space.pack([q - 1] * dim)) == 0
+
+
+def test_field_tables_are_built_once_per_field():
+    for q in (2, 3, 5, 251):
+        inv = inverse_table(q)
+        assert all(a * inv[a] % q == 1 for a in range(1, q))
+        assert inverse_table(FieldOrder(q)) is inv
+    assert packed_space(251, 12)._negs is packed_space(251, 3)._negs

@@ -243,3 +243,23 @@ def test_canonical_form_separates_shapes():
     a = SideInfoBipartiteGraph(3, 3, ((2,), (3,), (1,)))
     b = SideInfoBipartiteGraph(3, 3, ((2, 3), (3,), (1,)))
     assert canonical_form(a) != canonical_form(b)
+
+
+def test_tree_witness_edges_pinned():
+    expected = {
+        3: [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1)],
+        4: [(1, 2), (1, 3), (2, 3), (2, 4), (3, 1), (3, 4), (4, 1)],
+        5: [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5), (4, 1), (4, 5),
+            (5, 1)],
+        6: [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5), (4, 6),
+            (5, 1), (5, 6), (6, 1)],
+    }
+    for n, edges in expected.items():
+        seq = tuple(range(1, n + 1))
+        assert sorted(tree_witness_edges(StructureWitness("regular_tree", seq, seq))) == edges
+        # The edges follow the slots, whatever messages fill them.
+        relabeled = tuple(10 * m for m in reversed(seq))
+        w = StructureWitness("regular_tree", relabeled, relabeled)
+        assert tree_witness_edges(w) == {
+            (relabeled[u - 1], relabeled[m - 1]) for u, m in edges
+        }

@@ -332,8 +332,13 @@ def test_candidates_equal_direct_enumeration():
 def test_checker_rejection_raises_consistency_error(mixed4, dense4, monkeypatch):
     monkeypatch.setattr(eicp.minrank, "verify_code",
                         lambda code, inst: SimpleNamespace(overall=False))
-    with pytest.raises(ConsistencyError, match="checker rejects"):
+    with pytest.raises(ConsistencyError, match="the oracle accepted a code the checker rejects"):
         minrank_oracle(mixed4)
+    # Stage two improves row rank 4 to kappa 3 here, so the rejected code
+    # comes from the branch and bound, and the error must say so.
+    with pytest.raises(ConsistencyError, match="checker rejects") as info:
+        minrank_bnb(gen_random(6, 6, 3, .5, 0))
+    assert "stage two" in str(info.value) and "oracle" not in str(info.value)
     # A user subset is re-checked per user instead of by the full checker.
     monkeypatch.setattr(eicp.minrank, "decodable_from", lambda inst, cols, i: False)
     with pytest.raises(ConsistencyError, match="checker rejects"):
