@@ -49,6 +49,11 @@ def _csv(values) -> str:
     return ",".join(str(v) for v in values)
 
 
+def _structure_row(label: str, w) -> tuple:
+    return (label, w.kind, _csv(w.msg_seq),
+            w.covering_user if w.covering_user is not None else "-")
+
+
 def _transmission_rows(code) -> list[tuple]:
     return [("transmission", t.user, _csv(t.coeffs.coords)) for t in code.transmissions]
 
@@ -155,11 +160,7 @@ def _cmd_cover(args) -> int:
         rows = [("scheme", plan.scheme), ("length", plan.counts["length"])]
         rows += [(k, v) for k, v in plan.counts.items() if k != "length"]
         rows += [(k, _bool(v)) for k, v in plan.flags.items()]
-        rows += [
-            ("structure", w.kind, _csv(w.msg_seq),
-             w.covering_user if w.covering_user is not None else "-")
-            for w in plan.structures
-        ]
+        rows += [_structure_row("structure", w) for w in plan.structures]
         rows += _transmission_rows(plan.code)
         _emit(_tsv(rows), args.out)
     return 0
@@ -219,13 +220,7 @@ def _cmd_structures(args) -> int:
         }
         _emit(json.dumps(payload, indent=2), args.out)
     else:
-        rows = []
-        for key, ws in found.items():
-            rows += [
-                (key, w.kind, _csv(w.msg_seq),
-                 w.covering_user if w.covering_user is not None else "-")
-                for w in ws
-            ]
+        rows = [_structure_row(key, w) for key, ws in found.items() for w in ws]
         _emit(_tsv(rows), args.out)
     return 0
 

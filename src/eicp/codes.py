@@ -21,7 +21,7 @@ from .errors import (
     InvalidInstanceError,
     NotDecodableError,
 )
-from .gf import EchelonBasis, FieldOrder, GfMatrix, GfVector, basis_insert, field_inv, in_span
+from .gf import EchelonBasis, FieldOrder, GfMatrix, GfVector, basis_insert, in_span, reduce
 from .model import EicpInstance
 
 
@@ -116,13 +116,19 @@ def assemble_matrix(code: EmbeddedIndexCode) -> GfMatrix:
     )
 
 
+def side_info_basis(inst: EicpInstance, user: int) -> EchelonBasis:
+    """Basis of the unit vectors of the messages `user` holds, inserted in ascending order."""
+    basis = EchelonBasis.empty(inst.q, inst.num_messages)
+    for k in sorted(inst.knows(user)):
+        basis, _ = basis_insert(basis, unit_vector(inst.q, inst.num_messages, k))
+    return basis
+
+
 def decodable_from(inst: EicpInstance, columns, user: int) -> bool:
     """Demand of `user` lies in span(columns) + span(side-info units)."""
-    basis = EchelonBasis.empty(inst.q, inst.num_messages)
+    basis = side_info_basis(inst, user)
     for col in columns:
         basis, _ = basis_insert(basis, col)
-    for k in inst.knows(user):
-        basis, _ = basis_insert(basis, unit_vector(inst.q, inst.num_messages, k))
     return in_span(basis, unit_vector(inst.q, inst.num_messages, inst.demand(user)))
 
 
@@ -180,52 +186,34 @@ def decode_coeffs(code: EmbeddedIndexCode, inst: EicpInstance, user: int
         sum_t combo[t] * T_t  -  sum_k correction[k] * x_k  =  x_demand,
 
     correction indexed by the user's side-info messages in ascending order.
-    Found by solving the linear system with generators in transmission order
-    first, so plain deliveries decode with a unit combo and zero correction.
+    The generators are the transmissions, then the side-info units. One that
+    lies in the span of those before it is dropped and gets coefficient 0, so
+    plain deliveries decode with a unit combo and zero correction. The kept
+    generators are independent, so the recipe over them is unique.
     """
     _require_same_instance(code, inst)
     q = inst.q
     m = inst.num_messages
     side = sorted(inst.knows(user))
-    gens = [list(t.coeffs.coords) for t in code.transmissions]
-    gens += [list(unit_vector(q, m, k).coords) for k in side]
+    gens = [t.coeffs.coords for t in code.transmissions]
+    gens += [unit_vector(q, m, k).coords for k in side]
     n_gens = len(gens)
 
-    # Forward elimination with combination tracking. Each kept row remembers
-    # how it was built from the generators; rows are reduced in insertion
-    # order, which is sound because every row is zero on all earlier pivots.
-    rows: list[tuple[list[int], list[int], int]] = []  # (vector, combination, pivot)
+    # Generator j is tracked as (gen_j, e_j): every row and residue then carries,
+    # after the m message coordinates, the combination of generators behind it.
+    tracked = EchelonBasis.empty(q, m + n_gens)
+    for j, gen in enumerate(gens):
+        row = GfVector(q, gen + tuple(int(i == j) for i in range(n_gens)))
+        if any(reduce(tracked, row).coords[:m]):
+            tracked, _ = basis_insert(tracked, row)
 
-    def reduce(vec: list[int], comb: list[int]) -> tuple[list[int], list[int]]:
-        for rvec, rcomb, rpiv in rows:
-            f = vec[rpiv]
-            if f:
-                vec = [(a - f * b) % q for a, b in zip(vec, rvec)]
-                comb = [(a - f * b) % q for a, b in zip(comb, rcomb)]
-        return vec, comb
-
-    for g_idx, gen in enumerate(gens):
-        comb = [1 if j == g_idx else 0 for j in range(n_gens)]
-        vec, comb = reduce(list(gen), comb)
-        pivot = next((i for i, c in enumerate(vec) if c), None)
-        if pivot is None:
-            continue
-        inv = field_inv(vec[pivot], q)
-        rows.append((
-            [(inv * c) % q for c in vec],
-            [(inv * c) % q for c in comb],
-            pivot,
-        ))
-
-    target = list(unit_vector(q, m, inst.demand(user)).coords)
-    residual, neg_comb = reduce(target, [0] * n_gens)
-    if any(residual):
+    target = unit_vector(q, m, inst.demand(user)).coords + (0,) * n_gens
+    residue = reduce(tracked, GfVector(q, target)).coords
+    if any(residue[:m]):
         raise NotDecodableError(f"user {user} cannot decode its demand from this code")
-    # reduce() computed target - sum(c * gen); the representation coefficients
-    # are the negation of what it accumulated.
-    coeffs = [(-c) % q for c in neg_comb]
-    combo = GfVector(q, tuple(coeffs[: code.length]))
-    correction = GfVector(q, tuple((-c) % q for c in coeffs[code.length:]))
+    # The residue is target - sum(c * (gen, e)): its tail is the negated recipe.
+    combo = GfVector(q, tuple(-c for c in residue[m:m + code.length]))
+    correction = GfVector(q, residue[m + code.length:])
 
     # Symbolic check of the identity above.
     acc = [0] * m

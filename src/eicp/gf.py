@@ -1,11 +1,14 @@
 """Exact arithmetic and linear algebra over prime fields F_q, 2 <= q <= 251.
 
-Two representations live here. The reference one (GfVector, GfMatrix,
-EchelonBasis, rank, basis_insert, in_span) is immutable, validated and
-deterministic: pivot choice is always the first nonzero entry scanning
-left-to-right, top-to-bottom, so reduced forms are canonical and
-reproducible across runs. It is the API and the independent check route
-(the oracle, the code checker, the covers).
+Two representations live here, with one echelon rule for their bases: rows
+in insertion order, each with a leading 1 on its pivot (its first nonzero
+coordinate) and zero on the pivots of the rows before it, so reducing a
+vector against the rows in order clears every pivot.
+
+The reference one (GfVector, GfMatrix, EchelonBasis, basis_insert, reduce,
+in_span, and rank, a separate full elimination) is immutable, validated and
+deterministic. It is the API and the independent check route (the oracle,
+the code checker, the decoder, the covers).
 
 The packed one (packed_space) holds each vector in one Python int and does
 no validation per operation. It is the kernel of the two search loops of
@@ -78,7 +81,7 @@ class GfVector:
     def __post_init__(self):
         q = FieldOrder(self.q)
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "coords", tuple(int(c) % q for c in self.coords))
+        object.__setattr__(self, "coords", tuple([int(c) % q for c in self.coords]))
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -185,10 +188,14 @@ def rank(m: GfMatrix) -> int:
     return r
 
 
-def _reduce_against(rows: tuple[tuple[int, ...], ...], pivots: tuple[int, ...],
-                    vec: list[int], q: int) -> list[int]:
-    # Subtract multiples of the RREF rows so vec is zero on every pivot column.
-    for row, p in zip(rows, pivots):
+def _reduce_against(basis: "EchelonBasis", v: GfVector) -> list[int]:
+    # v minus multiples of the rows, in insertion order, zero on every pivot:
+    # each row is zero on the pivots before it, so no step refills one.
+    if v.q != basis.q or len(v.coords) != basis.dim:
+        raise ValueError("vector does not match basis field or dimension")
+    q = basis.q
+    vec = list(v.coords)
+    for row, p in zip(basis.rows, basis.pivots):
         f = vec[p]
         if f:
             vec = [(c - f * r) % q for c, r in zip(vec, row)]
@@ -197,11 +204,11 @@ def _reduce_against(rows: tuple[tuple[int, ...], ...], pivots: tuple[int, ...],
 
 @dataclass(frozen=True)
 class EchelonBasis:
-    """Reduced row echelon basis of a subspace of F_q^dim.
+    """Echelon basis of a subspace of F_q^dim, rows in insertion order.
 
-    Rows are fully reduced: each carries a leading 1 on its pivot column and
-    every other row is zero there. pivots is strictly increasing, so equal
-    subspaces always produce equal bases.
+    Row i carries a leading 1 on pivots[i], its first nonzero coordinate, and
+    is zero on pivots[0..i-1]; it may be nonzero on the pivots of later rows.
+    So the rows depend on the insertion order; the span and the rank do not.
     """
 
     q: FieldOrder
@@ -220,55 +227,36 @@ class EchelonBasis:
     def rank(self) -> int:
         return len(self.rows)
 
-    def vectors(self) -> list[GfVector]:
-        return [GfVector(self.q, row) for row in self.rows]
-
 
 def basis_insert(basis: EchelonBasis, v: GfVector) -> tuple[EchelonBasis, bool]:
     """Insert v; returns (new_basis, grew). grew is False iff v was already in the span."""
-    if v.q != basis.q or len(v.coords) != basis.dim:
-        raise ValueError("vector does not match basis field or dimension")
-    q = basis.q
-    reduced = _reduce_against(basis.rows, basis.pivots, list(v.coords), q)
-    pivot = next((i for i, c in enumerate(reduced) if c), None)
+    residue = _reduce_against(basis, v)
+    pivot = next((i for i, c in enumerate(residue) if c), None)
     if pivot is None:
         return basis, False
-    inv = field_inv(reduced[pivot], q)
-    new_row = tuple((inv * c) % q for c in reduced)
-    # Keep RREF: clear the new pivot column from existing rows, keep pivots sorted.
-    rows, pivots = [], []
-    inserted = False
-    for row, p in zip(basis.rows, basis.pivots):
-        if not inserted and p > pivot:
-            rows.append(new_row)
-            pivots.append(pivot)
-            inserted = True
-        f = row[pivot]
-        if f:
-            row = tuple((c - f * n) % q for c, n in zip(row, new_row))
-        rows.append(row)
-        pivots.append(p)
-    if not inserted:
-        rows.append(new_row)
-        pivots.append(pivot)
-    return EchelonBasis(q, basis.dim, tuple(rows), tuple(pivots)), True
+    q = basis.q
+    inv = field_inv(residue[pivot], q)
+    row = tuple([(inv * c) % q for c in residue])
+    return EchelonBasis(q, basis.dim, basis.rows + (row,), basis.pivots + (pivot,)), True
+
+
+def reduce(basis: EchelonBasis, v: GfVector) -> GfVector:
+    """The residue of v, as PackedSpace.reduce: zero on every pivot, zero iff v is in the span."""
+    return GfVector(basis.q, tuple(_reduce_against(basis, v)))
 
 
 def in_span(basis: EchelonBasis, v: GfVector) -> bool:
     """True iff v lies in the span of the basis."""
-    if v.q != basis.q or len(v.coords) != basis.dim:
-        raise ValueError("vector does not match basis field or dimension")
-    return not any(_reduce_against(basis.rows, basis.pivots, list(v.coords), basis.q))
+    return not any(_reduce_against(basis, v))
 
 
 class PackedSpace:
     """F_q^dim with every vector packed into one int: the search-loop kernel.
 
     Coordinate k (0-based) occupies `width` bits from bit k * width. A basis
-    is a tuple of entries in insertion order, each zero on the pivots of the
-    entries before it, so reducing a vector against the entries in order
-    clears every pivot, and reduce(basis + (e,), v) equals
-    reduce((e,), reduce(basis, v)). Subclasses fix the entry layout.
+    is a tuple of entries kept by the echelon rule above, so
+    reduce(basis + (e,), v) equals reduce((e,), reduce(basis, v)). Subclasses
+    fix the entry layout.
     """
 
     width = 1

@@ -33,6 +33,7 @@ from .codes import (
     decodable_from,
     decode_coeffs,
     message_support,
+    side_info_basis,
     support_violations,
     unit_vector,
     verify_code,
@@ -247,17 +248,6 @@ def extract_code(inst: EicpInstance, witness: GfMatrix, users) -> EmbeddedIndexC
     return code
 
 
-def _side_unit_bases(inst: EicpInstance, users) -> dict[int, EchelonBasis]:
-    """Per-user echelon basis of the side-info unit vectors."""
-    out: dict[int, EchelonBasis] = {}
-    for i in users:
-        basis = EchelonBasis.empty(inst.q, inst.num_messages)
-        for k in sorted(inst.knows(i)):
-            basis, _ = basis_insert(basis, unit_vector(inst.q, inst.num_messages, k))
-        out[i] = basis
-    return out
-
-
 def _column_search(inst: EicpInstance, users, pool, incumbent: int,
                    budget: _Budget):
     """Smallest serving column subset strictly below `incumbent`, or None.
@@ -453,8 +443,7 @@ def minrank_oracle(inst: EicpInstance, l_max: int | None = None, users=None,
         l_max = len({inst.demand(i) for i in users})
     pool = _transmission_pool(inst)
 
-    # Per-user bases of the side-info unit vectors, shared across subsets.
-    unit_bases = _side_unit_bases(inst, users)
+    unit_bases = {i: side_info_basis(inst, i) for i in users}
     demand_units = {i: unit_vector(inst.q, inst.num_messages, inst.demand(i)) for i in users}
 
     examined = 0

@@ -17,6 +17,7 @@ import itertools
 import json
 import random
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -107,9 +108,6 @@ class EicpInstance:
     def demand(self, user: int) -> int:
         return self.demands[user - 1]
 
-    def holders(self, message: int) -> tuple[int, ...]:
-        return tuple(i for i in self.users if message in self.side_sets[i - 1])
-
 
 @dataclass(frozen=True)
 class InstanceClass:
@@ -177,20 +175,27 @@ def validate(inst: EicpInstance) -> list[str]:
     Emits a non-fatal MessageCountWarning when there are more messages than users.
     """
     violations = []
-    held = set().union(*inst.side_sets) if inst.side_sets else set()
-    for m in inst.messages:
-        if m not in held:
-            violations.append(f"message {m} is held by no user")
-        elif len(inst.holders(m)) == inst.num_users:
+    holders = Counter(m for k in inst.side_info for m in k)
+    # Only held messages are visited, num_messages + 1 closing the last run,
+    # and each run of unheld messages is one violation, so neither the cost
+    # nor the report grows with num_messages.
+    last = 0
+    for m in sorted(holders) + [inst.num_messages + 1]:
+        if m == last + 2:
+            violations.append(f"message {last + 1} is held by no user")
+        elif m > last + 2:
+            violations.append(f"messages {last + 1}-{m - 1} are held by no user")
+        if holders[m] == inst.num_users:
             violations.append(f"message {m} is held by every user")
+        last = m
     for i in inst.users:
         if len(inst.knows(i)) == inst.num_messages:
             violations.append(f"user {i} holds every message")
         d = inst.demand(i)
         if d in inst.knows(i):
             violations.append(f"user {i} demands message {d} it already holds")
-        elif not any(d in inst.knows(j) for j in inst.users if j != i):
-            # Implied by the holder rules above, but checked directly.
+        elif not holders[d]:
+            # Implied by the holder rules above, but reported for the user.
             violations.append(f"no user other than {i} holds its demanded message {d}")
     if inst.num_messages > inst.num_users:
         warnings.warn(

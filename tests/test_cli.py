@@ -50,6 +50,30 @@ def test_validate_reports_violations_as_data(capsys, tmp_path):
     assert "violation" in out
 
 
+def _unheld_tail(tmp_path):
+    # 98 bytes naming 10^11 messages, of which the users hold only 1 and 2.
+    path = tmp_path / "unheld.json"
+    path.write_text(json.dumps({
+        "q": 2, "num_users": 2, "num_messages": 10 ** 11,
+        "side_info": [[2], [1]], "demands": [1, 2]}))
+    return str(path)
+
+
+def test_validate_reports_an_unheld_tail_as_one_violation(capsys, tmp_path):
+    code, out, err = run(capsys, "validate", _unheld_tail(tmp_path))
+    assert code == 0
+    assert out.splitlines() == [
+        "valid\tfalse", "single_unicast\tfalse", "single_uniprior\ttrue",
+        "violation\tmessages 3-100000000000 are held by no user",
+    ]
+
+
+def test_minrank_rejects_an_unheld_tail_with_one_error_line(capsys, tmp_path):
+    code, out, err = run(capsys, "minrank", _unheld_tail(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_validate_malformed_file(capsys, tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{nope")

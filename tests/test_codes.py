@@ -1,5 +1,6 @@
 """Codes: assembly, decodability, verification, explicit decoding recipes."""
 
+import hashlib
 import json
 import random
 
@@ -20,7 +21,8 @@ from eicp.codes import (
     unit_vector,
     verify_code,
 )
-from eicp.errors import InstanceFormatError, InvalidCodeError, NotDecodableError
+from eicp.errors import GenerationError, InstanceFormatError, InvalidCodeError, NotDecodableError
+from eicp.experiments import regular_tree_instance
 from eicp.gf import FieldOrder, GfVector
 from eicp.minrank import minrank_bnb
 from eicp.model import EicpInstance, gen_random, parse_instance
@@ -30,12 +32,6 @@ def _code(inst, *entries):
     return EmbeddedIndexCode(inst, tuple(
         Transmission(u, GfVector(inst.q, tuple(c))) for u, c in entries
     ))
-
-
-def _tree4():
-    return EicpInstance(FieldOrder(2), 4, 4,
-                        side_info=((2, 3), (3, 4), (1, 4), (1,)),
-                        demands=(1, 2, 3, 4))
 
 
 def test_transmission_rejects_zero_vector():
@@ -162,7 +158,7 @@ def test_decode_coeffs_shipped_code(mixed4, mixed4_code_text):
 
 
 def test_decode_coeffs_tree_code():
-    inst = _tree4()
+    inst = regular_tree_instance(4)
     code = _code(inst, (1, (0, 1, 1, 0)), (2, (0, 0, 1, 1)), (3, (1, 0, 0, 1)))
     combo, correction = decode_coeffs(code, inst, 1)
     assert combo.coords == (1, 1, 1)
@@ -295,3 +291,49 @@ def test_serialize_code_of_bnb_codes_pinned(mixed4, seven_user):
     }
     for name, inst in (("mixed4", mixed4), ("seven_user", seven_user)):
         assert serialize_code(minrank_bnb(inst).code) == expected[name]
+
+
+def _decode_recipe_corpus():
+    """Random codes inside their senders' side info at q = 2, 3, 5, 7; about
+    one transmission in five repeats an earlier one, so dependent generators
+    occur. Yields the decode_coeffs outcome of every (code, user) pair."""
+    rng = random.Random(2201_08680)
+    for trial in range(600):
+        q = (2, 3, 5, 7)[trial % 4]
+        try:
+            inst = gen_random(rng.randint(3, 6), rng.randint(3, 6), q,
+                              rng.choice((0.3, 0.5, 0.7)), rng.randrange(10**6))
+        except GenerationError:
+            continue
+        senders = [j for j in inst.users if inst.knows(j)]
+        entries = []
+        for _ in range(rng.randint(0, inst.num_users + 2)):
+            if entries and rng.random() < 0.2:
+                entries.append(rng.choice(entries))
+                continue
+            sender = rng.choice(senders)
+            held = sorted(inst.knows(sender))
+            coeffs = [0] * inst.num_messages
+            for k in held:
+                coeffs[k - 1] = rng.randrange(q)
+            if not any(coeffs):
+                coeffs[rng.choice(held) - 1] = rng.randrange(1, q)
+            entries.append((sender, coeffs))
+        code = _code(inst, *entries)
+        for user in inst.users:
+            try:
+                combo, correction = decode_coeffs(code, inst, user)
+            except NotDecodableError as e:
+                yield f"{trial} {user} {e}"
+            else:
+                yield f"{trial} {user} {combo.coords} {correction.coords}"
+
+
+def test_decode_coeffs_recipes_pinned():
+    # The recipe over the kept generators is unique, so any correct
+    # elimination reproduces these outcomes; the digest pins every one.
+    outcomes = list(_decode_recipe_corpus())
+    failures = sum("cannot decode" in line for line in outcomes)
+    assert (len(outcomes), failures) == (2699, 1472)
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "c494dc28433fa0146b36e07c75fb703601dab05573103bbeeeb0d550acb65b07"

@@ -21,14 +21,6 @@ from eicp.experiments import biclique_instance, random_single_unicast, regular_t
 from eicp.model import EicpInstance, gen_random
 
 
-def _tree(n):
-    side = tuple((j + 1, j + 2) for j in range(1, n - 1)) + ((1, n), (1,))
-    return EicpInstance(FieldOrder(2), n, n, side_info=side,
-                        demands=tuple(range(1, n + 1)))
-
-
-
-
 def test_demand_relabeling(mixed4, dense4):
     graph, demander = demand_relabeling(mixed4)
     assert demander == {2: 1, 4: 2, 1: 3, 3: 4}
@@ -49,7 +41,7 @@ def test_demand_relabeling_rejects_repeat_demands():
 
 def test_tree_cover_on_regular_trees():
     for n in (3, 4, 5, 6):
-        inst = _tree(n)
+        inst = regular_tree_instance(n)
         plan = tree_cover(inst)
         assert plan.counts["length"] == n - 1
         assert plan.counts["messages"] == n
@@ -193,14 +185,14 @@ def test_biclique_cover_covered_vs_uncovered():
 
 
 def test_tree_cover_beats_biclique_on_chains():
-    inst = _tree(4)
+    inst = regular_tree_instance(4)
     assert tree_cover(inst).counts["length"] == 3
     assert biclique_cover(inst).counts["length"] == 4
 
 
 def test_cover_length_identities_hold_corpuswide():
     # the identities are asserted inside CoverPlan; build plans broadly
-    instances = [_tree(n) for n in (3, 4, 5, 6)]
+    instances = [regular_tree_instance(n) for n in (3, 4, 5, 6)]
     instances += [biclique_instance(n, c) for n in (3, 4) for c in (True, False)]
     for seed in range(60):
         inst = gen_random(3 + seed % 3, 3 + seed % 3, 2, 0.5, seed)
@@ -236,7 +228,7 @@ def test_exact_cover_never_longer_than_greedy():
 
 
 def test_task_based_flag():
-    t5 = tree_cover(_tree(5))
+    t5 = tree_cover(regular_tree_instance(5))
     assert not t5.flags["task_based"]  # someone chains three symbols
     pairs_only = tree_cover(biclique_instance(3, covered=True))
     assert pairs_only.flags["task_based"]
@@ -266,7 +258,7 @@ def test_single_uniprior_cover_matches_optimum():
 def test_compare_schemes(seven_user):
     got = compare_schemes(seven_user)
     assert got == {"tree_length": 4, "biclique_length": 3, "kappa": 3}
-    got = compare_schemes(_tree(4))
+    got = compare_schemes(regular_tree_instance(4))
     assert got == {"tree_length": 3, "biclique_length": 4, "kappa": 3}
 
 

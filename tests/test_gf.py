@@ -16,6 +16,7 @@ from eicp.gf import (
     inverse_table,
     packed_space,
     rank,
+    reduce,
 )
 
 
@@ -143,6 +144,17 @@ def test_basis_insert_dependency_example():
     assert not grew and basis.rank == 2
 
 
+def test_basis_insert_appends_the_normalized_residue():
+    # Earlier rows are neither cleared on the new pivot nor re-sorted.
+    basis = EchelonBasis.empty(3, 3)
+    for v in ((0, 2, 1), (1, 1, 0)):
+        basis, _ = basis_insert(basis, GfVector(3, v))
+    assert basis.pivots == (1, 0)
+    assert basis.rows == ((0, 1, 2), (1, 0, 1))
+    assert reduce(basis, GfVector(3, (2, 2, 0))).coords == (0, 0, 0)
+    assert reduce(basis, GfVector(3, (0, 0, 1))).coords == (0, 0, 1)
+
+
 def test_basis_insert_first_stacked_fixture():
     rows = [(1, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
     basis = EchelonBasis.empty(2, 4)
@@ -236,9 +248,15 @@ def test_packed_space_agrees_with_reference_kernel(q):
                 assert (space.reduce(packed, probe)
                         == space.reduce(packed[-1:], space.reduce(before, probe)))
         assert len(packed) == rank(GfMatrix.from_rows(q, stack, num_cols=dim))
+        # The echelon rule: a leading 1 on each pivot, zero on earlier pivots.
+        for i, (row, p) in enumerate(zip(ref.rows, ref.pivots)):
+            assert row[p] == 1 and not any(row[:p])
+            assert not any(row[e] for e in ref.pivots[:i])
         for _ in range(4):
             coords = tuple(rng.randrange(q) for _ in range(dim))
-            assert (space.reduce(packed, space.pack(coords)) == 0) == in_span(ref, GfVector(q, coords))
+            residue = space.reduce(packed, space.pack(coords))
+            assert (residue == 0) == in_span(ref, GfVector(q, coords))
+            assert residue == space.pack(reduce(ref, GfVector(q, coords)).coords)
         keep = {k for k in range(dim) if rng.random() < 0.5}
         coords = tuple(rng.randrange(q) for _ in range(dim))
         masked = tuple(c if k in keep else 0 for k, c in enumerate(coords))

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import random
 
+from eicp.experiments import regular_tree_instance
 from eicp.gf import FieldOrder
 from eicp.graphs import (
     SideInfoBipartiteGraph,
@@ -22,12 +23,6 @@ from eicp.graphs import (
     verify_structure,
 )
 from eicp.model import EicpInstance, enumerate_demands
-
-
-def _tree_instance(n):
-    side = tuple((j + 1, j + 2) for j in range(1, n - 1)) + ((1, n), (1,))
-    return EicpInstance(FieldOrder(2), n, n, side_info=side,
-                        demands=tuple(range(1, n + 1)))
 
 
 def _random_graph(rng, n, m):
@@ -120,7 +115,7 @@ def test_uniq_demanded(mixed4):
 
 
 def test_verify_structure_tree():
-    inst = _tree_instance(4)
+    inst = regular_tree_instance(4)
     w = StructureWitness(kind="regular_tree", user_seq=(1, 2, 3, 4),
                          msg_seq=(1, 2, 3, 4))
     assert verify_structure(build_side_info_graph(inst), w)
@@ -131,7 +126,7 @@ def test_verify_structure_tree():
 
 
 def test_verify_structure_rejects_mismatched_slots():
-    inst = _tree_instance(4)
+    inst = regular_tree_instance(4)
     g = build_side_info_graph(inst)
     w = StructureWitness(kind="regular_tree", user_seq=(2, 1, 3, 4),
                          msg_seq=(1, 2, 3, 4))
@@ -151,7 +146,7 @@ def test_verify_structure_biclique(seven_user):
 
 def test_tree_witness_edges_count():
     for n in (3, 4, 5):
-        inst = _tree_instance(n)
+        inst = regular_tree_instance(n)
         w = StructureWitness(kind="regular_tree",
                              user_seq=tuple(range(1, n + 1)),
                              msg_seq=tuple(range(1, n + 1)))
@@ -161,7 +156,7 @@ def test_tree_witness_edges_count():
 
 
 def test_search_regular_trees_finds_t44():
-    inst = _tree_instance(4)
+    inst = regular_tree_instance(4)
     g = build_side_info_graph(inst)
     found = search_regular_trees(g, frozenset(range(1, 5)))
     assert len(found) == 1
@@ -171,7 +166,7 @@ def test_search_regular_trees_finds_t44():
 
 
 def test_search_regular_trees_empty_pool():
-    inst = _tree_instance(4)
+    inst = regular_tree_instance(4)
     g = build_side_info_graph(inst)
     assert search_regular_trees(g, frozenset()) == []
 

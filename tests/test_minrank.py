@@ -33,12 +33,6 @@ from eicp.model import EicpInstance, gen_random, validate
 from conftest import all_fixture_instances
 
 
-def _tree(n):
-    side = tuple((j + 1, j + 2) for j in range(1, n - 1)) + ((1, n), (1,))
-    return EicpInstance(FieldOrder(2), n, n, side_info=side,
-                        demands=tuple(range(1, n + 1)))
-
-
 def _small_random_instances(count, seed=0, max_side=5):
     out = []
     s = seed
@@ -174,7 +168,7 @@ def test_bnb_matches_oracle_on_random_batch():
 
 
 def test_two_stage_improvement_on_chain():
-    r = minrank_bnb(_tree(4))
+    r = minrank_bnb(regular_tree_instance(4))
     assert r.stats["row_rank_bound"] == 4
     assert r.kappa == 3
     assert r.stats["column_nodes_explored"] > 0
@@ -262,7 +256,7 @@ def test_search_loops_stay_off_the_reference_kernel(inst, monkeypatch):
 
 
 def test_witness_rows_decode_for_their_users():
-    for inst in all_fixture_instances() + [_tree(4), _tree(5)]:
+    for inst in all_fixture_instances() + [regular_tree_instance(4), regular_tree_instance(5)]:
         r = minrank_bnb(inst)
         for user, row in zip(r.users, r.witness.row_vectors()):
             d = inst.demand(user)

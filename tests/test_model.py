@@ -1,5 +1,6 @@
 """Instance model: parsing, validity, splitting, classification, generators."""
 
+import dataclasses
 import json
 import random
 
@@ -130,6 +131,21 @@ def test_validate_flags_unheld_message():
                         demands=(2, 1))
     msgs = validate(inst)
     assert any("message 3" in v and "no user" in v for v in msgs)
+
+
+@pytest.mark.filterwarnings("ignore::eicp.model.MessageCountWarning")
+def test_validate_reports_each_unheld_run_once():
+    inst = EicpInstance(FieldOrder(2), 3, 9,
+                        side_info=((2, 5), (5,), (5, 9)),
+                        demands=(9, 2, 2))
+    assert validate(inst) == [
+        "message 1 is held by no user",
+        "messages 3-4 are held by no user",
+        "message 5 is held by every user",
+        "messages 6-8 are held by no user",
+    ]
+    huge = dataclasses.replace(inst, num_messages=10 ** 11)
+    assert validate(huge)[-1] == "messages 10-100000000000 are held by no user"
 
 
 def test_more_messages_than_users_warns():
