@@ -262,6 +262,8 @@ def _column_search(inst: EicpInstance, users, pool, incumbent: int,
     in K_i. `pending` carries, for each user still unserved, its mask, the
     packed basis of its projected columns and the residue of its demand unit
     against that basis; a user is dropped the moment the residue is zero.
+    A serving subset replaces the best only when strictly smaller, so the
+    answer is the first minimal serving subset in search order.
     """
     space = packed_space(inst.q, inst.num_messages)
     insert, reduce = space.insert, space.reduce
@@ -277,8 +279,9 @@ def _column_search(inst: EicpInstance, users, pool, incumbent: int,
     def walk(pos: int, chosen: list, chosen_basis: tuple, pending: list) -> None:
         nonlocal best, best_size
         if not pending:
-            best = tuple(chosen)
-            best_size = len(chosen)
+            if len(chosen) < best_size:
+                best = tuple(chosen)
+                best_size = len(chosen)
             return
         if len(chosen) + 1 >= best_size:
             return

@@ -177,6 +177,7 @@ def test_two_stage_improvement_on_chain():
 
 # kappa, witness rows, transmissions and stats recorded from the search on
 # the reference GF kernel; the packed kernel must replay the same search.
+# Stage two returns the first minimal serving subset in search order.
 PINNED_SEARCHES = [
     # q = 2 gap: stage two beats the row rank 3.
     (gen_random(6, 6, 2, 0.5, 1), None, 2,
@@ -197,8 +198,8 @@ PINNED_SEARCHES = [
       "column_nodes_explored": 765, "column_pool_size": 51}),
     # q = 3 gap.
     (gen_random(5, 5, 3, 0.7, 5), None, 2,
-     ((2, 0, 1, 0, 0), (1, 0, 2, 0, 0), (1, 0, 2, 0, 0), (1, 0, 0, 0, 1), (1, 0, 0, 0, 1)),
-     [(2, (0, 0, 1, 0, 1)), (4, (1, 0, 2, 0, 0))],
+     ((1, 0, 1, 0, 0), (1, 0, 1, 0, 0), (1, 0, 1, 0, 0), (2, 0, 0, 0, 1), (1, 0, 0, 0, 2)),
+     [(2, (0, 0, 1, 0, 1)), (4, (1, 0, 1, 0, 0))],
      {"nodes_explored": 4485, "candidates_total": 75,
       "candidates_per_user": {1: 3, 2: 9, 3: 27, 4: 27, 5: 9},
       "product_size": 177147, "incumbent_initial": 3, "row_rank_bound": 3,
@@ -213,8 +214,8 @@ PINNED_SEARCHES = [
       "column_nodes_explored": 820, "column_pool_size": 40}),
     # q = 5 gap.
     (regular_tree_instance(4, 5), None, 3,
-     ((1, 0, 1, 0), (0, 1, 0, 0), (1, 0, 1, 0), (4, 0, 0, 1)),
-     [(1, (0, 1, 0, 0)), (2, (0, 0, 1, 1)), (3, (1, 0, 0, 4))],
+     ((1, 0, 4, 0), (0, 1, 0, 0), (4, 0, 1, 0), (1, 0, 0, 1)),
+     [(1, (0, 1, 0, 0)), (2, (0, 0, 1, 1)), (3, (1, 0, 0, 1))],
      {"nodes_explored": 156, "candidates_total": 16,
       "candidates_per_user": {1: 1, 2: 5, 3: 5, 4: 5},
       "product_size": 125, "incumbent_initial": 4, "row_rank_bound": 4,
