@@ -201,11 +201,15 @@ def decode_coeffs(code: EmbeddedIndexCode, inst: EicpInstance, user: int
 
     # Generator j is tracked as (gen_j, e_j): every row and residue then carries,
     # after the m message coordinates, the combination of generators behind it.
+    # e_j makes each insert grow; the new pivot, the residue's first nonzero
+    # coordinate, is a message coordinate iff gen_j is independent of the
+    # kept generators, and only then is the grown basis kept.
     tracked = EchelonBasis.empty(q, m + n_gens)
     for j, gen in enumerate(gens):
         row = GfVector(q, gen + tuple(int(i == j) for i in range(n_gens)))
-        if any(reduce(tracked, row).coords[:m]):
-            tracked, _ = basis_insert(tracked, row)
+        grown, _ = basis_insert(tracked, row)
+        if grown.pivots[-1] < m:
+            tracked = grown
 
     target = unit_vector(q, m, inst.demand(user)).coords + (0,) * n_gens
     residue = reduce(tracked, GfVector(q, target)).coords

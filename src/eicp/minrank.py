@@ -12,6 +12,16 @@ second stage closes that gap with a branch-and-bound over transmittable
 column subsets, pruned by the stage-one bound, and keeps whichever answer is
 smaller.
 
+One lower bound closes both stages. A set S of covered users with distinct
+demands whose "u holds v's demand" digraph is acyclic forces rank |S| on
+the coordinates of S's demands, in every code serving S and in every full
+stack of rows (acyclic_sets; the MAIS bound of Bar-Yossef, Birk, Jayram and
+Kol). The largest such |S| is the lower bound LB. It is used three times:
+stage two is skipped when the row rank equals LB; each stage stops once its
+incumbent reaches LB; and each node is cut when its partial stack or column
+set, with its rank on some S's demand coordinates, already forces the
+incumbent's length.
+
 Route two (minrank_oracle) exhaustively searches codes of increasing length
 with no pruning at all and reports the first feasible length. The two routes
 must agree; the workbench treats disagreement as a defect, never as data.
@@ -49,6 +59,10 @@ from .graphs import BipartiteProblemGraph
 from .model import EicpInstance, require_valid
 
 CANDIDATES_PER_USER_LIMIT = 2 ** 20
+# acyclic_sets is exact up to this many covered users and greedy above it.
+ACYCLIC_EXACT_USERS_LIMIT = 14
+# At most this many largest acyclic sets feed the per-node bounds.
+ACYCLIC_SETS_KEPT = 5
 DEFAULT_NODE_LIMIT = 10 ** 6
 DEFAULT_ORACLE_BUDGET = 10 ** 7
 NODE_LIMIT_ENV = "EICP_GUARD_NODES"
@@ -125,15 +139,20 @@ def build_candidates(inst: EicpInstance, users=None,
 
 
 def _node_limit(node_limit: int | None) -> int:
-    if node_limit is not None:
-        return node_limit
-    env = os.environ.get(NODE_LIMIT_ENV)
-    if env is not None:
+    """Each stage's node budget: the argument, else NODE_LIMIT_ENV, else the default."""
+    source = "node limit"
+    if node_limit is None:
+        env = os.environ.get(NODE_LIMIT_ENV)
+        if env is None:
+            return DEFAULT_NODE_LIMIT
+        source = NODE_LIMIT_ENV
         try:
-            return int(env)
+            node_limit = int(env)
         except ValueError:
             raise GuardExceededError(f"{NODE_LIMIT_ENV} must be an integer, got {env!r}")
-    return DEFAULT_NODE_LIMIT
+    if node_limit < 1:
+        raise ValueError(f"{source} must be at least 1, got {node_limit}")
+    return node_limit
 
 
 def _search_order(candidate_sets: list[CandidateSet]) -> list[CandidateSet]:
@@ -174,16 +193,20 @@ class _Budget:
             )
 
 
-def _row_search(order: list[CandidateSet], incumbent: int,
+def _row_search(order: list[CandidateSet], incumbent: int, bound_coords: list[list[int]],
                 budget: _Budget) -> tuple[int, dict[int, GfVector] | None]:
     """Smallest stacked rank below `incumbent`, and the rows of a leaf reaching it.
 
-    Depth-first in search order; a subtree is cut once its partial stack
-    reaches the incumbent, and the walk stops as soon as the incumbent is
-    down to 1. Every leaf that improves the incumbent records its rows,
-    so the rows returned are those of the first leaf in search order with
-    the final rank; they are None when no leaf beat the starting incumbent.
-    The candidate rows are packed once and the stack is a packed basis.
+    Depth-first in search order. A node with partial stack A is cut once
+    rank(A) + |S| - rank(A on S's demand coordinates) reaches the incumbent
+    for one of the acyclic sets S whose demand coordinates `bound_coords`
+    lists: every completion stacks all of S's rows, whose rank on those
+    coordinates is |S|. The same test, repeated as the incumbent falls, stops
+    the walk once the incumbent is down to |S|. Every leaf that improves the
+    incumbent records its rows, so the rows returned are those of the first
+    leaf in search order with the final rank; they are None when no leaf beat
+    the starting incumbent. The candidate rows are packed once, and the stack
+    and its projection on each set are packed bases.
     """
     keys = [tuple(v.coords for v in cs.vectors) for cs in order]
     same_group = [d > 0 and keys[d] == keys[d - 1] for d in range(len(order))]
@@ -191,27 +214,37 @@ def _row_search(order: list[CandidateSet], incumbent: int,
     space = packed_space(first.q, len(first))
     insert = space.insert
     packed = [[space.pack(coords) for coords in key] for key in keys]
+    masks = [space.mask(coords) for coords in bound_coords]
+    set_size = len(bound_coords[0])
     chosen: list[int] = []
     best: dict[int, GfVector] | None = None
+    last = len(order) - 1
 
-    def walk(depth: int, basis: tuple, prev_choice: int) -> None:
+    def walk(depth: int, basis: tuple, projections: list, prev_choice: int) -> None:
         nonlocal incumbent, best
-        if len(basis) >= incumbent:
-            return
-        if depth == len(order):
-            incumbent = len(basis)
-            best = {cs.user: cs.vectors[idx] for cs, idx in zip(order, chosen)}
+        bound = len(basis) + set_size - min(map(len, projections))
+        if bound >= incumbent:
             return
         rows = packed[depth]
         for idx in range(prev_choice if same_group[depth] else 0, len(rows)):
             budget.spend()
+            row = rows[idx]
+            stack = insert(basis, row)[0]
+            if len(stack) >= incumbent:
+                continue
             chosen.append(idx)
-            walk(depth + 1, insert(basis, rows[idx])[0], idx)
+            if depth == last:
+                # A full stack holds S's rows, so the bound is its rank.
+                incumbent = len(stack)
+                best = {cs.user: cs.vectors[i] for cs, i in zip(order, chosen)}
+            else:
+                walk(depth + 1, stack,
+                     [insert(p, row & mask)[0] for p, mask in zip(projections, masks)], idx)
             chosen.pop()
-            if incumbent <= 1:
+            if bound >= incumbent:
                 return
 
-    walk(0, (), 0)
+    walk(0, (), [()] * len(masks), 0)
     return incumbent, best
 
 
@@ -249,7 +282,7 @@ def extract_code(inst: EicpInstance, witness: GfMatrix, users) -> EmbeddedIndexC
 
 
 def _column_search(inst: EicpInstance, users, pool, incumbent: int,
-                   budget: _Budget):
+                   bound_coords: list[list[int]], budget: _Budget):
     """Smallest serving column subset strictly below `incumbent`, or None.
 
     Depth-first over the scalar-normalized transmittable columns in pool
@@ -262,12 +295,21 @@ def _column_search(inst: EicpInstance, users, pool, incumbent: int,
     in K_i. `pending` carries, for each user still unserved, its mask, the
     packed basis of its projected columns and the residue of its demand unit
     against that basis; a user is dropped the moment the residue is zero.
-    A serving subset replaces the best only when strictly smaller, so the
-    answer is the first minimal serving subset in search order.
+
+    A node C that does not serve every user is cut once
+    |C| + max(1, |S| - rank(C on S's demand coordinates)) reaches the best
+    size, for one of the acyclic sets S whose demand coordinates
+    `bound_coords` lists: a code serving S has rank |S| on them. The same
+    test, repeated as the best size falls, skips the siblings of a serving
+    subset and stops the walk once the best size is down to |S|. So a
+    serving subset is only ever reached when strictly smaller than the best,
+    and the answer is the first minimal serving subset in search order.
     """
     space = packed_space(inst.q, inst.num_messages)
     insert, reduce = space.insert, space.reduce
     columns = [space.pack(vec.coords) for vec, _sender in pool]
+    masks = [space.mask(coords) for coords in bound_coords]
+    set_size = len(bound_coords[0])
     start_pending = [
         (space.mask(m - 1 for m in inst.messages if m not in inst.knows(i)), (),
          space.pack(unit_vector(inst.q, inst.num_messages, inst.demand(i)).coords))
@@ -276,14 +318,11 @@ def _column_search(inst: EicpInstance, users, pool, incumbent: int,
     best: tuple | None = None
     best_size = incumbent
 
-    def walk(pos: int, chosen: list, chosen_basis: tuple, pending: list) -> None:
+    def walk(pos: int, chosen: list, chosen_basis: tuple, projections: list,
+             pending: list) -> None:
         nonlocal best, best_size
-        if not pending:
-            if len(chosen) < best_size:
-                best = tuple(chosen)
-                best_size = len(chosen)
-            return
-        if len(chosen) + 1 >= best_size:
+        bound = len(chosen) + max(1, set_size - min(map(len, projections)))
+        if bound >= best_size:
             return
         for idx in range(pos, len(columns)):
             col = columns[idx]
@@ -291,6 +330,9 @@ def _column_search(inst: EicpInstance, users, pool, incumbent: int,
             new_basis, grew = insert(chosen_basis, col)
             if not grew:
                 continue
+            # A child one short of best_size is cut unless it serves everyone,
+            # so its first unserved user settles it.
+            leaf = len(chosen) + 2 >= best_size
             new_pending = []
             for keep, basis, residue in pending:
                 basis, grew = insert(basis, col & keep)
@@ -299,11 +341,21 @@ def _column_search(inst: EicpInstance, users, pool, incumbent: int,
                     if not residue:
                         continue
                 new_pending.append((keep, basis, residue))
+                if leaf:
+                    break
             chosen.append(pool[idx])
-            walk(idx + 1, chosen, new_basis, new_pending)
+            if not new_pending:
+                # |chosen| <= bound < best_size: strictly smaller than the best.
+                best, best_size = tuple(chosen), len(chosen)
+            elif not leaf:
+                walk(idx + 1, chosen, new_basis,
+                     [insert(p, col & mask)[0] for p, mask in zip(projections, masks)],
+                     new_pending)
             chosen.pop()
+            if bound >= best_size:
+                return
 
-    walk(0, [], (), start_pending)
+    walk(0, [], (), [()] * len(masks), start_pending)
     return best
 
 
@@ -318,6 +370,73 @@ def _decode_row(code: EmbeddedIndexCode, inst: EicpInstance, user: int) -> GfVec
     for c, k in zip(correction.coords, sorted(inst.knows(user))):
         coords[k - 1] = (coords[k - 1] + c) % inst.q
     return GfVector(inst.q, tuple(coords))
+
+
+def acyclic_sets(inst: EicpInstance, users=None) -> list[tuple[int, ...]]:
+    """Largest sets of covered users with distinct demands and no knowledge cycle.
+
+    The digraph on a set S has an edge u -> v when u holds v's demand. If it
+    is acyclic and the demands are distinct, every code serving S has rank
+    |S| on the coordinates of S's demands (the maximum acyclic induced
+    subgraph bound of Bar-Yossef, Birk, Jayram and Kol; an embedded code is
+    also a centralized one), so |S| is a lower bound on the optimal length.
+
+    Up to ACYCLIC_EXACT_USERS_LIMIT covered users the sets are exact: a set
+    qualifies iff some member is a sink (holds no other member's demand) and
+    the set without it qualifies, tested over all subsets in increasing
+    bitmask order. At most ACYCLIC_SETS_KEPT largest sets are returned, in
+    that order. Above the limit one greedy set is returned instead.
+    """
+    users = _resolve_users(inst, users)
+    if len(users) > ACYCLIC_EXACT_USERS_LIMIT:
+        return [_greedy_acyclic_set(inst, users)]
+    demand_bit = [1 << inst.demand(u) for u in users]
+    # holds[a]: bitmask of the positions whose demand users[a] holds
+    holds = [sum(1 << b for b, v in enumerate(users) if inst.demand(v) in inst.knows(u))
+             for u in users]
+    full = 1 << len(users)
+    demands = [0] * full  # demand bits of each qualifying set, 0 for the others
+    best_size, best = 0, []
+    for mask in range(1, full):
+        low = mask & -mask
+        rest = mask ^ low
+        bit = demand_bit[low.bit_length() - 1]
+        if (rest and not demands[rest]) or demands[rest] & bit:
+            continue
+        sinks = mask
+        while sinks:
+            sink = sinks & -sinks
+            if not holds[sink.bit_length() - 1] & mask:
+                break
+            sinks ^= sink
+        if not sinks or (mask != sink and not demands[mask ^ sink]):
+            continue
+        demands[mask] = demands[rest] | bit
+        size = mask.bit_count()
+        if size > best_size:
+            best_size, best = size, []
+        if size == best_size and len(best) < ACYCLIC_SETS_KEPT:
+            best.append(mask)
+    return [tuple(u for b, u in enumerate(users) if mask >> b & 1) for mask in best]
+
+
+def _greedy_acyclic_set(inst: EicpInstance, users) -> tuple[int, ...]:
+    """One acyclic set with distinct demands, built sink first.
+
+    Each step takes the remaining user holding the fewest remaining demands
+    (the smallest such user on ties) and drops the users whose demand it
+    holds or shares, so no pick holds the demand of a later one: each pick
+    is a sink of the set made of itself and the picks after it.
+    """
+    remaining = list(users)
+    picked = []
+    while remaining:
+        demands = {inst.demand(v) for v in remaining}
+        u = min(remaining, key=lambda v: (len(inst.knows(v) & demands), v))
+        picked.append(u)
+        gone = inst.knows(u) | {inst.demand(u)}
+        remaining = [v for v in remaining if inst.demand(v) not in gone]
+    return tuple(sorted(picked))
 
 
 def minrank_bnb(inst: EicpInstance, users=None,
@@ -336,14 +455,31 @@ def minrank_bnb(inst: EicpInstance, users=None,
     once per call, and search on the packed kernel `gf.packed_space`; the
     reference kernel only extracts and checks the answer.
 
+    The acyclic-set bound LB (acyclic_sets) is used three times. At the root,
+    stage two is skipped when the row rank equals LB. Each stage stops as
+    soon as its incumbent reaches LB. Per node, with S one of the largest
+    acyclic sets and rank_S the rank on S's demand coordinates, stage one
+    cuts a partial stack A once rank(A) + |S| - rank_S(A) reaches the
+    incumbent, and stage two cuts a column set C that serves not everyone
+    once |C| + max(1, |S| - rank_S(C)) reaches its best size. The bound only
+    cuts subtrees with nothing strictly better in them, and stage two
+    accepts a serving subset only when strictly smaller than its best, so
+    neither stage's answer depends on the bound.
+
     The returned artifacts are deterministic. When stage one stands, the
     witness is the first row assignment in search order that attains the
     optimum, and the code is read off its independent rows. Stage one records
     that assignment as it goes. When nothing beats the uncoded scheme, the
     witness is the first leaf: each user's first candidate is the unit vector
     of its demand, and their stack has the distinct-demand rank. When stage
-    two improves on stage one, the winning columns become the code and each
-    witness row is recomputed from its user's decoding recipe.
+    two improves on stage one, the winning columns become the code, the first
+    minimal serving subset in search order, and each witness row is
+    recomputed from its user's decoding recipe.
+
+    `stats` holds the node counts of the two stages (`nodes_explored`,
+    `column_nodes_explored`), the candidate counts, the uncoded length
+    `incumbent_initial`, `lower_bound` (LB), `row_rank_bound` (the stage-one
+    optimum) and `column_pool_size` (0 when stage two did not run).
     """
     require_valid(inst)
     users = _resolve_users(inst, users)
@@ -357,17 +493,21 @@ def minrank_bnb(inst: EicpInstance, users=None,
     for cs in candidate_sets:
         product *= len(cs.vectors)
 
+    sets = acyclic_sets(inst, users)
+    lower_bound = len(sets[0])
+    bound_coords = [[inst.demand(u) - 1 for u in s] for s in sets]
+
     q = inst.q
     dim = inst.num_messages
     budget = _Budget(limit)
-    row_rank, choice = _row_search(order, start_incumbent, budget)
+    row_rank, choice = _row_search(order, start_incumbent, bound_coords, budget)
 
     column_budget = _Budget(limit, "code search")
     improvement = None
     pool_size = 0
-    if row_rank > 1:
+    if row_rank > lower_bound:
         pool_size = len(pool)
-        improvement = _column_search(inst, users, pool, row_rank, column_budget)
+        improvement = _column_search(inst, users, pool, row_rank, bound_coords, column_budget)
 
     if improvement is None:
         kappa = row_rank
@@ -391,6 +531,7 @@ def minrank_bnb(inst: EicpInstance, users=None,
         "candidates_per_user": {cs.user: len(cs.vectors) for cs in candidate_sets},
         "product_size": product,
         "incumbent_initial": start_incumbent,
+        "lower_bound": lower_bound,
         "row_rank_bound": row_rank,
         "column_nodes_explored": column_budget.used,
         "column_pool_size": pool_size,

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from eicp.model import EicpInstance, parse_instance
+from eicp.errors import GenerationError
+from eicp.model import EicpInstance, gen_random, parse_instance
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -46,6 +47,22 @@ def all_fixture_instances() -> list[EicpInstance]:
         for p in sorted(FIXTURE_DIR.glob("*.json"))
         if "code" not in json.loads(p.read_text()) and "transmissions" not in p.read_text()
     ]
+
+
+def random_corpus(minimum=200) -> list[EicpInstance]:
+    """The seeded q = 2 corpus of criterion 03: n, m in 2..5, densities .3/.5/.7."""
+    instances = []
+    seed = 0
+    while len(instances) < minimum or seed < 240:
+        n = 2 + seed % 4
+        m = 2 + (seed // 4) % 4
+        density = (0.3, 0.5, 0.7)[seed % 3]
+        try:
+            instances.append(gen_random(n, m, 2, density, seed))
+        except GenerationError:
+            pass
+        seed += 1
+    return instances
 
 
 # ---------- acceptance summary plumbing ----------

@@ -33,7 +33,7 @@ from eicp.experiments import (
     regular_tree_instance,
 )
 
-from conftest import all_fixture_instances, load_instance, record_criterion
+from conftest import all_fixture_instances, load_instance, random_corpus, record_criterion
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::eicp.model.MessageCountWarning")
@@ -52,21 +52,6 @@ DENSE4_STACKS = [
     ((1, 0, 0, 0), (0, 1, 1, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
 ]
 IDENTITY_STACK = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-
-
-def _random_corpus(minimum=200):
-    instances = []
-    seed = 0
-    while len(instances) < minimum or seed < 240:
-        n = 2 + seed % 4
-        m = 2 + (seed // 4) % 4
-        density = (0.3, 0.5, 0.7)[seed % 3]
-        try:
-            instances.append(gen_random(n, m, 2, density, seed))
-        except GenerationError:
-            pass
-        seed += 1
-    return instances
 
 
 def test_criterion_01_first_example(mixed4, mixed4_code_text):
@@ -115,7 +100,7 @@ def test_criterion_02_second_example(dense4):
 
 def test_criterion_03_solver_equals_exhaustive_search():
     start = time.monotonic()
-    corpus = _random_corpus(200) + all_fixture_instances()
+    corpus = random_corpus(200) + all_fixture_instances()
     assert len(corpus) >= 204
     mismatches = 0
     for inst in corpus:

@@ -149,6 +149,20 @@ def test_minrank_node_limit_guard(capsys):
     assert err.startswith("guard:")
 
 
+@pytest.mark.parametrize("limit", ["-5", "0"])
+def test_minrank_rejects_a_non_positive_node_limit(capsys, limit):
+    code, out, err = run(capsys, "minrank", "--node-limit", limit, DENSE4)
+    assert code == 1 and out == ""
+    assert err == f"error: node limit must be at least 1, got {limit}\n"
+
+
+def test_minrank_rejects_a_non_positive_env_node_limit(capsys, monkeypatch):
+    monkeypatch.setenv("EICP_GUARD_NODES", "-3")
+    code, out, err = run(capsys, "minrank", DENSE4)
+    assert code == 1 and out == ""
+    assert err == "error: EICP_GUARD_NODES must be at least 1, got -3\n"
+
+
 def test_minrank_q_override(capsys):
     code, out, err = run(capsys, "minrank", "--q-override", "3", MIXED4)
     assert code == 0

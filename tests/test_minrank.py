@@ -20,6 +20,9 @@ from eicp.errors import (
 from eicp.gf import FieldOrder, GfMatrix, rank
 from eicp.graphs import build_problem_graph
 from eicp.minrank import (
+    ACYCLIC_EXACT_USERS_LIMIT,
+    ACYCLIC_SETS_KEPT,
+    acyclic_sets,
     build_candidates,
     complexity_report,
     extract_code,
@@ -27,10 +30,10 @@ from eicp.minrank import (
     minrank_bnb,
     minrank_oracle,
 )
-from eicp.minrank import _transmission_pool
+from eicp.minrank import _greedy_acyclic_set, _transmission_pool
 from eicp.model import EicpInstance, gen_random, validate
 
-from conftest import all_fixture_instances
+from conftest import all_fixture_instances, random_corpus
 
 
 def _small_random_instances(count, seed=0, max_side=5):
@@ -87,13 +90,13 @@ def test_bnb_example_artifacts(mixed4):
     cases = [
         (mixed4, ((1, 1, 0, 0), (0, 0, 0, 1), (1, 1, 0, 0), (0, 0, 1, 0)),
          [(2, (1, 1, 0, 0)), (3, (0, 0, 0, 1)), (2, (0, 0, 1, 0))],
-         {"nodes_explored": 13, "candidates_total": 7, "product_size": 8,
-          "incumbent_initial": 4}),
+         {"nodes_explored": 8, "candidates_total": 7, "product_size": 8,
+          "incumbent_initial": 4, "lower_bound": 2}),
         (gen_random(4, 4, 2, 0.5, 0),
          ((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 1, 0, 0)),
          [(3, (1, 0, 0, 0)), (1, (0, 0, 1, 0)), (2, (0, 1, 0, 0))],
-         {"nodes_explored": 7, "candidates_total": 7, "product_size": 8,
-          "incumbent_initial": 3}),
+         {"nodes_explored": 1, "candidates_total": 7, "product_size": 8,
+          "incumbent_initial": 3, "lower_bound": 2}),
     ]
     for inst, rows, transmissions, stats in cases:
         r = minrank_bnb(inst)
@@ -184,42 +187,42 @@ PINNED_SEARCHES = [
      ((1, 1, 0, 0, 1, 0), (1, 0, 0, 0, 0, 1), (0, 1, 0, 0, 1, 1),
       (0, 1, 0, 0, 1, 1), (1, 1, 0, 0, 1, 0), (1, 0, 0, 0, 0, 1)),
      [(1, (1, 0, 0, 0, 0, 1)), (6, (1, 1, 0, 0, 1, 0))],
-     {"nodes_explored": 666, "candidates_total": 70,
+     {"nodes_explored": 19, "candidates_total": 70,
       "candidates_per_user": {1: 12, 2: 8, 3: 5, 4: 5, 5: 20, 6: 20},
-      "product_size": 960000, "incumbent_initial": 4, "row_rank_bound": 3,
-      "column_nodes_explored": 765, "column_pool_size": 51}),
+      "product_size": 960000, "incumbent_initial": 4, "lower_bound": 2,
+      "row_rank_bound": 3, "column_nodes_explored": 82, "column_pool_size": 51}),
     # The same instance with a users subset.
     (gen_random(6, 6, 2, 0.5, 1), (1, 2, 3, 5), 2,
      ((1, 1, 0, 0, 1, 0), (1, 0, 0, 0, 0, 1), (0, 1, 0, 0, 1, 1), (1, 1, 0, 0, 1, 0)),
      [(1, (1, 0, 0, 0, 0, 1)), (6, (1, 1, 0, 0, 1, 0))],
-     {"nodes_explored": 905, "candidates_total": 45,
+     {"nodes_explored": 14, "candidates_total": 45,
       "candidates_per_user": {1: 12, 2: 8, 3: 5, 5: 20},
-      "product_size": 9600, "incumbent_initial": 4, "row_rank_bound": 3,
-      "column_nodes_explored": 765, "column_pool_size": 51}),
+      "product_size": 9600, "incumbent_initial": 4, "lower_bound": 2,
+      "row_rank_bound": 3, "column_nodes_explored": 82, "column_pool_size": 51}),
     # q = 3 gap.
     (gen_random(5, 5, 3, 0.7, 5), None, 2,
      ((1, 0, 1, 0, 0), (1, 0, 1, 0, 0), (1, 0, 1, 0, 0), (2, 0, 0, 0, 1), (1, 0, 0, 0, 2)),
      [(2, (0, 0, 1, 0, 1)), (4, (1, 0, 1, 0, 0))],
-     {"nodes_explored": 4485, "candidates_total": 75,
+     {"nodes_explored": 48, "candidates_total": 75,
       "candidates_per_user": {1: 3, 2: 9, 3: 27, 4: 27, 5: 9},
-      "product_size": 177147, "incumbent_initial": 3, "row_rank_bound": 3,
-      "column_nodes_explored": 567, "column_pool_size": 67}),
-    # q = 5, stage one stands after 820 column nodes.
+      "product_size": 177147, "incumbent_initial": 3, "lower_bound": 2,
+      "row_rank_bound": 3, "column_nodes_explored": 84, "column_pool_size": 67}),
+    # q = 5, stage one stands after 332 column nodes.
     (gen_random(4, 4, 5, 0.5, 3), None, 3,
      ((0, 1, 1, 0), (0, 0, 0, 1), (0, 1, 1, 0), (1, 0, 0, 0)),
      [(2, (0, 1, 1, 0)), (3, (0, 0, 0, 1)), (1, (1, 0, 0, 0))],
-     {"nodes_explored": 1205, "candidates_total": 48,
+     {"nodes_explored": 10, "candidates_total": 48,
       "candidates_per_user": {1: 9, 2: 5, 3: 9, 4: 25},
-      "product_size": 10125, "incumbent_initial": 4, "row_rank_bound": 3,
-      "column_nodes_explored": 820, "column_pool_size": 40}),
+      "product_size": 10125, "incumbent_initial": 4, "lower_bound": 2,
+      "row_rank_bound": 3, "column_nodes_explored": 332, "column_pool_size": 40}),
     # q = 5 gap.
     (regular_tree_instance(4, 5), None, 3,
      ((1, 0, 4, 0), (0, 1, 0, 0), (4, 0, 1, 0), (1, 0, 0, 1)),
      [(1, (0, 1, 0, 0)), (2, (0, 0, 1, 1)), (3, (1, 0, 0, 1))],
-     {"nodes_explored": 156, "candidates_total": 16,
+     {"nodes_explored": 1, "candidates_total": 16,
       "candidates_per_user": {1: 1, 2: 5, 3: 5, 4: 5},
-      "product_size": 125, "incumbent_initial": 4, "row_rank_bound": 4,
-      "column_nodes_explored": 355, "column_pool_size": 16}),
+      "product_size": 125, "incumbent_initial": 4, "lower_bound": 3,
+      "row_rank_bound": 4, "column_nodes_explored": 208, "column_pool_size": 16}),
 ]
 
 
@@ -232,12 +235,13 @@ def test_bnb_search_pinned(inst, users, kappa, rows, transmissions, stats):
     assert r.stats == stats
 
 
-@pytest.mark.parametrize("inst", [regular_tree_instance(7), regular_tree_instance(5, 5)])
+@pytest.mark.parametrize("inst", [gen_random(6, 6, 2, 0.5, 4), regular_tree_instance(5, 5)])
 def test_search_loops_stay_off_the_reference_kernel(inst, monkeypatch):
     # Only the code extraction and the checker may use the reference kernel:
     # verify_code decodes each user twice from at most kappa <= n columns plus
     # its side-info units, so n users and m messages bound the calls whatever
-    # the number of search nodes.
+    # the number of search nodes. On gen_random(6, 6, 2, .5, 4) the acyclic
+    # bound is 3 and kappa 4, so stage two has to prove the row rank optimal.
     calls = {"basis_insert": 0, "in_span": 0}
 
     def counting(name, fn):
@@ -403,3 +407,94 @@ def test_kappa_monotone_in_side_information():
         assert minrank_bnb(bigger).kappa <= minrank_bnb(inst).kappa
         checked += 1
     assert checked >= 20
+
+
+# ---------- the acyclic-set lower bound ----------
+
+def _has_cycle(inst, members):
+    # Reachability by closure, independent of the sink peeling under test.
+    reach = {u: {v for v in members if v != u and inst.demand(v) in inst.knows(u)}
+             for u in members}
+    for k in members:
+        for u in members:
+            if k in reach[u]:
+                reach[u] |= reach[k]
+    return any(u in reach[u] for u in members)
+
+
+def _qualifies(inst, members):
+    return (len({inst.demand(u) for u in members}) == len(members)
+            and not _has_cycle(inst, members))
+
+
+def _seeded_corpus(q, sizes, seeds):
+    out = []
+    for n in sizes:
+        for density in (0.3, 0.5, 0.7):
+            for seed in range(seeds):
+                try:
+                    out.append(gen_random(n, n, q, density, seed))
+                except GenerationError:
+                    continue
+    return out
+
+
+def _lower_bound_corpus():
+    # The criterion-03 corpus plus seeded q = 3 and q = 5 instances.
+    return (random_corpus(200) + all_fixture_instances()
+            + _seeded_corpus(3, (3, 4), 12) + _seeded_corpus(5, (3, 4), 8))
+
+
+def test_acyclic_sets_are_the_largest_qualifying_sets():
+    checked = 0
+    for inst in _lower_bound_corpus()[::3]:
+        for users in (inst.users, inst.users[1::2] or inst.users):
+            qualifying = [c for r in range(len(users), 0, -1)
+                          for c in itertools.combinations(users, r) if _qualifies(inst, c)]
+            size = len(qualifying[0])
+            largest = sorted((c for c in qualifying if len(c) == size),
+                             key=lambda c: sum(1 << users.index(u) for u in c))
+            assert acyclic_sets(inst, users) == largest[:ACYCLIC_SETS_KEPT]
+            greedy = _greedy_acyclic_set(inst, users)
+            assert _qualifies(inst, greedy) and len(greedy) <= size
+            checked += 1
+    assert checked >= 150
+
+
+def test_lower_bound_never_exceeds_the_oracle():
+    tight = checked = 0
+    for inst in _lower_bound_corpus():
+        for users in (None, inst.users[::2]):
+            bound = minrank_bnb(inst, users=users).stats["lower_bound"]
+            kappa = minrank_oracle(inst, users=users).kappa
+            assert 1 <= bound <= kappa
+            tight += bound == kappa
+            checked += 1
+    assert checked >= 700 and tight < checked
+
+
+@pytest.mark.parametrize("n", [17, 20, 24])
+def test_greedy_acyclic_set_above_the_exact_limit(n):
+    for q, density, seed in itertools.product((2, 3), (0.2, 0.4, 0.6), range(3)):
+        inst = gen_random(n, n, q, density, seed)
+        users = inst.users[seed:]
+        assert len(users) > ACYCLIC_EXACT_USERS_LIMIT
+        sets = acyclic_sets(inst, users)
+        assert len(sets) == 1 and set(sets[0]) <= set(users)
+        assert _qualifies(inst, sets[0])
+
+
+def test_unit_bound_gives_the_same_answers_with_no_fewer_nodes(monkeypatch):
+    # With a bound of 1 nothing is pruned by it; the real bound may only cut
+    # nodes, never change what either stage returns.
+    cases = [(inst, users) for inst, users, *_ in PINNED_SEARCHES]
+    cases += [(inst, users) for inst in _seeded_corpus(2, (5, 6), 4) + _seeded_corpus(3, (5,), 4)
+              for users in (None, inst.users[1::2])]
+    real = [minrank_bnb(inst, users=users) for inst, users in cases]
+    monkeypatch.setattr(eicp.minrank, "acyclic_sets", lambda inst, users: [users[:1]])
+    for (inst, users), r in zip(cases, real):
+        unit = minrank_bnb(inst, users=users)
+        assert unit.stats["lower_bound"] == 1
+        assert (r.kappa, r.witness, r.code) == (unit.kappa, unit.witness, unit.code)
+        assert r.stats["nodes_explored"] <= unit.stats["nodes_explored"]
+        assert r.stats["column_nodes_explored"] <= unit.stats["column_nodes_explored"]
