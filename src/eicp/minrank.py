@@ -61,7 +61,8 @@ from .model import EicpInstance, require_valid
 CANDIDATES_PER_USER_LIMIT = 2 ** 20
 # acyclic_sets is exact up to this many covered users and greedy above it.
 ACYCLIC_EXACT_USERS_LIMIT = 14
-# At most this many largest acyclic sets feed the per-node bounds.
+# At most this many largest acyclic sets, with distinct demand sets, feed the
+# per-node bounds.
 ACYCLIC_SETS_KEPT = 5
 DEFAULT_NODE_LIMIT = 10 ** 6
 DEFAULT_ORACLE_BUDGET = 10 ** 7
@@ -149,7 +150,7 @@ def _node_limit(node_limit: int | None) -> int:
         try:
             node_limit = int(env)
         except ValueError:
-            raise GuardExceededError(f"{NODE_LIMIT_ENV} must be an integer, got {env!r}")
+            raise ValueError(f"{NODE_LIMIT_ENV} must be an integer, got {env!r}")
     if node_limit < 1:
         raise ValueError(f"{source} must be at least 1, got {node_limit}")
     return node_limit
@@ -384,8 +385,9 @@ def acyclic_sets(inst: EicpInstance, users=None) -> list[tuple[int, ...]]:
     Up to ACYCLIC_EXACT_USERS_LIMIT covered users the sets are exact: a set
     qualifies iff some member is a sink (holds no other member's demand) and
     the set without it qualifies, tested over all subsets in increasing
-    bitmask order. At most ACYCLIC_SETS_KEPT largest sets are returned, in
-    that order. Above the limit one greedy set is returned instead.
+    bitmask order. The bound reads only a set's demands, so of the largest
+    sets the first with each demand set is kept, at most ACYCLIC_SETS_KEPT of
+    them, in that order. Above the limit one greedy set is returned instead.
     """
     users = _resolve_users(inst, users)
     if len(users) > ACYCLIC_EXACT_USERS_LIMIT:
@@ -396,7 +398,7 @@ def acyclic_sets(inst: EicpInstance, users=None) -> list[tuple[int, ...]]:
              for u in users]
     full = 1 << len(users)
     demands = [0] * full  # demand bits of each qualifying set, 0 for the others
-    best_size, best = 0, []
+    best_size, best = 0, {}  # demand bits -> first largest set with them
     for mask in range(1, full):
         low = mask & -mask
         rest = mask ^ low
@@ -414,10 +416,10 @@ def acyclic_sets(inst: EicpInstance, users=None) -> list[tuple[int, ...]]:
         demands[mask] = demands[rest] | bit
         size = mask.bit_count()
         if size > best_size:
-            best_size, best = size, []
+            best_size, best = size, {}
         if size == best_size and len(best) < ACYCLIC_SETS_KEPT:
-            best.append(mask)
-    return [tuple(u for b, u in enumerate(users) if mask >> b & 1) for mask in best]
+            best.setdefault(demands[mask], mask)
+    return [tuple(u for b, u in enumerate(users) if mask >> b & 1) for mask in best.values()]
 
 
 def _greedy_acyclic_set(inst: EicpInstance, users) -> tuple[int, ...]:

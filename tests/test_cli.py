@@ -156,11 +156,14 @@ def test_minrank_rejects_a_non_positive_node_limit(capsys, limit):
     assert err == f"error: node limit must be at least 1, got {limit}\n"
 
 
-def test_minrank_rejects_a_non_positive_env_node_limit(capsys, monkeypatch):
-    monkeypatch.setenv("EICP_GUARD_NODES", "-3")
+@pytest.mark.parametrize("value, problem", [("-3", "be at least 1, got -3"),
+                                            ("abc", "be an integer, got 'abc'")],
+                         ids=["negative", "not-an-integer"])
+def test_minrank_rejects_a_bad_env_node_limit(capsys, monkeypatch, value, problem):
+    monkeypatch.setenv("EICP_GUARD_NODES", value)
     code, out, err = run(capsys, "minrank", DENSE4)
     assert code == 1 and out == ""
-    assert err == "error: EICP_GUARD_NODES must be at least 1, got -3\n"
+    assert err == f"error: EICP_GUARD_NODES must {problem}\n"
 
 
 def test_minrank_q_override(capsys):

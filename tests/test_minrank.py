@@ -136,7 +136,7 @@ def test_bnb_env_node_limit(monkeypatch, dense4):
     with pytest.raises(GuardExceededError):
         minrank_bnb(dense4)
     monkeypatch.setenv("EICP_GUARD_NODES", "not a number")
-    with pytest.raises(GuardExceededError, match="integer"):
+    with pytest.raises(ValueError, match="integer"):
         minrank_bnb(dense4)
     monkeypatch.delenv("EICP_GUARD_NODES")
     assert minrank_bnb(dense4).kappa == 3
@@ -235,13 +235,14 @@ def test_bnb_search_pinned(inst, users, kappa, rows, transmissions, stats):
     assert r.stats == stats
 
 
-@pytest.mark.parametrize("inst", [gen_random(6, 6, 2, 0.5, 4), regular_tree_instance(5, 5)])
+@pytest.mark.parametrize("inst", [gen_random(8, 8, 2, 0.3, 7), regular_tree_instance(5, 5)])
 def test_search_loops_stay_off_the_reference_kernel(inst, monkeypatch):
     # Only the code extraction and the checker may use the reference kernel:
     # verify_code decodes each user twice from at most kappa <= n columns plus
     # its side-info units, so n users and m messages bound the calls whatever
-    # the number of search nodes. On gen_random(6, 6, 2, .5, 4) the acyclic
-    # bound is 3 and kappa 4, so stage two has to prove the row rank optimal.
+    # the number of search nodes. On both instances stage two beats the row
+    # rank (kappa 5 < 6 and 4 < 5), so the witness rows come from
+    # decode_coeffs; on the first the acyclic bound, 4, is below kappa too.
     calls = {"basis_insert": 0, "in_span": 0}
 
     def counting(name, fn):
@@ -255,6 +256,7 @@ def test_search_loops_stay_off_the_reference_kernel(inst, monkeypatch):
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     r = minrank_bnb(inst)
     n, m = inst.num_users, inst.num_messages
+    assert r.kappa < r.stats["row_rank_bound"]
     assert r.stats["column_nodes_explored"] >= 2000
     assert 0 < calls["basis_insert"] <= 2 * n * (n + m)
     assert 0 < calls["in_span"] <= 2 * n
@@ -454,7 +456,11 @@ def test_acyclic_sets_are_the_largest_qualifying_sets():
             size = len(qualifying[0])
             largest = sorted((c for c in qualifying if len(c) == size),
                              key=lambda c: sum(1 << users.index(u) for u in c))
-            assert acyclic_sets(inst, users) == largest[:ACYCLIC_SETS_KEPT]
+            first_per_demands = {}
+            for c in largest:
+                first_per_demands.setdefault(frozenset(map(inst.demand, c)), c)
+            kept = list(first_per_demands.values())[:ACYCLIC_SETS_KEPT]
+            assert acyclic_sets(inst, users) == kept
             greedy = _greedy_acyclic_set(inst, users)
             assert _qualifies(inst, greedy) and len(greedy) <= size
             checked += 1
@@ -482,6 +488,18 @@ def test_greedy_acyclic_set_above_the_exact_limit(n):
         sets = acyclic_sets(inst, users)
         assert len(sets) == 1 and set(sets[0]) <= set(users)
         assert _qualifies(inst, sets[0])
+
+
+def test_greedy_bound_closes_a_solve_above_the_exact_limit():
+    # 15 users, 8 distinct demands, and a greedy set of 8: the root bound
+    # equals the uncoded length, so neither stage visits a node. A one-user
+    # bound leaves stage one more than 100,000 nodes short of an answer.
+    inst = gen_random(15, 15, 2, 0.15, 0)
+    assert inst.num_users > ACYCLIC_EXACT_USERS_LIMIT
+    r = minrank_bnb(inst, node_limit=1000)
+    assert r.kappa == r.stats["lower_bound"] == 8
+    assert r.stats["nodes_explored"] == r.stats["column_nodes_explored"] == 0
+    assert verify_code(r.code, inst).overall
 
 
 def test_unit_bound_gives_the_same_answers_with_no_fewer_nodes(monkeypatch):
