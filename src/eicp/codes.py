@@ -22,7 +22,7 @@ from .errors import (
     NotDecodableError,
 )
 from .gf import EchelonBasis, FieldOrder, GfMatrix, GfVector, basis_insert, in_span, reduce
-from .model import EicpInstance
+from .model import EicpInstance, load_json
 
 
 def unit_vector(q: int, num_messages: int, message: int) -> GfVector:
@@ -235,10 +235,7 @@ def decode_coeffs(code: EmbeddedIndexCode, inst: EicpInstance, user: int
 
 def parse_code(text: str, inst: EicpInstance) -> EmbeddedIndexCode:
     """Parse {"transmissions": [{"user": u, "coeffs": [...]}, ...]} against an instance."""
-    try:
-        obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:
-        raise InstanceFormatError(f"not valid JSON: {e}") from e
+    obj = load_json(text)
     if not isinstance(obj, dict) or set(obj) != {"transmissions"}:
         raise InstanceFormatError("code file must be an object with the single key 'transmissions'")
     entries = obj["transmissions"]

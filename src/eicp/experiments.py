@@ -27,6 +27,9 @@ from .graphs import (
 from .minrank import minrank_bnb, minrank_oracle
 from .model import EicpInstance, MessageCountWarning, enumerate_demands, require_valid, validate
 
+# Draws each random generator makes before it gives up.
+GENERATION_TRIES = 200
+
 
 @dataclass(frozen=True)
 class ExperimentReport:
@@ -93,13 +96,12 @@ def biclique_instance(n: int, covered: bool, q: int = 2) -> EicpInstance:
     return inst
 
 
-def random_single_unicast(n: int, q: int, density: float, seed: int,
-                          max_tries: int = 200) -> EicpInstance:
+def random_single_unicast(n: int, q: int, density: float, seed: int) -> EicpInstance:
     """Random valid instance with n users, n messages, and a permutation demand."""
     from .model import _repair_family  # shares the repair rules of the generators
 
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(GENERATION_TRIES):
         side = [
             {m for m in range(1, n + 1) if rng.random() < density}
             for _ in range(n)
@@ -117,7 +119,7 @@ def random_single_unicast(n: int, q: int, density: float, seed: int,
         )
         if not validate(inst):
             return inst
-    raise GenerationError(f"no valid permutation-demand instance after {max_tries} tries")
+    raise GenerationError(f"no valid permutation-demand instance after {GENERATION_TRIES} tries")
 
 
 def _demand_permutation(rng: random.Random, side, n: int):
@@ -129,8 +131,7 @@ def _demand_permutation(rng: random.Random, side, n: int):
     return None
 
 
-def random_bipartite_tree_instance(n: int, seed: int, q: int = 2,
-                                   max_tries: int = 200) -> EicpInstance:
+def random_bipartite_tree_instance(n: int, seed: int, q: int = 2) -> EicpInstance:
     """Instance whose side-info graph is a random spanning tree on n users + n messages.
 
     Trees have 2n - 1 edges, so side information is as sparse as connectivity
@@ -139,7 +140,7 @@ def random_bipartite_tree_instance(n: int, seed: int, q: int = 2,
     if n < 2:
         raise ValueError("need at least 2 users")
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(GENERATION_TRIES):
         side: list[set[int]] = [set() for _ in range(n)]
         attached_users = [1]
         attached_msgs: list[int] = []
@@ -170,7 +171,7 @@ def random_bipartite_tree_instance(n: int, seed: int, q: int = 2,
         graph = build_side_info_graph(inst)
         if is_connected(graph) and sum(len(k) for k in side) == 2 * n - 1:
             return inst
-    raise GenerationError(f"no tree-shaped instance after {max_tries} tries")
+    raise GenerationError(f"no tree-shaped instance after {GENERATION_TRIES} tries")
 
 
 # ---------- experiments ----------

@@ -108,44 +108,35 @@ def build_problem_graph(inst: EicpInstance) -> BipartiteProblemGraph:
     )
 
 
-def _connected(num_users: int, messages, adjacency) -> bool:
-    messages = list(messages)
-    total = num_users + len(messages)
-    if total == 0:
-        return False
-    holders: dict[int, list[int]] = {m: [] for m in messages}
-    for i in range(num_users):
-        for m in adjacency[i]:
-            if m in holders:
-                holders[m].append(i + 1)
-    msg_set = set(messages)
-    seen_u: set[int] = set()
-    seen_m: set[int] = set()
-    stack: list[tuple[str, int]] = [("u", 1)] if num_users else [("m", messages[0])]
-    while stack:
-        kind, v = stack.pop()
-        if kind == "u":
-            if v in seen_u:
-                continue
-            seen_u.add(v)
-            for m in adjacency[v - 1]:
-                if m in msg_set and m not in seen_m:
-                    stack.append(("m", m))
-        else:
-            if v in seen_m:
-                continue
-            seen_m.add(v)
-            for u in holders[v]:
-                if u not in seen_u:
-                    stack.append(("u", u))
-    return len(seen_u) + len(seen_m) == total
+def _connected(messages, adjacency) -> bool:
+    """Whether the users and `messages` form one component of the side-info graph.
+
+    User 1's held messages grow to a fixpoint: each pass absorbs the messages
+    of every user left that holds one already reached.
+    """
+    messages = set(messages)
+    held = [messages.intersection(k) for k in adjacency]
+    if not held:
+        return len(messages) == 1
+    reached, rest = held[0], held[1:]
+    while rest:
+        outside = []
+        for k in rest:
+            if reached.isdisjoint(k):
+                outside.append(k)
+            else:
+                reached |= k
+        if len(outside) == len(rest):
+            return False
+        rest = outside
+    return reached == messages
 
 
 def is_connected(g: SideInfoBipartiteGraph | PrunedGraph) -> bool:
     """Connectivity over ALL vertices (isolated users or messages disconnect)."""
     if isinstance(g, PrunedGraph):
-        return _connected(g.base.num_users, g.x_prime, g.adjacency)
-    return _connected(g.num_users, range(1, g.num_messages + 1), g.adjacency)
+        return _connected(g.x_prime, g.adjacency)
+    return _connected(range(1, g.num_messages + 1), g.adjacency)
 
 
 def prune_degree_one(g: SideInfoBipartiteGraph) -> PrunedGraph:
@@ -410,16 +401,16 @@ def search_bicliques(g: SideInfoBipartiteGraph, msg_pool) -> list[StructureWitne
     return found
 
 
-def canonical_form(g: SideInfoBipartiteGraph, max_size: int = CANONICAL_SIZE_LIMIT) -> bytes:
+def canonical_form(g: SideInfoBipartiteGraph) -> bytes:
     """Isomorphism-class key under independent user and message relabelings.
 
     For each user ordering, a message becomes the bitmask of its holders and
     the multiset of masks is sorted, which fully absorbs the message
     permutation; minimizing over user orderings makes the key exact.
     """
-    if g.num_users > max_size or g.num_messages > max_size:
+    if g.num_users > CANONICAL_SIZE_LIMIT or g.num_messages > CANONICAL_SIZE_LIMIT:
         raise GuardExceededError(
-            f"canonical_form supports at most {max_size} users and messages"
+            f"canonical_form supports at most {CANONICAL_SIZE_LIMIT} users and messages"
         )
     best: tuple[int, ...] | None = None
     users = range(g.num_users)

@@ -34,6 +34,7 @@ instance may still transmit.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -156,27 +157,6 @@ def _node_limit(node_limit: int | None) -> int:
     return node_limit
 
 
-def _search_order(candidate_sets: list[CandidateSet]) -> list[CandidateSet]:
-    """Fewest candidates first; users with identical candidate tuples adjacent.
-
-    Within a run of identical candidate sets the search may force choices to
-    be nondecreasing: swapping two such users' rows permutes the stacked
-    matrix, which never changes its rank.
-    """
-    first_seen: dict[tuple, int] = {}
-    for pos, cs in enumerate(candidate_sets):
-        key = tuple(v.coords for v in cs.vectors)
-        first_seen.setdefault(key, pos)
-    return sorted(
-        candidate_sets,
-        key=lambda cs: (
-            len(cs.vectors),
-            first_seen[tuple(v.coords for v in cs.vectors)],
-            cs.user,
-        ),
-    )
-
-
 class _Budget:
     __slots__ = ("used", "limit", "label")
 
@@ -194,58 +174,51 @@ class _Budget:
             )
 
 
-def _row_search(order: list[CandidateSet], incumbent: int, bound_coords: list[list[int]],
-                budget: _Budget) -> tuple[int, dict[int, GfVector] | None]:
-    """Smallest stacked rank below `incumbent`, and the rows of a leaf reaching it.
+def _row_search(order: list[CandidateSet], incumbent: int, space, masks: list[int],
+                lower_bound: int, budget: _Budget) -> tuple[int, dict[int, GfVector]]:
+    """Smallest stacked rank, and the rows of the first leaf reaching it.
 
-    Depth-first in search order. A node with partial stack A is cut once
-    rank(A) + |S| - rank(A on S's demand coordinates) reaches the incumbent
-    for one of the acyclic sets S whose demand coordinates `bound_coords`
-    lists: every completion stacks all of S's rows, whose rank on those
-    coordinates is |S|. The same test, repeated as the incumbent falls, stops
-    the walk once the incumbent is down to |S|. Every leaf that improves the
-    incumbent records its rows, so the rows returned are those of the first
-    leaf in search order with the final rank; they are None when no leaf beat
-    the starting incumbent. The candidate rows are packed once, and the stack
-    and its projection on each set are packed bases.
+    `incumbent` is the rank of the first leaf, each user's first candidate
+    (its demand's unit vector), which is the starting answer. Depth-first in
+    search order over the rows packed in `space`. A node with partial stack A
+    is cut once rank(A) + LB - rank(A & mask) reaches the incumbent for one
+    of the acyclic sets' demand `masks`, LB being `lower_bound`, each set's
+    size: every completion stacks all of a set's rows, whose rank on its
+    demand coordinates is LB. The same test, repeated as the incumbent falls,
+    stops the walk once the incumbent is down to LB. Only a strictly better
+    leaf replaces the rows, so the rows returned are those of the first leaf
+    in search order with the final rank. The stack and its projection on
+    each set are packed bases.
     """
-    keys = [tuple(v.coords for v in cs.vectors) for cs in order]
-    same_group = [d > 0 and keys[d] == keys[d - 1] for d in range(len(order))]
-    first = order[0].vectors[0]
-    space = packed_space(first.q, len(first))
     insert = space.insert
-    packed = [[space.pack(coords) for coords in key] for key in keys]
-    masks = [space.mask(coords) for coords in bound_coords]
-    set_size = len(bound_coords[0])
+    packed = [[space.pack(v.coords) for v in cs.vectors] for cs in order]
     chosen: list[int] = []
-    best: dict[int, GfVector] | None = None
+    best = {cs.user: cs.vectors[0] for cs in order}
     last = len(order) - 1
 
-    def walk(depth: int, basis: tuple, projections: list, prev_choice: int) -> None:
+    def walk(depth: int, basis: tuple, projections: list) -> None:
         nonlocal incumbent, best
-        bound = len(basis) + set_size - min(map(len, projections))
+        bound = len(basis) + lower_bound - min(map(len, projections))
         if bound >= incumbent:
             return
-        rows = packed[depth]
-        for idx in range(prev_choice if same_group[depth] else 0, len(rows)):
+        for idx, row in enumerate(packed[depth]):
             budget.spend()
-            row = rows[idx]
             stack = insert(basis, row)[0]
             if len(stack) >= incumbent:
                 continue
             chosen.append(idx)
             if depth == last:
-                # A full stack holds S's rows, so the bound is its rank.
+                # A full stack holds every set's rows, so the bound is its rank.
                 incumbent = len(stack)
                 best = {cs.user: cs.vectors[i] for cs, i in zip(order, chosen)}
             else:
                 walk(depth + 1, stack,
-                     [insert(p, row & mask)[0] for p, mask in zip(projections, masks)], idx)
+                     [insert(p, row & mask)[0] for p, mask in zip(projections, masks)])
             chosen.pop()
             if bound >= incumbent:
                 return
 
-    walk(0, (), [()] * len(masks), 0)
+    walk(0, (), [()] * len(masks))
     return incumbent, best
 
 
@@ -282,8 +255,8 @@ def extract_code(inst: EicpInstance, witness: GfMatrix, users) -> EmbeddedIndexC
     return code
 
 
-def _column_search(inst: EicpInstance, users, pool, incumbent: int,
-                   bound_coords: list[list[int]], budget: _Budget):
+def _column_search(inst: EicpInstance, users, pool, incumbent: int, space, masks: list[int],
+                   lower_bound: int, budget: _Budget):
     """Smallest serving column subset strictly below `incumbent`, or None.
 
     Depth-first over the scalar-normalized transmittable columns in pool
@@ -298,19 +271,16 @@ def _column_search(inst: EicpInstance, users, pool, incumbent: int,
     against that basis; a user is dropped the moment the residue is zero.
 
     A node C that does not serve every user is cut once
-    |C| + max(1, |S| - rank(C on S's demand coordinates)) reaches the best
-    size, for one of the acyclic sets S whose demand coordinates
-    `bound_coords` lists: a code serving S has rank |S| on them. The same
-    test, repeated as the best size falls, skips the siblings of a serving
-    subset and stops the walk once the best size is down to |S|. So a
+    |C| + max(1, LB - rank(C & mask)) reaches the best size for one of the
+    acyclic sets' demand `masks`, LB being `lower_bound`, each set's size: a
+    code serving a set has rank LB on its demand coordinates. The same test,
+    repeated as the best size falls, skips the siblings of a serving subset
+    and stops the walk once the best size is down to LB. So a
     serving subset is only ever reached when strictly smaller than the best,
     and the answer is the first minimal serving subset in search order.
     """
-    space = packed_space(inst.q, inst.num_messages)
     insert, reduce = space.insert, space.reduce
     columns = [space.pack(vec.coords) for vec, _sender in pool]
-    masks = [space.mask(coords) for coords in bound_coords]
-    set_size = len(bound_coords[0])
     start_pending = [
         (space.mask(m - 1 for m in inst.messages if m not in inst.knows(i)), (),
          space.pack(unit_vector(inst.q, inst.num_messages, inst.demand(i)).coords))
@@ -322,7 +292,7 @@ def _column_search(inst: EicpInstance, users, pool, incumbent: int,
     def walk(pos: int, chosen: list, chosen_basis: tuple, projections: list,
              pending: list) -> None:
         nonlocal best, best_size
-        bound = len(chosen) + max(1, set_size - min(map(len, projections)))
+        bound = len(chosen) + max(1, lower_bound - min(map(len, projections)))
         if bound >= best_size:
             return
         for idx in range(pos, len(columns)):
@@ -447,15 +417,17 @@ def minrank_bnb(inst: EicpInstance, users=None,
 
     Stage one minimizes the stacked-matrix rank. The uncoded scheme seeds the
     incumbent at the number of distinct demands, users enter the search with
-    the smallest candidate sets first, and a subtree is cut as soon as its
-    partial stack already reaches the incumbent.
+    the smallest candidate sets first (ties in ascending user order), and a
+    subtree is cut as soon as its partial stack already reaches the
+    incumbent.
 
     Stage two searches transmittable column subsets strictly smaller than the
     stage-one rank; it usually finds nothing, but on chain-like instances the
     shortest code's columns are not decodable rows for any single user and
-    only this stage sees them. Both stages read one transmission pool, built
-    once per call, and search on the packed kernel `gf.packed_space`; the
-    reference kernel only extracts and checks the answer.
+    only this stage sees them. Both stages read one transmission pool and
+    one packed space `gf.packed_space` with one demand mask per acyclic set,
+    all built once per call; the reference kernel only extracts and checks
+    the answer.
 
     The acyclic-set bound LB (acyclic_sets) is used three times. At the root,
     stage two is skipped when the row rank equals LB. Each stage stops as
@@ -470,13 +442,13 @@ def minrank_bnb(inst: EicpInstance, users=None,
 
     The returned artifacts are deterministic. When stage one stands, the
     witness is the first row assignment in search order that attains the
-    optimum, and the code is read off its independent rows. Stage one records
-    that assignment as it goes. When nothing beats the uncoded scheme, the
-    witness is the first leaf: each user's first candidate is the unit vector
-    of its demand, and their stack has the distinct-demand rank. When stage
-    two improves on stage one, the winning columns become the code, the first
-    minimal serving subset in search order, and each witness row is
-    recomputed from its user's decoding recipe.
+    optimum, and the code is read off its independent rows. Stage one starts
+    from the first leaf, each user's first candidate being the unit vector of
+    its demand, whose stack has the distinct-demand rank, and records each
+    strictly better assignment as it goes. When stage two improves on stage
+    one, the winning columns become the code, the first minimal serving
+    subset in search order, and each witness row is recomputed from its
+    user's decoding recipe.
 
     `stats` holds the node counts of the two stages (`nodes_explored`,
     `column_nodes_explored`), the candidate counts, the uncoded length
@@ -488,33 +460,28 @@ def minrank_bnb(inst: EicpInstance, users=None,
     limit = _node_limit(node_limit)
     pool = _transmission_pool(inst)
     candidate_sets = build_candidates(inst, users, pool)
-    order = _search_order(candidate_sets)
-
+    order = sorted(candidate_sets, key=lambda cs: len(cs.vectors))
     start_incumbent = len({inst.demand(i) for i in users})
-    product = 1
-    for cs in candidate_sets:
-        product *= len(cs.vectors)
-
-    sets = acyclic_sets(inst, users)
-    lower_bound = len(sets[0])
-    bound_coords = [[inst.demand(u) - 1 for u in s] for s in sets]
 
     q = inst.q
     dim = inst.num_messages
+    space = packed_space(q, dim)
+    sets = acyclic_sets(inst, users)
+    lower_bound = len(sets[0])
+    masks = [space.mask(inst.demand(u) - 1 for u in s) for s in sets]
     budget = _Budget(limit)
-    row_rank, choice = _row_search(order, start_incumbent, bound_coords, budget)
+    row_rank, choice = _row_search(order, start_incumbent, space, masks, lower_bound, budget)
 
     column_budget = _Budget(limit, "code search")
     improvement = None
     pool_size = 0
     if row_rank > lower_bound:
         pool_size = len(pool)
-        improvement = _column_search(inst, users, pool, row_rank, bound_coords, column_budget)
+        improvement = _column_search(inst, users, pool, row_rank, space, masks, lower_bound,
+                                     column_budget)
 
     if improvement is None:
         kappa = row_rank
-        if choice is None:
-            choice = {cs.user: cs.vectors[0] for cs in order}
         witness = GfMatrix.from_rows(q, [choice[i].coords for i in users], num_cols=dim)
         code = extract_code(inst, witness, users)
     else:
@@ -531,7 +498,7 @@ def minrank_bnb(inst: EicpInstance, users=None,
         "nodes_explored": budget.used,
         "candidates_total": sum(len(cs.vectors) for cs in candidate_sets),
         "candidates_per_user": {cs.user: len(cs.vectors) for cs in candidate_sets},
-        "product_size": product,
+        "product_size": math.prod(len(cs.vectors) for cs in candidate_sets),
         "incumbent_initial": start_incumbent,
         "lower_bound": lower_bound,
         "row_rank_bound": row_rank,
@@ -664,16 +631,12 @@ def complexity_report(inst: EicpInstance, users=None,
         "new_assignment_space": q ** sum_k,
     }
     if candidate_sizes is not None:
-        product = 1
-        for i in users:
-            product *= candidate_sizes[i]
         report["filtered_candidates_per_user"] = dict(candidate_sizes)
-        report["filtered_product"] = product
+        report["filtered_product"] = math.prod(candidate_sizes[i] for i in users)
     return report
 
 
-def graph_candidate_supports(pg: BipartiteProblemGraph, user: int,
-                             limit: int = CANDIDATES_PER_USER_LIMIT) -> set[frozenset[int]]:
+def graph_candidate_supports(pg: BipartiteProblemGraph, user: int) -> set[frozenset[int]]:
     """Candidate supports read off the directed problem graph alone.
 
     A support is the demanded message plus any subset of messages the user
@@ -690,9 +653,9 @@ def graph_candidate_supports(pg: BipartiteProblemGraph, user: int,
         if d not in held:
             continue
         shared = sorted(side & held)
-        if 2 ** len(shared) > limit:
+        if 2 ** len(shared) > CANDIDATES_PER_USER_LIMIT:
             raise GuardExceededError(
-                f"support enumeration for users {user},{j} exceeds {limit}"
+                f"support enumeration for users {user},{j} exceeds {CANDIDATES_PER_USER_LIMIT}"
             )
         for r in range(len(shared) + 1):
             for combo in itertools.combinations(shared, r):

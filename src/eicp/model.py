@@ -247,16 +247,28 @@ def _expect_list_of_lists(obj, key: str, n: int):
     return v
 
 
+def load_json(text: str):
+    """json.loads, raising InstanceFormatError for any text that does not parse.
+
+    Besides malformed text (JSONDecodeError) and nesting too deep for the
+    parser (RecursionError), json rejects an integer literal longer than
+    Python's int conversion limit with a plain ValueError.
+    """
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise InstanceFormatError(f"not valid JSON: {e}") from e
+    except ValueError as e:
+        raise InstanceFormatError("not valid JSON: an integer literal has too many digits") from e
+
+
 def parse_instance(text: str, check: bool = True) -> EicpInstance:
     """Parse the JSON instance format; multi-demand input is split on load.
 
     With check=True (the default) a semantically invalid instance raises
     InvalidInstanceError listing every violation.
     """
-    try:
-        obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:
-        raise InstanceFormatError(f"not valid JSON: {e}") from e
+    obj = load_json(text)
     if not isinstance(obj, dict):
         raise InstanceFormatError("instance file must contain a JSON object")
     keys = set(obj)

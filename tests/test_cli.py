@@ -91,6 +91,24 @@ def test_deeply_nested_json_is_an_input_error(capsys, tmp_path, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["validate"], ["verify", MIXED4]], ids=["validate", "verify"])
+def test_overlong_integer_literal_is_an_input_error(capsys, tmp_path, argv):
+    # json converts integer literals with int(), which refuses more than
+    # 4,300 digits by default with a ValueError of its own.
+    long_int = "9" * 5000
+    if argv[0] == "validate":
+        text = json.loads(Path(MIXED4).read_text())
+        body = json.dumps({**text, "demands": "D"}).replace('"D"', f"[1, 2, 3, {long_int}]")
+    else:
+        body = '{"transmissions": [{"user": 1, "coeffs": [' + long_int + ', 0, 0, 0]}]}'
+    path = tmp_path / "long.json"
+    path.write_text(body)
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 1
+    assert err.startswith("error: not valid JSON") and err.count("\n") == 1
+    assert "set_int_max_str_digits" not in err
+
+
 def test_validate_missing_file(capsys):
     code, out, err = run(capsys, "validate", "/nonexistent/instance.json")
     assert code == 1

@@ -71,6 +71,19 @@ def test_is_connected_examples(mixed4):
                          side_info=((), (1,), (2, 3)),
                          demands=(1, 2, 1))
     assert not is_connected(build_side_info_graph(split))
+    # A lone vertex is connected, nothing at all is not.
+    assert is_connected(SideInfoBipartiteGraph(0, 1, ()))
+    assert not is_connected(SideInfoBipartiteGraph(0, 0, ()))
+    assert not is_connected(SideInfoBipartiteGraph(0, 2, ()))
+    assert is_connected(SideInfoBipartiteGraph(1, 0, ((),)))
+    assert not is_connected(SideInfoBipartiteGraph(1, 1, ((),)))
+    # An unheld message, then an isolated user among connected ones.
+    assert not is_connected(SideInfoBipartiteGraph(2, 3, ((1, 2), (2,))))
+    assert not is_connected(SideInfoBipartiteGraph(3, 2, ((1, 2), (), (2,))))
+    assert is_connected(SideInfoBipartiteGraph(3, 3, ((1,), (2, 3), (1, 2))))
+    # Pruning drops the unheld message 3 and the degree-one message 1.
+    pruned = prune_degree_one(SideInfoBipartiteGraph(2, 3, ((1, 2), (2,))))
+    assert pruned.x_prime == (2,) and is_connected(pruned)
 
 
 def test_prune_degree_one(mixed4):

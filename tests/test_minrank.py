@@ -1,6 +1,7 @@
 """Exact solver: candidate sets, two search stages, oracle cross-check."""
 
 import itertools
+import math
 import random
 from types import SimpleNamespace
 
@@ -143,21 +144,35 @@ def test_bnb_env_node_limit(monkeypatch, dense4):
 
 
 def test_row_stage_matches_product_enumeration():
-    # stage one equals the unpruned minimum over all row assignments
-    for inst in _small_random_instances(25, seed=100):
-        sets = build_candidates(inst)
-        product = 1
-        for cs in sets:
-            product *= len(cs.vectors)
-        if product > 20000:
+    # Stage one equals the unpruned minimum over all row assignments. When it
+    # stands, its witness is the first assignment reaching that minimum, with
+    # users taken fewest candidates first and in ascending order on ties.
+    # Users 1 and 2 of `twins` share side information and demand, so their
+    # candidate sets are identical.
+    twins = EicpInstance(FieldOrder(2), 4, 3, side_info=((2, 3), (2, 3), (1, 3), (1, 2)),
+                         demands=(1, 1, 2, 3))
+    odd_q = [gen_random(n, n, 3, d, s)
+             for n in (3, 4, 5) for d in (0.3, 0.5, 0.7) for s in range(4)]
+    improved = 0
+    for inst in _small_random_instances(25, seed=100) + odd_q + [twins]:
+        order = sorted(build_candidates(inst), key=lambda cs: len(cs.vectors))
+        if math.prod(len(cs.vectors) for cs in order) > 7000:
             continue
-        best = min(
-            rank(GfMatrix.from_rows(
-                inst.q, [v.coords for v in choice],
-                num_cols=inst.num_messages))
-            for choice in itertools.product(*[cs.vectors for cs in sets])
-        )
-        assert minrank_bnb(inst).stats["row_rank_bound"] == best
+        assignments = list(itertools.product(*[cs.vectors for cs in order]))
+        ranks = [rank(GfMatrix.from_rows(inst.q, [v.coords for v in choice],
+                                         num_cols=inst.num_messages))
+                 for choice in assignments]
+        best = min(ranks)
+        r = minrank_bnb(inst)
+        assert r.stats["row_rank_bound"] == best
+        if r.kappa < best:
+            continue
+        first = dict(zip((cs.user for cs in order), assignments[ranks.index(best)]))
+        assert r.witness.rows == tuple(first[i].coords for i in r.users)
+        improved += best < r.stats["incumbent_initial"]
+    assert improved >= 10
+    r = minrank_bnb(twins)
+    assert (r.kappa, r.stats["row_rank_bound"], r.stats["incumbent_initial"]) == (2, 2, 3)
 
 
 def test_bnb_matches_oracle_on_random_batch():

@@ -38,3 +38,29 @@ def test_only_gf_eliminates():
                 continue
             found += [f"{path.name}:{node.lineno} {n}" for n in names if n in private]
     assert not found, f"elimination helpers used outside gf: {found}"
+
+
+def test_no_unused_private_helpers():
+    # A module-level private function or class that nothing in the package
+    # names outside its own body is dead code a refactor left behind.
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    references = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                references.append((node.id, module, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                references.append((node.attr, module, node.lineno))
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            if not any(name == node.name and not (where == module and
+                                                  node.lineno <= line <= node.end_lineno)
+                       for name, where, line in references):
+                unused.append(f"{module}:{node.lineno} {node.name}")
+    assert not unused, f"private helpers nothing uses: {unused}"
