@@ -5,13 +5,14 @@ are relabeled by the message they demand, so structure witnesses can use one
 index sequence for users and messages; senders are mapped back to the actual
 user indices when transmissions are assembled.
 
-Costs, with I(s) = 1 when structure s has a covering user:
+Costs come from one model, _cost, which charges each structure its
+transmissions and marks the ones the scheme counts as extra:
   path-pattern cover:   a size-n structure costs n - 1 transmissions and a
-                        lone message costs 1, so length = N - K + K_e with K
-                        structures of which K_e are lone messages (the
+                        lone message costs 1 (extra), so length = N - K + K_e
+                        with K_e lone messages among K structures (the
                         pattern's edges are graphs.path_pattern_edges);
-  mutual-knowledge cover: a clique costs 2 - I(s), lone messages are always
-                        coverable, so length = K + K_u with K_u uncovered.
+  mutual-knowledge cover: a clique costs 1, or 2 (extra) uncovered; lone
+                        messages are always coverable, so length = K + K_u.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .errors import ConsistencyError, GuardExceededError, NotSingleUnicastError
 from .gf import GfVector
 from .graphs import (
     BICLIQUE,
-    COVERED_PAIR,
     REGULAR_TREE,
     SINGLE_EDGE,
     SideInfoBipartiteGraph,
@@ -44,48 +44,62 @@ BICLIQUE_SCHEME = "biclique"
 EXACT_COVER_LIMIT = 12
 
 
+def _cost(scheme: str, w: StructureWitness) -> tuple[int, int]:
+    """(transmissions, extra) of one structure under the scheme.
+
+    extra is 1 on the K_e or K_u structures of the module docstring.
+    """
+    if w.kind == REGULAR_TREE:
+        return w.size - 1, 0
+    if w.kind == SINGLE_EDGE:
+        return 1, int(scheme == TREE_SCHEME)
+    return (1, 0) if w.covered else (2, 1)
+
+
 @dataclass(frozen=True)
 class CoverPlan:
     """A structure partition plus the code it induces.
 
-    counts carries the cost identity of the scheme and is re-derived and
-    checked at construction (ConsistencyError), so a plan can never misreport
-    its own length.
+    counts and flags are read off the structures and the code. Construction
+    checks that the code is as long as the cost model says
+    (ConsistencyError), so a plan can never misreport its own length.
     """
 
     scheme: str
     structures: tuple[StructureWitness, ...]
     code: EmbeddedIndexCode
-    counts: dict
-    flags: dict
 
     def __post_init__(self):
-        c = self.counts
-        if self.scheme == TREE_SCHEME:
-            key = "single_edges"
-            extra = sum(1 for w in self.structures if w.kind == SINGLE_EDGE)
-            length = c["messages"] - c["structures"] + extra
-        elif self.scheme == BICLIQUE_SCHEME:
-            key = "uncovered"
-            extra = sum(1 for w in self.structures if not w.covered)
-            length = c["structures"] + extra
-        else:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        for identity, holds in (
-            ("length matches the code", c["length"] == self.code.length),
-            ("structures matches the witnesses", c["structures"] == len(self.structures)),
-            (f"{key} matches the witnesses", c[key] == extra),
-            ("length meets the cost identity", c["length"] == length),
-        ):
-            if not holds:
-                raise ConsistencyError(f"{self.scheme} plan counts {c}: {identity} fails")
+        cost = sum(_cost(self.scheme, w)[0] for w in self.structures)
+        if self.code.length != cost:
+            raise ConsistencyError(
+                f"{self.scheme} plan sends {self.code.length} transmissions "
+                f"where its structures cost {cost}"
+            )
+
+    @property
+    def counts(self) -> dict:
+        key = "single_edges" if self.scheme == TREE_SCHEME else "uncovered"
+        return {
+            "messages": self.code.instance.num_messages,
+            "structures": len(self.structures),
+            "length": self.code.length,
+            key: sum(_cost(self.scheme, w)[1] for w in self.structures),
+        }
+
+    @property
+    def flags(self) -> dict:
+        return {
+            "task_based": all(_usage_bound(w) <= 2 for w in self.structures),
+            "all_covered": all(w.covered for w in self.structures),
+        }
 
     def to_json_obj(self) -> dict:
         return {
             "scheme": self.scheme,
-            "length": self.counts["length"],
-            "counts": dict(self.counts),
-            "flags": dict(self.flags),
+            "length": self.code.length,
+            "counts": self.counts,
+            "flags": self.flags,
             "structures": [w.to_json_obj() for w in self.structures],
             "transmissions": transmissions_json(self.code),
         }
@@ -126,13 +140,11 @@ def _tree_transmissions(inst, demander, w: StructureWitness) -> list[Transmissio
 
 
 def _structure_transmissions(inst, demander, w: StructureWitness) -> list[Transmission]:
+    if w.covered:
+        return [Transmission(demander[w.covering_user], _combination(inst, w.msg_seq))]
     if w.kind == REGULAR_TREE:
         return _tree_transmissions(inst, demander, w)
-    if w.kind in (SINGLE_EDGE, COVERED_PAIR):
-        return [Transmission(demander[w.covering_user], _combination(inst, w.msg_seq))]
     if w.kind == BICLIQUE:
-        if w.covered:
-            return [Transmission(demander[w.covering_user], _combination(inst, w.msg_seq))]
         first, second = w.msg_seq[0], w.msg_seq[1]
         return [
             Transmission(demander[first], _combination(inst, w.msg_seq[1:])),
@@ -162,20 +174,7 @@ def _finish_plan(inst, graph, demander, scheme: str,
     code = EmbeddedIndexCode(inst, tuple(transmissions))
     if not verify_code(code, inst).overall:
         raise ConsistencyError("cover scheme produced an unusable code")
-    counts = {
-        "messages": inst.num_messages,
-        "structures": len(structures),
-        "length": code.length,
-    }
-    if scheme == TREE_SCHEME:
-        counts["single_edges"] = sum(1 for w in structures if w.kind == SINGLE_EDGE)
-    else:
-        counts["uncovered"] = sum(1 for w in structures if not w.covered)
-    flags = {
-        "task_based": all(_usage_bound(w) <= 2 for w in structures),
-        "all_covered": all(w.covered for w in structures),
-    }
-    return CoverPlan(scheme, tuple(structures), code, counts, flags)
+    return CoverPlan(scheme, tuple(structures), code)
 
 
 def _take_disjoint_pairs(pairs: list[StructureWitness], pool: set[int]
@@ -259,13 +258,12 @@ def _exact_cover(inst, graph, scheme: str) -> list[StructureWitness]:
         return tree_seq_cache[mask]
 
     def block_options(mask: int, low_bit: int):
-        """(cost, extra, block_mask, witness) choices for the block holding low_bit."""
+        """(block_mask, witness) choices for the block holding low_bit."""
         m = messages[low_bit]
         out = []
         w = single_edge_witness(graph, m)
         if w is not None:
-            extra = 1 if scheme == TREE_SCHEME else 0
-            out.append((1, extra, 1 << low_bit, w))
+            out.append((1 << low_bit, w))
         rest_mask = mask & ~(1 << low_bit)
         sub = rest_mask
         while sub:
@@ -276,15 +274,14 @@ def _exact_cover(inst, graph, scheme: str) -> list[StructureWitness]:
             if scheme == TREE_SCHEME and size > 2:
                 seq = tree_seq(block)
                 if seq is not None:
-                    out.append((size - 1, 0, block, StructureWitness(REGULAR_TREE, seq, seq)))
+                    out.append((block, StructureWitness(REGULAR_TREE, seq)))
                 continue
             # A two-member tree block is a covered pair; the clique scheme
             # also takes uncovered cliques, at two transmissions.
             w = _clique_witness(graph, members)
             if w is None or (scheme == TREE_SCHEME and not w.covered):
                 continue
-            cost, extra = (1, 0) if w.covered else (2, 1)
-            out.append((cost, extra, block, w))
+            out.append((block, w))
         return out
 
     best: dict[int, tuple[int, int, tuple]] = {0: (0, 0, ())}
@@ -294,7 +291,8 @@ def _exact_cover(inst, graph, scheme: str) -> list[StructureWitness]:
             return best[mask]
         low_bit = (mask & -mask).bit_length() - 1
         answer = None
-        for cost, extra, block, witness in block_options(mask, low_bit):
+        for block, witness in block_options(mask, low_bit):
+            cost, extra = _cost(scheme, witness)
             rest = solve(mask & ~block)
             key = tuple(sorted(witness.msg_seq))
             cand = (cost + rest[0], extra + rest[1],

@@ -19,7 +19,7 @@ once, by path_pattern_edges; every other module reads it from there.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import GuardExceededError
@@ -159,13 +159,22 @@ def uniq_demanded(demands, message_subset=None) -> int:
 
 @dataclass(frozen=True)
 class StructureWitness:
-    """An embedded structure. user_seq[j] demands msg_seq[j] under the labeling convention."""
+    """An embedded structure on msg_seq, in slot order; user m demands message m.
+
+    It is covered exactly when it names a covering user (keyword-only).
+    """
 
     kind: str
-    user_seq: tuple[int, ...]
     msg_seq: tuple[int, ...]
-    covering_user: int | None = None
-    covered: bool = False
+    covering_user: int | None = field(default=None, kw_only=True)
+
+    @property
+    def user_seq(self) -> tuple[int, ...]:
+        return self.msg_seq
+
+    @property
+    def covered(self) -> bool:
+        return self.covering_user is not None
 
     @property
     def size(self) -> int:
@@ -198,48 +207,41 @@ def tree_witness_edges(w: StructureWitness) -> set[tuple[int, int]]:
     return {(seq[slot], seq[held]) for slot, held in path_pattern_edges(w.size)}
 
 
+def _holds_all(g: SideInfoBipartiteGraph, user: int, members: set[int]) -> bool:
+    """The covering rule: `user` is outside `members` and holds every one of them."""
+    return user not in members and members <= g.knows[user - 1]
+
+
+def _mutually_known(g: SideInfoBipartiteGraph, members) -> bool:
+    """Whether each member user holds every other member's message."""
+    for a, b in itertools.combinations(members, 2):
+        if b not in g.knows[a - 1] or a not in g.knows[b - 1]:
+            return False
+    return True
+
+
 def verify_structure(g: SideInfoBipartiteGraph, w: StructureWitness) -> bool:
-    """True iff every edge the witness asserts exists in g and the shape is well formed."""
-    n = len(w.msg_seq)
-    if len(w.user_seq) != n or len(set(w.msg_seq)) != n:
-        return False
-    if tuple(w.user_seq) != tuple(w.msg_seq):
-        return False  # members must demand their own slot's message
-    if any(not 1 <= m <= g.num_messages for m in w.msg_seq):
-        return False
-    if any(not 1 <= u <= g.num_users for u in w.user_seq):
+    """True iff the witness is well formed and every edge it asserts exists in g.
+
+    Members are distinct, each both a user and a message; a covering user meets _holds_all.
+    """
+    n = w.size
+    members = set(w.msg_seq)
+    limit = min(g.num_users, g.num_messages)
+    if len(members) != n or any(not 1 <= m <= limit for m in members):
         return False
     cov = w.covering_user
-    if cov is not None and (cov in w.user_seq or not 1 <= cov <= g.num_users):
+    if cov is not None and not (1 <= cov <= g.num_users and _holds_all(g, cov, members)):
         return False
-
     if w.kind == SINGLE_EDGE:
-        return n == 1 and cov is not None and w.msg_seq[0] in g.knows[cov - 1]
+        return n == 1 and w.covered
     if w.kind == COVERED_PAIR:
-        if n != 2 or cov is None:
-            return False
-        a, b = w.msg_seq
-        return (
-            b in g.knows[a - 1]
-            and a in g.knows[b - 1]
-            and {a, b} <= g.knows[cov - 1]
-        )
-    if w.kind == REGULAR_TREE:
-        if n < 3:
-            return False
-        for (u, m) in tree_witness_edges(w):
-            if m not in g.knows[u - 1]:
-                return False
-        return True
+        return n == 2 and w.covered and _mutually_known(g, w.msg_seq)
     if w.kind == BICLIQUE:
-        if n < 2:
-            return False
-        for u, m in itertools.permutations(w.msg_seq, 2):
-            if m not in g.knows[u - 1]:
-                return False
-        if w.covered:
-            return cov is not None and set(w.msg_seq) <= g.knows[cov - 1]
-        return True
+        return n >= 2 and _mutually_known(g, w.msg_seq)
+    if w.kind == REGULAR_TREE:
+        return (n >= 3 and not w.covered
+                and all(m in g.knows[u - 1] for u, m in tree_witness_edges(w)))
     return False
 
 
@@ -288,7 +290,7 @@ def _pack_trees(g: SideInfoBipartiteGraph, remaining: list[int], sizes
             seq = _find_tree_sequence(g, remaining, n)
             if seq is None:
                 break
-            found.append(StructureWitness(REGULAR_TREE, seq, seq))
+            found.append(StructureWitness(REGULAR_TREE, seq))
             remaining = [m for m in remaining if m not in seq]
     return found
 
@@ -302,11 +304,7 @@ def _member_pool(g: SideInfoBipartiteGraph, msg_pool) -> list[int]:
 def _covering_user(g: SideInfoBipartiteGraph, members) -> int | None:
     """Smallest user outside `members` that holds every member message."""
     member_set = set(members)
-    return next(
-        (c for c in range(1, g.num_users + 1)
-         if c not in member_set and member_set <= g.knows[c - 1]),
-        None,
-    )
+    return next((c for c in range(1, g.num_users + 1) if _holds_all(g, c, member_set)), None)
 
 
 def _clique_witness(g: SideInfoBipartiteGraph, members: tuple[int, ...]
@@ -316,12 +314,11 @@ def _clique_witness(g: SideInfoBipartiteGraph, members: tuple[int, ...]
     Two members with a covering user form a covered pair; any other clique is
     a biclique, covered when some outside user holds all of it.
     """
-    for a, b in itertools.combinations(members, 2):
-        if b not in g.knows[a - 1] or a not in g.knows[b - 1]:
-            return None
+    if not _mutually_known(g, members):
+        return None
     cov = _covering_user(g, members)
     kind = COVERED_PAIR if len(members) == 2 and cov is not None else BICLIQUE
-    return StructureWitness(kind, members, members, cov, cov is not None)
+    return StructureWitness(kind, members, covering_user=cov)
 
 
 def search_regular_trees(g: SideInfoBipartiteGraph, msg_pool) -> list[StructureWitness]:
@@ -345,13 +342,13 @@ def single_edge_witness(g: SideInfoBipartiteGraph, message: int) -> StructureWit
     cov = _covering_user(g, (message,))
     if cov is None:
         return None
-    return StructureWitness(SINGLE_EDGE, (message,), (message,), cov, True)
+    return StructureWitness(SINGLE_EDGE, (message,), covering_user=cov)
 
 
 def _mutual_knowledge_edges(g: SideInfoBipartiteGraph, pool: list[int]) -> dict[int, set[int]]:
     adj: dict[int, set[int]] = {m: set() for m in pool}
     for a, b in itertools.combinations(pool, 2):
-        if b in g.knows[a - 1] and a in g.knows[b - 1]:
+        if _mutually_known(g, (a, b)):
             adj[a].add(b)
             adj[b].add(a)
     return adj
@@ -385,9 +382,10 @@ def search_bicliques(g: SideInfoBipartiteGraph, msg_pool) -> list[StructureWitne
     is silently skipped (cannot happen on valid instances).
     """
     remaining = _member_pool(g, msg_pool)
+    # Cliques draw only from `remaining`, so one edge map serves every round.
+    adj = _mutual_knowledge_edges(g, remaining)
     found: list[StructureWitness] = []
     while True:
-        adj = _mutual_knowledge_edges(g, remaining)
         clique = _max_clique(remaining, adj)
         if len(clique) < 2:
             break

@@ -140,29 +140,30 @@ def build_candidates(inst: EicpInstance, users=None,
     return out
 
 
-def _node_limit(node_limit: int | None) -> int:
-    """Each stage's node budget: the argument, else NODE_LIMIT_ENV, else the default."""
-    source = "node limit"
+def _node_limit(node_limit: int | None) -> tuple[int, str]:
+    """The node budget (argument, else NODE_LIMIT_ENV, else default) and what raises it."""
+    source, knob = "node limit", "node_limit (--node-limit)"
     if node_limit is None:
         env = os.environ.get(NODE_LIMIT_ENV)
         if env is None:
-            return DEFAULT_NODE_LIMIT
-        source = NODE_LIMIT_ENV
+            return DEFAULT_NODE_LIMIT, f"the default with {knob} or {NODE_LIMIT_ENV}"
+        source = knob = NODE_LIMIT_ENV
         try:
             node_limit = int(env)
         except ValueError:
             raise ValueError(f"{NODE_LIMIT_ENV} must be an integer, got {env!r}")
     if node_limit < 1:
         raise ValueError(f"{source} must be at least 1, got {node_limit}")
-    return node_limit
+    return node_limit, knob
 
 
 class _Budget:
-    __slots__ = ("used", "limit", "label")
+    __slots__ = ("used", "limit", "knob", "label")
 
-    def __init__(self, limit: int, label: str = "rank search"):
+    def __init__(self, limit: int, knob: str, label: str = "rank search"):
         self.used = 0
         self.limit = limit
+        self.knob = knob
         self.label = label
 
     def spend(self) -> None:
@@ -170,7 +171,7 @@ class _Budget:
         if self.used > self.limit:
             raise GuardExceededError(
                 f"{self.label} visited more than {self.limit} nodes; "
-                f"raise {NODE_LIMIT_ENV} to keep going"
+                f"raise {self.knob} to keep going"
             )
 
 
@@ -457,7 +458,7 @@ def minrank_bnb(inst: EicpInstance, users=None,
     """
     require_valid(inst)
     users = _resolve_users(inst, users)
-    limit = _node_limit(node_limit)
+    limit, knob = _node_limit(node_limit)
     pool = _transmission_pool(inst)
     candidate_sets = build_candidates(inst, users, pool)
     order = sorted(candidate_sets, key=lambda cs: len(cs.vectors))
@@ -469,10 +470,10 @@ def minrank_bnb(inst: EicpInstance, users=None,
     sets = acyclic_sets(inst, users)
     lower_bound = len(sets[0])
     masks = [space.mask(inst.demand(u) - 1 for u in s) for s in sets]
-    budget = _Budget(limit)
+    budget = _Budget(limit, knob)
     row_rank, choice = _row_search(order, start_incumbent, space, masks, lower_bound, budget)
 
-    column_budget = _Budget(limit, "code search")
+    column_budget = _Budget(limit, knob, "code search")
     improvement = None
     pool_size = 0
     if row_rank > lower_bound:

@@ -1,12 +1,14 @@
 """Structure covers: both schemes, their cost identities, and scheme comparison."""
 
 import dataclasses
+import hashlib
+import json
 from types import SimpleNamespace
 
 import pytest
 
 import eicp.covers
-from eicp.codes import verify_code
+from eicp.codes import EmbeddedIndexCode, verify_code
 from eicp.errors import ConsistencyError, NotSingleUnicastError
 from eicp.covers import (
     CoverPlan,
@@ -16,9 +18,17 @@ from eicp.covers import (
     tree_cover,
 )
 from eicp.gf import FieldOrder
+from eicp.graphs import (
+    find_covered_pairs,
+    search_bicliques,
+    search_regular_trees,
+    verify_structure,
+)
 from eicp.minrank import minrank_bnb
 from eicp.experiments import biclique_instance, random_single_unicast, regular_tree_instance
 from eicp.model import EicpInstance, gen_random
+
+from conftest import all_fixture_instances
 
 
 def test_demand_relabeling(mixed4, dense4):
@@ -143,20 +153,15 @@ def test_rejected_plan_raises_consistency_error(monkeypatch):
             build(inst)
 
 
-def test_plan_counts_name_the_broken_identity(seven_user):
-    tree = tree_cover(seven_user)
-    biclique = biclique_cover(seven_user)
-    cases = [
-        (tree, "length", 1, "length matches the code"),
-        (tree, "structures", 1, "structures matches the witnesses"),
-        (tree, "single_edges", 1, "single_edges matches the witnesses"),
-        (tree, "messages", 1, "length meets the cost identity"),
-        (biclique, "uncovered", 1, "uncovered matches the witnesses"),
-    ]
-    for plan, key, delta, identity in cases:
-        counts = dict(plan.counts, **{key: plan.counts[key] + delta})
-        with pytest.raises(ConsistencyError, match=identity):
-            dataclasses.replace(plan, counts=counts)
+def test_plan_code_must_meet_the_cost_model(seven_user):
+    for build in (tree_cover, biclique_cover):
+        plan = build(seven_user)
+        short = EmbeddedIndexCode(seven_user, plan.code.transmissions[:-1])
+        length = plan.code.length
+        with pytest.raises(ConsistencyError,
+                           match=f"{plan.scheme} plan sends {length - 1} transmissions "
+                                 f"where its structures cost {length}"):
+            dataclasses.replace(plan, code=short)
 
 
 def test_biclique_cover_seven_user(seven_user):
@@ -271,3 +276,32 @@ def test_greedy_tree_cover_transmissions_pinned():
     for n, sends in expected.items():
         got = [(t.user, t.coeffs.coords) for t in tree_cover(regular_tree_instance(n)).code.transmissions]
         assert got == [(u, tuple(int(m in supp) for m in range(1, n + 1))) for u, supp in sends]
+
+
+def _cover_layer_outputs():
+    """Structure searches with their verdicts, then the four plans of each instance."""
+    instances = all_fixture_instances()
+    instances += [regular_tree_instance(n) for n in range(3, 10)]
+    instances += [biclique_instance(n, c) for n in range(2, 6) for c in (True, False)]
+    instances += [random_single_unicast(n, 2, d, s)
+                  for n in range(3, 9) for d in (0.3, 0.5, 0.7) for s in range(3)]
+    for k, inst in enumerate(instances):
+        graph, _ = demand_relabeling(inst)
+        pool = list(inst.messages)
+        for search in (find_covered_pairs, search_regular_trees, search_bicliques):
+            for w in search(graph, pool):
+                yield f"{k} {json.dumps(w.to_json_obj())} {verify_structure(graph, w)}"
+        for build in (tree_cover, biclique_cover):
+            for exact in (False, True):
+                plan = build(inst, exact=exact)
+                yield (f"{k} {json.dumps(plan.to_json_obj())} "
+                       f"{list(plan.counts.items())} {list(plan.flags.items())}")
+
+
+def test_cover_layer_output_pinned():
+    # Structures, verdicts and plans (counts and flags in key order) of the
+    # fixtures, both families and a random_single_unicast slice.
+    outputs = list(_cover_layer_outputs())
+    assert len(outputs) == 808
+    digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
+    assert digest == "3aafc4b55fedbd0c8a8b658c681651235d30c7beb8d3c6ac2ed73c945448769b"

@@ -4,6 +4,8 @@ import dataclasses
 import itertools
 import random
 
+import pytest
+
 from eicp.experiments import regular_tree_instance
 from eicp.gf import FieldOrder
 from eicp.graphs import (
@@ -129,40 +131,49 @@ def test_uniq_demanded(mixed4):
 
 def test_verify_structure_tree():
     inst = regular_tree_instance(4)
-    w = StructureWitness(kind="regular_tree", user_seq=(1, 2, 3, 4),
-                         msg_seq=(1, 2, 3, 4))
+    w = StructureWitness(kind="regular_tree", msg_seq=(1, 2, 3, 4))
     assert verify_structure(build_side_info_graph(inst), w)
     broken = EicpInstance(FieldOrder(2), 4, 4,
                           side_info=((2, 3), (3,), (1,), (1,)),
                           demands=(1, 2, 3, 4))
     assert not verify_structure(build_side_info_graph(broken), w)
+    # User 5 holds every member, yet a tree is never covered.
+    helped = SideInfoBipartiteGraph(5, 4, inst.side_info + ((1, 2, 3, 4),))
+    assert verify_structure(helped, w)
+    assert not verify_structure(
+        helped, StructureWitness("regular_tree", (1, 2, 3, 4), covering_user=5))
 
 
-def test_verify_structure_rejects_mismatched_slots():
-    inst = regular_tree_instance(4)
-    g = build_side_info_graph(inst)
-    w = StructureWitness(kind="regular_tree", user_seq=(2, 1, 3, 4),
-                         msg_seq=(1, 2, 3, 4))
-    assert not verify_structure(g, w)
+def test_verify_structure_rejects_a_member_without_a_user():
+    # Message 4 has no user to demand it, so it can be no member.
+    g = SideInfoBipartiteGraph(3, 4, ((2, 4), (1, 4), (1, 2, 4)))
+    assert verify_structure(g, StructureWitness("covered_pair", (1, 2), covering_user=3))
+    for w in (StructureWitness("biclique", (1, 4)),
+              StructureWitness("single_edge", (4,), covering_user=3)):
+        assert not verify_structure(g, w)
 
 
 def test_verify_structure_biclique(seven_user):
     g = build_side_info_graph(seven_user)
-    good = StructureWitness(kind="biclique", user_seq=(1, 2, 3, 4),
-                            msg_seq=(1, 2, 3, 4), covering_user=5,
-                            covered=True)
+    good = StructureWitness(kind="biclique", msg_seq=(1, 2, 3, 4), covering_user=5)
     assert verify_structure(g, good)
-    bad = StructureWitness(kind="biclique", user_seq=(1, 5), msg_seq=(1, 5),
-                           covering_user=6, covered=True)
-    assert not verify_structure(g, bad)
+    assert verify_structure(g, StructureWitness("covered_pair", (6, 7), covering_user=5))
+    assert verify_structure(g, StructureWitness("single_edge", (7,), covering_user=6))
+    for bad in (
+        StructureWitness("biclique", (1, 5), covering_user=6),
+        # User 6 holds none of 1-4.
+        StructureWitness("biclique", (1, 2, 3, 4), covering_user=6),
+        # User 1 holds none of 5, 6 and 7.
+        StructureWitness("covered_pair", (6, 7), covering_user=1),
+        StructureWitness("single_edge", (5,), covering_user=1),
+    ):
+        assert not verify_structure(g, bad)
 
 
 def test_tree_witness_edges_count():
     for n in (3, 4, 5):
         inst = regular_tree_instance(n)
-        w = StructureWitness(kind="regular_tree",
-                             user_seq=tuple(range(1, n + 1)),
-                             msg_seq=tuple(range(1, n + 1)))
+        w = StructureWitness(kind="regular_tree", msg_seq=tuple(range(1, n + 1)))
         edges = tree_witness_edges(w)
         assert len(edges) == 2 * n - 1
         assert verify_structure(build_side_info_graph(inst), w)
@@ -225,7 +236,7 @@ def test_single_edge_witness(seven_user):
     assert verify_structure(g, w)
     lonely = SideInfoBipartiteGraph(2, 2, ((2,), (1,)))
     assert single_edge_witness(lonely, 1) == StructureWitness(
-        "single_edge", (1,), (1,), 2, True)
+        "single_edge", (1,), covering_user=2)
     held_by_none = SideInfoBipartiteGraph(2, 2, ((2,), (2,)))
     assert single_edge_witness(held_by_none, 1) is None
 
@@ -264,10 +275,13 @@ def test_tree_witness_edges_pinned():
     }
     for n, edges in expected.items():
         seq = tuple(range(1, n + 1))
-        assert sorted(tree_witness_edges(StructureWitness("regular_tree", seq, seq))) == edges
+        assert sorted(tree_witness_edges(StructureWitness("regular_tree", seq))) == edges
+        # The covering user is keyword-only, so a stale positional call fails.
+        with pytest.raises(TypeError):
+            StructureWitness("regular_tree", seq, seq)
         # The edges follow the slots, whatever messages fill them.
         relabeled = tuple(10 * m for m in reversed(seq))
-        w = StructureWitness("regular_tree", relabeled, relabeled)
+        w = StructureWitness("regular_tree", relabeled)
         assert tree_witness_edges(w) == {
             (relabeled[u - 1], relabeled[m - 1]) for u, m in edges
         }

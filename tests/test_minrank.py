@@ -128,13 +128,14 @@ def test_bnb_user_subset(dense4):
 
 
 def test_bnb_node_limit_guard(dense4):
-    with pytest.raises(GuardExceededError, match="raise EICP_GUARD_NODES"):
+    with pytest.raises(GuardExceededError,
+                       match=r"more than 2 nodes; raise node_limit \(--node-limit\) to"):
         minrank_bnb(dense4, node_limit=2)
 
 
 def test_bnb_env_node_limit(monkeypatch, dense4):
     monkeypatch.setenv("EICP_GUARD_NODES", "2")
-    with pytest.raises(GuardExceededError):
+    with pytest.raises(GuardExceededError, match="raise EICP_GUARD_NODES to"):
         minrank_bnb(dense4)
     monkeypatch.setenv("EICP_GUARD_NODES", "not a number")
     with pytest.raises(ValueError, match="integer"):
