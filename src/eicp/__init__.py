@@ -54,7 +54,6 @@ from .minrank import (
 from .model import (
     EicpInstance,
     InstanceClass,
-    MessageCountWarning,
     RawEicp,
     classify,
     enumerate_demands,

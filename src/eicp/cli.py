@@ -14,7 +14,6 @@ import argparse
 import dataclasses
 import json
 import sys
-import warnings
 from pathlib import Path
 
 from . import covers, experiments, graphs, minrank, model
@@ -27,7 +26,6 @@ from .errors import (
     OracleExhaustedError,
 )
 from .gf import FieldOrder
-from .model import MessageCountWarning
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -59,9 +57,7 @@ def _transmission_rows(code) -> list[tuple]:
 
 
 def _load_instance(path: str, check: bool = True) -> model.EicpInstance:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", MessageCountWarning)
-        return model.parse_instance(Path(path).read_text(), check=check)
+    return model.parse_instance(Path(path).read_text(), check=check)
 
 
 def _parse_users(raw: str | None):
@@ -77,9 +73,7 @@ def _parse_users(raw: str | None):
 
 def _cmd_validate(args) -> int:
     inst = _load_instance(args.instance, check=False)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", MessageCountWarning)
-        violations = model.validate(inst)
+    violations = model.validate(inst)
     cls = model.classify(inst)
     if args.json:
         payload = {
@@ -208,11 +202,10 @@ def _cmd_gen(args) -> int:
 def _cmd_structures(args) -> int:
     inst = _load_instance(args.instance)
     graph, _ = covers.demand_relabeling(inst)
-    pool = list(inst.messages)
     found = {
-        "covered_pairs": graphs.find_covered_pairs(graph, pool),
-        "trees": graphs.search_regular_trees(graph, pool),
-        "cliques": graphs.search_bicliques(graph, pool),
+        "covered_pairs": graphs.find_covered_pairs(graph),
+        "trees": graphs.search_regular_trees(graph),
+        "cliques": graphs.search_bicliques(graph),
     }
     if args.json:
         payload = {
@@ -265,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--users", metavar="LIST",
                    help="comma-separated users that must decode (default: all)")
     p.add_argument("--node-limit", type=int, metavar="N",
-                   help="search node budget (default 10^6 or EICP_GUARD_NODES)")
+                   help="search node budget (default 10^6)")
     p.add_argument("--q-override", type=int, metavar="Q",
                    help="solve over the field of order Q instead of the file's")
     add_output_flags(p)

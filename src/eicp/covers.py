@@ -200,7 +200,7 @@ def tree_cover(inst: EicpInstance, exact: bool = False) -> CoverPlan:
         structures = _exact_cover(inst, graph, TREE_SCHEME)
     else:
         pool = set(inst.messages)
-        structures = _take_disjoint_pairs(find_covered_pairs(graph, sorted(pool)), pool)
+        structures = _take_disjoint_pairs(find_covered_pairs(graph), pool)
         trees = _pack_trees(graph, sorted(pool), range(3, len(pool) + 1))
         for w in trees:
             pool -= set(w.msg_seq)
@@ -224,7 +224,7 @@ def biclique_cover(inst: EicpInstance, exact: bool = False) -> CoverPlan:
     if exact:
         structures = _exact_cover(inst, graph, BICLIQUE_SCHEME)
     else:
-        structures = search_bicliques(graph, list(inst.messages))
+        structures = search_bicliques(graph)
     return _finish_plan(inst, graph, demander, BICLIQUE_SCHEME, structures)
 
 
@@ -308,18 +308,17 @@ def _exact_cover(inst, graph, scheme: str) -> list[StructureWitness]:
     return [w for _key, w in blocks]
 
 
-def compare_schemes(inst: EicpInstance, node_limit: int | None = None,
-                    exact: bool = False) -> dict:
-    """Lengths of both cover schemes next to the exact optimum.
+def compare_schemes(inst: EicpInstance) -> dict:
+    """Lengths of both greedy cover schemes next to the exact optimum.
 
     Both covers are working codes, so the optimum can never exceed either
     length; that is checked (ConsistencyError), not assumed.
     """
     from .minrank import minrank_bnb
 
-    tree = tree_cover(inst, exact=exact)
-    biclique = biclique_cover(inst, exact=exact)
-    result = minrank_bnb(inst, node_limit=node_limit)
+    tree = tree_cover(inst)
+    biclique = biclique_cover(inst)
+    result = minrank_bnb(inst)
     if result.kappa > min(tree.counts["length"], biclique.counts["length"]):
         raise ConsistencyError("the optimum exceeds a cover scheme's length")
     return {

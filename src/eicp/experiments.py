@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import warnings
 from dataclasses import dataclass
 
 from .covers import biclique_cover, tree_cover
@@ -25,7 +24,7 @@ from .graphs import (
     uniq_demanded,
 )
 from .minrank import minrank_bnb, minrank_oracle
-from .model import EicpInstance, MessageCountWarning, enumerate_demands, require_valid, validate
+from .model import EicpInstance, enumerate_demands, require_valid, validate
 
 # Draws each random generator makes before it gives up.
 GENERATION_TRIES = 200
@@ -74,8 +73,8 @@ def regular_tree_instance(n: int, q: int = 2) -> EicpInstance:
     return inst
 
 
-def biclique_instance(n: int, covered: bool, q: int = 2) -> EicpInstance:
-    """Mutual-knowledge clique on messages 1..n, demands on the diagonal.
+def biclique_instance(n: int, covered: bool) -> EicpInstance:
+    """Mutual-knowledge clique on messages 1..n over F_2, demands on the diagonal.
 
     Uncovered: n users, user i holds everything but message i. Covered: one
     extra user holds all of 1..n (and demands a fresh message n+1 that only
@@ -87,11 +86,11 @@ def biclique_instance(n: int, covered: bool, q: int = 2) -> EicpInstance:
     if not covered:
         side = tuple(members)
         demands = tuple(range(1, n + 1))
-        inst = EicpInstance(FieldOrder(q), n, n, side, demands)
+        inst = EicpInstance(FieldOrder(2), n, n, side, demands)
     else:
         side = [members[0] + (n + 1,)] + members[1:] + [tuple(range(1, n + 1))]
         demands = tuple(range(1, n + 2))
-        inst = EicpInstance(FieldOrder(q), n + 1, n + 1, tuple(side), demands)
+        inst = EicpInstance(FieldOrder(2), n + 1, n + 1, tuple(side), demands)
     require_valid(inst)
     return inst
 
@@ -131,8 +130,8 @@ def _demand_permutation(rng: random.Random, side, n: int):
     return None
 
 
-def random_bipartite_tree_instance(n: int, seed: int, q: int = 2) -> EicpInstance:
-    """Instance whose side-info graph is a random spanning tree on n users + n messages.
+def random_bipartite_tree_instance(n: int, seed: int) -> EicpInstance:
+    """F_2 instance whose side-info graph is a random spanning tree on n users + n messages.
 
     Trees have 2n - 1 edges, so side information is as sparse as connectivity
     allows. Demands are a random permutation avoiding each user's own holdings.
@@ -163,7 +162,7 @@ def random_bipartite_tree_instance(n: int, seed: int, q: int = 2) -> EicpInstanc
         if perm is None:
             continue
         inst = EicpInstance(
-            FieldOrder(q), n, n,
+            FieldOrder(2), n, n,
             tuple(tuple(sorted(k)) for k in side), tuple(perm),
         )
         if validate(inst):
@@ -193,8 +192,8 @@ def _mask_family_to_sets(masks: tuple[int, ...], num_messages: int):
     )
 
 
-def experiment_fig5(q: int = 2) -> ExperimentReport:
-    """All 3-user, 3-message side-information families, up to relabeling.
+def experiment_fig5() -> ExperimentReport:
+    """All 3-user, 3-message side-information families over F_2, up to relabeling.
 
     For each class the study takes every permutation demand each user can
     legally make (three distinct demands, so the plain scheme needs three
@@ -213,7 +212,7 @@ def experiment_fig5(q: int = 2) -> ExperimentReport:
         for demands in enumerate_demands(family, 3):
             if len(set(demands)) < 3:
                 continue
-            inst = EicpInstance(FieldOrder(q), 3, 3, family, demands)
+            inst = EicpInstance(FieldOrder(2), 3, 3, family, demands)
             if validate(inst):
                 continue
             kappas.append(minrank_bnb(inst).kappa)
@@ -260,9 +259,10 @@ def _canonical_family_reps(num_users: int, num_messages: int):
     return list(reps.values())
 
 
-def experiment_theorem2(max_users: int = 4, max_messages: int = 4,
-                        q: int = 2) -> ExperimentReport:
+def experiment_theorem2() -> ExperimentReport:
     """Exhaustive check of the pruning bound on every small instance class.
+
+    The scope is every class of 2-4 users and 2-4 messages over F_2.
 
     Hypothesis: the side-information graph is connected and, after dropping
     messages held by fewer than two users, every surviving message is still
@@ -274,50 +274,48 @@ def experiment_theorem2(max_users: int = 4, max_messages: int = 4,
     rows = []
     ok = True
     total_checked = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", MessageCountWarning)
-        for n in range(2, max_users + 1):
-            for m in range(2, max_messages + 1):
-                families = _canonical_family_reps(n, m)
-                hypothesis_count = 0
-                corollary_count = 0
-                violations = 0
-                disconnected_better = 0
-                for family in families:
-                    graph = SideInfoBipartiteGraph(n, m, family)
-                    connected = is_connected(graph)
-                    pruned = prune_degree_one(graph)
-                    x_prime = set(pruned.x_prime)
-                    for demands in enumerate_demands(family, m):
-                        inst = EicpInstance(FieldOrder(q), n, m, family, demands)
-                        if validate(inst):
-                            continue
-                        uniq = uniq_demanded(demands)
-                        hyp = (
-                            connected
-                            and x_prime
-                            and uniq_demanded(demands, x_prime) == len(x_prime)
-                        )
-                        if hyp:
-                            hypothesis_count += 1
-                            total_checked += 1
-                            kappa = minrank_bnb(inst).kappa
-                            if kappa >= uniq:
+    for n in range(2, 5):
+        for m in range(2, 5):
+            families = _canonical_family_reps(n, m)
+            hypothesis_count = 0
+            corollary_count = 0
+            violations = 0
+            disconnected_better = 0
+            for family in families:
+                graph = SideInfoBipartiteGraph(n, m, family)
+                connected = is_connected(graph)
+                pruned = prune_degree_one(graph)
+                x_prime = set(pruned.x_prime)
+                for demands in enumerate_demands(family, m):
+                    inst = EicpInstance(FieldOrder(2), n, m, family, demands)
+                    if validate(inst):
+                        continue
+                    uniq = uniq_demanded(demands)
+                    hyp = (
+                        connected
+                        and x_prime
+                        and uniq_demanded(demands, x_prime) == len(x_prime)
+                    )
+                    if hyp:
+                        hypothesis_count += 1
+                        total_checked += 1
+                        kappa = minrank_bnb(inst).kappa
+                        if kappa >= uniq:
+                            violations += 1
+                            ok = False
+                        if len(x_prime) == m and uniq == m:
+                            corollary_count += 1
+                            if kappa >= m:
                                 violations += 1
                                 ok = False
-                            if len(x_prime) == m and uniq == m:
-                                corollary_count += 1
-                                if kappa >= m:
-                                    violations += 1
-                                    ok = False
-                        elif not connected:
-                            kappa = minrank_bnb(inst).kappa
-                            if kappa < uniq:
-                                disconnected_better += 1
-                rows.append((
-                    n, m, len(families), hypothesis_count, corollary_count,
-                    violations, disconnected_better,
-                ))
+                    elif not connected:
+                        kappa = minrank_bnb(inst).kappa
+                        if kappa < uniq:
+                            disconnected_better += 1
+            rows.append((
+                n, m, len(families), hypothesis_count, corollary_count,
+                violations, disconnected_better,
+            ))
     details = {"instances_checked": total_checked}
     return ExperimentReport(
         "theorem2",
@@ -329,9 +327,11 @@ def experiment_theorem2(max_users: int = 4, max_messages: int = 4,
     )
 
 
-def experiment_lemma_sweep(tree_sizes=(3, 4, 5, 6), clique_sizes=(3, 4, 5),
-                           q: int = 2) -> ExperimentReport:
+def experiment_lemma_sweep() -> ExperimentReport:
     """Optimal lengths of the two structure families, cross-checked three ways.
+
+    The scope is path patterns on 3-6 users and cliques on 3-5 members, each
+    uncovered and covered, over F_2.
 
     Path patterns on n users must cost exactly n - 1: the cover scheme
     reaches it, the search confirms it, and the brute-force oracle certifies
@@ -340,8 +340,8 @@ def experiment_lemma_sweep(tree_sizes=(3, 4, 5, 6), clique_sizes=(3, 4, 5),
     """
     rows = []
     ok = True
-    for n in tree_sizes:
-        inst = regular_tree_instance(n, q)
+    for n in range(3, 7):
+        inst = regular_tree_instance(n)
         kappa = minrank_bnb(inst).kappa
         plan = tree_cover(inst)
         try:
@@ -353,9 +353,9 @@ def experiment_lemma_sweep(tree_sizes=(3, 4, 5, 6), clique_sizes=(3, 4, 5),
         ok = ok and row_ok
         rows.append(("path", n, "-", kappa, plan.counts["length"],
                      "pass" if row_ok else "fail"))
-    for n in clique_sizes:
+    for n in range(3, 6):
         for covered in (False, True):
-            inst = biclique_instance(n, covered, q)
+            inst = biclique_instance(n, covered)
             members = tuple(range(1, n + 1))  # the clique itself, never the cover user
             sub = minrank_bnb(inst, users=members)
             sub_oracle = minrank_oracle(inst, users=members)

@@ -295,10 +295,9 @@ def _pack_trees(g: SideInfoBipartiteGraph, remaining: list[int], sizes
     return found
 
 
-def _member_pool(g: SideInfoBipartiteGraph, msg_pool) -> list[int]:
-    """The distinct pool messages that have a member user, sorted."""
-    limit = min(g.num_users, g.num_messages)
-    return sorted(m for m in set(msg_pool) if m <= limit)
+def _member_pool(g: SideInfoBipartiteGraph) -> list[int]:
+    """The messages that have a member user (their demander), ascending."""
+    return list(range(1, min(g.num_users, g.num_messages) + 1))
 
 
 def _covering_user(g: SideInfoBipartiteGraph, members) -> int | None:
@@ -321,16 +320,16 @@ def _clique_witness(g: SideInfoBipartiteGraph, members: tuple[int, ...]
     return StructureWitness(kind, members, covering_user=cov)
 
 
-def search_regular_trees(g: SideInfoBipartiteGraph, msg_pool) -> list[StructureWitness]:
-    """Greedy message-disjoint packing of regular-tree witnesses, largest first."""
-    remaining = _member_pool(g, msg_pool)
+def search_regular_trees(g: SideInfoBipartiteGraph) -> list[StructureWitness]:
+    """Greedy message-disjoint packing of regular trees on the member messages, largest first."""
+    remaining = _member_pool(g)
     return _pack_trees(g, remaining, range(len(remaining), 2, -1))
 
 
-def find_covered_pairs(g: SideInfoBipartiteGraph, msg_pool) -> list[StructureWitness]:
-    """Every covered pair available inside msg_pool, lexicographic, smallest cover user."""
+def find_covered_pairs(g: SideInfoBipartiteGraph) -> list[StructureWitness]:
+    """Every covered pair of member messages, lexicographic, smallest cover user."""
     out = []
-    for pair in itertools.combinations(_member_pool(g, msg_pool), 2):
+    for pair in itertools.combinations(_member_pool(g), 2):
         w = _clique_witness(g, pair)
         if w is not None and w.kind == COVERED_PAIR:
             out.append(w)
@@ -375,13 +374,13 @@ def _max_clique(vertices: list[int], adj: dict[int, set[int]]) -> list[int]:
     return best
 
 
-def search_bicliques(g: SideInfoBipartiteGraph, msg_pool) -> list[StructureWitness]:
-    """Greedy packing of the pool by mutual-knowledge cliques, largest first.
+def search_bicliques(g: SideInfoBipartiteGraph) -> list[StructureWitness]:
+    """Greedy packing of the member messages by mutual-knowledge cliques, largest first.
 
     Leftover messages come out as single edges; a message no other user holds
     is silently skipped (cannot happen on valid instances).
     """
-    remaining = _member_pool(g, msg_pool)
+    remaining = _member_pool(g)
     # Cliques draw only from `remaining`, so one edge map serves every round.
     adj = _mutual_knowledge_edges(g, remaining)
     found: list[StructureWitness] = []

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass, field
 
 from .codes import (
@@ -67,7 +66,6 @@ ACYCLIC_EXACT_USERS_LIMIT = 14
 ACYCLIC_SETS_KEPT = 5
 DEFAULT_NODE_LIMIT = 10 ** 6
 DEFAULT_ORACLE_BUDGET = 10 ** 7
-NODE_LIMIT_ENV = "EICP_GUARD_NODES"
 
 
 @dataclass(frozen=True)
@@ -140,30 +138,26 @@ def build_candidates(inst: EicpInstance, users=None,
     return out
 
 
-def _node_limit(node_limit: int | None) -> tuple[int, str]:
-    """The node budget (argument, else NODE_LIMIT_ENV, else default) and what raises it."""
-    source, knob = "node limit", "node_limit (--node-limit)"
+def _node_limit(node_limit: int | None) -> int:
+    """The node budget, DEFAULT_NODE_LIMIT unless given.
+
+    A bool, a non-integer or a value below 1 is an input error (ValueError).
+    """
     if node_limit is None:
-        env = os.environ.get(NODE_LIMIT_ENV)
-        if env is None:
-            return DEFAULT_NODE_LIMIT, f"the default with {knob} or {NODE_LIMIT_ENV}"
-        source = knob = NODE_LIMIT_ENV
-        try:
-            node_limit = int(env)
-        except ValueError:
-            raise ValueError(f"{NODE_LIMIT_ENV} must be an integer, got {env!r}")
+        return DEFAULT_NODE_LIMIT
+    if not isinstance(node_limit, int) or isinstance(node_limit, bool):
+        raise ValueError(f"node limit must be an integer, got {node_limit!r}")
     if node_limit < 1:
-        raise ValueError(f"{source} must be at least 1, got {node_limit}")
-    return node_limit, knob
+        raise ValueError(f"node limit must be at least 1, got {node_limit}")
+    return node_limit
 
 
 class _Budget:
-    __slots__ = ("used", "limit", "knob", "label")
+    __slots__ = ("used", "limit", "label")
 
-    def __init__(self, limit: int, knob: str, label: str = "rank search"):
+    def __init__(self, limit: int, label: str = "rank search"):
         self.used = 0
         self.limit = limit
-        self.knob = knob
         self.label = label
 
     def spend(self) -> None:
@@ -171,7 +165,7 @@ class _Budget:
         if self.used > self.limit:
             raise GuardExceededError(
                 f"{self.label} visited more than {self.limit} nodes; "
-                f"raise {self.knob} to keep going"
+                "raise node_limit (--node-limit) to keep going"
             )
 
 
@@ -458,7 +452,7 @@ def minrank_bnb(inst: EicpInstance, users=None,
     """
     require_valid(inst)
     users = _resolve_users(inst, users)
-    limit, knob = _node_limit(node_limit)
+    limit = _node_limit(node_limit)
     pool = _transmission_pool(inst)
     candidate_sets = build_candidates(inst, users, pool)
     order = sorted(candidate_sets, key=lambda cs: len(cs.vectors))
@@ -470,10 +464,10 @@ def minrank_bnb(inst: EicpInstance, users=None,
     sets = acyclic_sets(inst, users)
     lower_bound = len(sets[0])
     masks = [space.mask(inst.demand(u) - 1 for u in s) for s in sets]
-    budget = _Budget(limit, knob)
+    budget = _Budget(limit)
     row_rank, choice = _row_search(order, start_incumbent, space, masks, lower_bound, budget)
 
-    column_budget = _Budget(limit, knob, "code search")
+    column_budget = _Budget(limit, "code search")
     improvement = None
     pool_size = 0
     if row_rank > lower_bound:

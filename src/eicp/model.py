@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import json
 import random
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -31,10 +30,6 @@ from .errors import (
 from .gf import FieldOrder
 
 DEMAND_ENUM_LIMIT = 10 ** 6
-
-
-class MessageCountWarning(UserWarning):
-    """More messages than users: legal, but often a modelling mistake."""
 
 
 def _check_message_set(label: str, entries, num_messages: int) -> tuple[int, ...]:
@@ -172,7 +167,7 @@ def split_multi_demand(raw: RawEicp) -> EicpInstance:
 def validate(inst: EicpInstance) -> list[str]:
     """Semantic validity check; returns one message per violation (empty iff valid).
 
-    Emits a non-fatal MessageCountWarning when there are more messages than users.
+    More messages than users is legal and is not reported.
     """
     violations = []
     holders = Counter(m for k in inst.side_info for m in k)
@@ -197,19 +192,11 @@ def validate(inst: EicpInstance) -> list[str]:
         elif not holders[d]:
             # Implied by the holder rules above, but reported for the user.
             violations.append(f"no user other than {i} holds its demanded message {d}")
-    if inst.num_messages > inst.num_users:
-        warnings.warn(
-            f"{inst.num_messages} messages for {inst.num_users} users",
-            MessageCountWarning,
-            stacklevel=2,
-        )
     return violations
 
 
 def require_valid(inst: EicpInstance) -> None:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", MessageCountWarning)
-        violations = validate(inst)
+    violations = validate(inst)
     if violations:
         raise InvalidInstanceError("; ".join(violations))
 
@@ -413,11 +400,10 @@ def gen_vanet(num_users: int, num_messages: int, q: int, overlap: float,
     return inst
 
 
-def enumerate_demands(side_info, num_messages: int,
-                      limit: int = DEMAND_ENUM_LIMIT) -> Iterator[tuple[int, ...]]:
+def enumerate_demands(side_info, num_messages: int) -> Iterator[tuple[int, ...]]:
     """All demand vectors with d_i outside user i's side info, lexicographic order.
 
-    Refuses up front (naming the product) when the space exceeds `limit`.
+    Refuses up front (naming the product) when the space exceeds DEMAND_ENUM_LIMIT.
     """
     pools = [
         sorted(set(range(1, num_messages + 1)) - set(k))
@@ -426,8 +412,8 @@ def enumerate_demands(side_info, num_messages: int,
     count = 1
     for p in pools:
         count *= len(p)
-    if count > limit:
+    if count > DEMAND_ENUM_LIMIT:
         raise GuardExceededError(
-            f"demand enumeration would visit {count} vectors (limit {limit})"
+            f"demand enumeration would visit {count} vectors (limit {DEMAND_ENUM_LIMIT})"
         )
     return iter(itertools.product(*pools))

@@ -35,10 +35,6 @@ from eicp.experiments import (
 
 from conftest import all_fixture_instances, load_instance, random_corpus, record_criterion
 
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::eicp.model.MessageCountWarning")
-
-
 # The nine distinct stacked matrices of the dense4 fixture, written as row
 # tuples (r1..r4); the identity is the ninth.
 DENSE4_STACKS = [
@@ -225,7 +221,7 @@ def test_criterion_08_three_user_classification():
 
 def test_criterion_09_pruning_bound_scan():
     start = time.monotonic()
-    report = experiment_theorem2(max_users=4, max_messages=4)
+    report = experiment_theorem2()
     assert report.verdict == "pass"
     violation_col = report.columns.index("violations")
     corollary_col = report.columns.index("corollary_instances")

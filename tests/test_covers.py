@@ -287,9 +287,8 @@ def _cover_layer_outputs():
                   for n in range(3, 9) for d in (0.3, 0.5, 0.7) for s in range(3)]
     for k, inst in enumerate(instances):
         graph, _ = demand_relabeling(inst)
-        pool = list(inst.messages)
         for search in (find_covered_pairs, search_regular_trees, search_bicliques):
-            for w in search(graph, pool):
+            for w in search(graph):
                 yield f"{k} {json.dumps(w.to_json_obj())} {verify_structure(graph, w)}"
         for build in (tree_cover, biclique_cover):
             for exact in (False, True):

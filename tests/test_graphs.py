@@ -182,17 +182,11 @@ def test_tree_witness_edges_count():
 def test_search_regular_trees_finds_t44():
     inst = regular_tree_instance(4)
     g = build_side_info_graph(inst)
-    found = search_regular_trees(g, frozenset(range(1, 5)))
+    found = search_regular_trees(g)
     assert len(found) == 1
     assert found[0].kind == "regular_tree"
     assert len(found[0].msg_seq) == 4
     assert verify_structure(g, found[0])
-
-
-def test_search_regular_trees_empty_pool():
-    inst = regular_tree_instance(4)
-    g = build_side_info_graph(inst)
-    assert search_regular_trees(g, frozenset()) == []
 
 
 def test_search_trees_two_components():
@@ -200,7 +194,7 @@ def test_search_trees_two_components():
     inst = EicpInstance(FieldOrder(2), 6, 6, side_info=side,
                         demands=(1, 2, 3, 4, 5, 6))
     g = build_side_info_graph(inst)
-    found = search_regular_trees(g, frozenset(range(1, 7)))
+    found = search_regular_trees(g)
     pools = {frozenset(w.msg_seq) for w in found}
     assert pools == {frozenset({1, 2, 3}), frozenset({4, 5, 6})}
     for w in found:
@@ -209,7 +203,7 @@ def test_search_trees_two_components():
 
 def test_search_bicliques(seven_user):
     g = build_side_info_graph(seven_user)
-    found = search_bicliques(g, frozenset(range(1, 8)))
+    found = search_bicliques(g)
     assert {w.msg_seq for w in found} == {(1, 2, 3, 4), (5, 6, 7)}
     by_seq = {w.msg_seq: w for w in found}
     assert by_seq[(1, 2, 3, 4)].covered
@@ -221,7 +215,7 @@ def test_search_bicliques(seven_user):
 
 def test_find_covered_pairs(seven_user):
     g = build_side_info_graph(seven_user)
-    pairs = find_covered_pairs(g, frozenset(range(1, 8)))
+    pairs = find_covered_pairs(g)
     seqs = {w.msg_seq for w in pairs}
     assert (1, 2) in seqs and (5, 6) in seqs
     assert all(w.covered and w.covering_user is not None for w in pairs)

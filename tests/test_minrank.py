@@ -133,15 +133,17 @@ def test_bnb_node_limit_guard(dense4):
         minrank_bnb(dense4, node_limit=2)
 
 
-def test_bnb_env_node_limit(monkeypatch, dense4):
-    monkeypatch.setenv("EICP_GUARD_NODES", "2")
-    with pytest.raises(GuardExceededError, match="raise EICP_GUARD_NODES to"):
-        minrank_bnb(dense4)
-    monkeypatch.setenv("EICP_GUARD_NODES", "not a number")
-    with pytest.raises(ValueError, match="integer"):
-        minrank_bnb(dense4)
-    monkeypatch.delenv("EICP_GUARD_NODES")
-    assert minrank_bnb(dense4).kappa == 3
+@pytest.mark.parametrize("limit, message", [
+    (2.5, "node limit must be an integer, got 2.5"),
+    (True, "node limit must be an integer, got True"),
+    ("5", "node limit must be an integer, got '5'"),
+    (0, "node limit must be at least 1, got 0"),
+    (-5, "node limit must be at least 1, got -5"),
+], ids=["float", "bool", "str", "zero", "negative"])
+def test_bnb_rejects_a_bad_node_limit(dense4, limit, message):
+    with pytest.raises(ValueError) as info:
+        minrank_bnb(dense4, node_limit=limit)
+    assert str(info.value) == message
 
 
 def test_row_stage_matches_product_enumeration():
@@ -402,7 +404,6 @@ def test_extract_code_rejects_untransmittable_row(mixed4):
         extract_code(mixed4, witness, (1, 2, 3, 4))
 
 
-@pytest.mark.filterwarnings("ignore::eicp.model.MessageCountWarning")
 def test_kappa_monotone_in_side_information():
     # enlarging one user's side information never lengthens the optimum
     rng = random.Random(77)

@@ -16,7 +16,6 @@ from eicp.gf import FieldOrder
 from eicp.graphs import build_side_info_graph, is_connected
 from eicp.model import (
     EicpInstance,
-    MessageCountWarning,
     RawEicp,
     classify,
     enumerate_demands,
@@ -124,7 +123,6 @@ def test_validate_names_each_violation():
         require_valid(inst)
 
 
-@pytest.mark.filterwarnings("ignore::eicp.model.MessageCountWarning")
 def test_validate_flags_unheld_message():
     inst = EicpInstance(FieldOrder(2), 2, 3,
                         side_info=((1,), (2,)),
@@ -133,7 +131,6 @@ def test_validate_flags_unheld_message():
     assert any("message 3" in v and "no user" in v for v in msgs)
 
 
-@pytest.mark.filterwarnings("ignore::eicp.model.MessageCountWarning")
 def test_validate_reports_each_unheld_run_once():
     inst = EicpInstance(FieldOrder(2), 3, 9,
                         side_info=((2, 5), (5,), (5, 9)),
@@ -146,14 +143,6 @@ def test_validate_reports_each_unheld_run_once():
     ]
     huge = dataclasses.replace(inst, num_messages=10 ** 11)
     assert validate(huge)[-1] == "messages 10-100000000000 are held by no user"
-
-
-def test_more_messages_than_users_warns():
-    inst = EicpInstance(FieldOrder(2), 2, 3,
-                        side_info=((1, 3), (2,)),
-                        demands=(2, 1))
-    with pytest.warns(MessageCountWarning):
-        validate(inst)
 
 
 def test_classify_examples(mixed4, dense4):
@@ -183,10 +172,11 @@ def test_enumerate_demands_singleton_example():
     assert len(vectors) == 8
 
 
-def test_enumerate_demands_guard():
+def test_enumerate_demands_guard(monkeypatch):
+    monkeypatch.setattr("eicp.model.DEMAND_ENUM_LIMIT", 1000)
     side = tuple(() for _ in range(8))
-    with pytest.raises(GuardExceededError, match="6561"):
-        list(enumerate_demands(side, 3, limit=1000))
+    with pytest.raises(GuardExceededError, match=r"6561 vectors \(limit 1000\)"):
+        list(enumerate_demands(side, 3))
 
 
 def test_gen_random_deterministic_and_valid():
@@ -201,7 +191,6 @@ def test_gen_random_respects_hold_all_repair():
     assert all(len(k) <= 2 for k in inst.side_info)
 
 
-@pytest.mark.filterwarnings("ignore::eicp.model.MessageCountWarning")
 def test_gen_random_batch_always_valid():
     for seed in range(40):
         inst = gen_random(2 + seed % 4, 2 + (seed // 2) % 4, 2, 0.4, seed)

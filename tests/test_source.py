@@ -64,3 +64,26 @@ def test_no_unused_private_helpers():
                        for name, where, line in references):
                 unused.append(f"{module}:{node.lineno} {node.name}")
     assert not unused, f"private helpers nothing uses: {unused}"
+
+
+def test_no_environment_reads_or_warnings_in_package():
+    # Every setting is an argument or a CLI flag, and every problem is an
+    # exception or a reported violation, so a caller sees all of both.
+    banned = {"environ", "getenv", "warn"}
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.ImportFrom):
+                found += [f"{path.name}:{node.lineno} {a.name}"
+                          for a in node.names if a.name in banned]
+                continue
+            else:
+                continue
+            if name in banned:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found, f"environment reads or warnings in the package: {found}"
