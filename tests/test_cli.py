@@ -168,6 +168,16 @@ def test_minrank_node_limit_guard(capsys):
                    "raise node_limit (--node-limit) to keep going\n")
 
 
+def test_minrank_guard_names_the_flag_over_the_env(capsys, monkeypatch):
+    # No environment variable sets the budget: a stale EICP_GUARD_NODES is
+    # ignored, and the hint names only the flag.
+    monkeypatch.setenv("EICP_GUARD_NODES", "100000000")
+    code, out, err = run(capsys, "minrank", "--node-limit", "2", DENSE4)
+    assert code == 2
+    assert err == ("guard: rank search visited more than 2 nodes; "
+                   "raise node_limit (--node-limit) to keep going\n")
+
+
 @pytest.mark.parametrize("limit", ["-5", "0"])
 def test_minrank_rejects_a_non_positive_node_limit(capsys, limit):
     code, out, err = run(capsys, "minrank", "--node-limit", limit, DENSE4)

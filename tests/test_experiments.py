@@ -21,6 +21,7 @@ from eicp.experiments import (
     biclique_instance,
     experiment_fig5,
     experiment_lemma_sweep,
+    experiment_theorem2,
     random_bipartite_tree_instance,
     random_single_unicast,
     regular_tree_instance,
@@ -96,6 +97,14 @@ def test_lemma_sweep_report():
     families = [(r[0], r[1], r[2]) for r in report.rows]
     assert families == [("path", n, "-") for n in range(3, 7)] + [
         ("clique", n, covered) for n in range(3, 6) for covered in (False, True)]
+
+
+def test_theorem2_report_small():
+    report = experiment_theorem2()
+    assert report.verdict == "pass"
+    assert report.details["instances_checked"] > 0
+    assert [(r[0], r[1]) for r in report.rows] == [
+        (n, m) for n in range(2, 5) for m in range(2, 5)]
 
 
 def test_report_serialization():
