@@ -29,8 +29,9 @@ from .graphs import (
     SideInfoBipartiteGraph,
     StructureWitness,
     _clique_witness,
-    _find_tree_sequence,
-    _pack_trees,
+    _find_tree,
+    _lone_messages,
+    _pack,
     find_covered_pairs,
     path_pattern_edges,
     search_bicliques,
@@ -177,16 +178,6 @@ def _finish_plan(inst, graph, demander, scheme: str,
     return CoverPlan(scheme, tuple(structures), code)
 
 
-def _take_disjoint_pairs(pairs: list[StructureWitness], pool: set[int]
-                         ) -> list[StructureWitness]:
-    taken = []
-    for w in pairs:
-        if set(w.msg_seq) <= pool:
-            taken.append(w)
-            pool -= set(w.msg_seq)
-    return taken
-
-
 def tree_cover(inst: EicpInstance, exact: bool = False) -> CoverPlan:
     """Partition the messages into path patterns, covered pairs, and lone messages.
 
@@ -199,17 +190,15 @@ def tree_cover(inst: EicpInstance, exact: bool = False) -> CoverPlan:
     if exact:
         structures = _exact_cover(inst, graph, TREE_SCHEME)
     else:
-        pool = set(inst.messages)
-        structures = _take_disjoint_pairs(find_covered_pairs(graph), pool)
-        trees = _pack_trees(graph, sorted(pool), range(3, len(pool) + 1))
-        for w in trees:
-            pool -= set(w.msg_seq)
-        structures += trees
-        for m in sorted(pool):
-            w = single_edge_witness(graph, m)
-            if w is None:
-                raise ConsistencyError(f"message {m} has no outside holder")
-            structures.append(w)
+        pairs = find_covered_pairs(graph)
+        # The first pair inside what is left is the lexicographically first
+        # covered pair there, as pairs is in lexicographic order.
+        structures, left = _pack(list(inst.messages), lambda pool: next(
+            (w for w in pairs if set(w.msg_seq) <= set(pool)), None))
+        for n in range(3, len(left) + 1):
+            trees, left = _pack(left, lambda pool: _find_tree(graph, pool, n))
+            structures += trees
+        structures += _lone_messages(graph, left)
     return _finish_plan(inst, graph, demander, TREE_SCHEME, structures)
 
 
@@ -249,13 +238,13 @@ def _exact_cover(inst, graph, scheme: str) -> list[StructureWitness]:
     def members_of(mask: int) -> tuple[int, ...]:
         return tuple(messages[b] for b in range(n) if mask >> b & 1)
 
-    tree_seq_cache: dict[int, tuple[int, ...] | None] = {}
+    tree_cache: dict[int, StructureWitness | None] = {}
 
-    def tree_seq(mask: int):
-        if mask not in tree_seq_cache:
-            pool = sorted(members_of(mask))
-            tree_seq_cache[mask] = _find_tree_sequence(graph, pool, len(pool))
-        return tree_seq_cache[mask]
+    def tree(mask: int) -> StructureWitness | None:
+        if mask not in tree_cache:
+            pool = members_of(mask)
+            tree_cache[mask] = _find_tree(graph, pool, len(pool))
+        return tree_cache[mask]
 
     def block_options(mask: int, low_bit: int):
         """(block_mask, witness) choices for the block holding low_bit."""
@@ -272,9 +261,9 @@ def _exact_cover(inst, graph, scheme: str) -> list[StructureWitness]:
             members = members_of(block)
             size = len(members)
             if scheme == TREE_SCHEME and size > 2:
-                seq = tree_seq(block)
-                if seq is not None:
-                    out.append((block, StructureWitness(REGULAR_TREE, seq)))
+                w = tree(block)
+                if w is not None:
+                    out.append((block, w))
                 continue
             # A two-member tree block is a covered pair; the clique scheme
             # also takes uncovered cliques, at two transmissions.

@@ -24,7 +24,7 @@ from .graphs import (
     uniq_demanded,
 )
 from .minrank import minrank_bnb, minrank_oracle
-from .model import EicpInstance, enumerate_demands, require_valid, validate
+from .model import EicpInstance, _repair_family, enumerate_demands, require_valid, validate
 
 # Draws each random generator makes before it gives up.
 GENERATION_TRIES = 200
@@ -96,10 +96,14 @@ def biclique_instance(n: int, covered: bool) -> EicpInstance:
 
 
 def random_single_unicast(n: int, q: int, density: float, seed: int) -> EicpInstance:
-    """Random valid instance with n users, n messages, and a permutation demand."""
-    from .model import _repair_family  # shares the repair rules of the generators
+    """Random valid instance with n users, n messages, and a permutation demand.
 
+    Each draw tries 50 random demand permutations. If every draw fails, the
+    first draw whose matched permutation (_matched_demands) validates is
+    returned instead.
+    """
     rng = random.Random(seed)
+    fallback = None
     for _ in range(GENERATION_TRIES):
         side = [
             {m for m in range(1, n + 1) if rng.random() < density}
@@ -110,15 +114,23 @@ def random_single_unicast(n: int, q: int, density: float, seed: int) -> EicpInst
         except GenerationError:
             continue
         perm = _demand_permutation(rng, side, n)
-        if perm is None:
-            continue
-        inst = EicpInstance(
-            FieldOrder(q), n, n,
-            tuple(tuple(sorted(k)) for k in side), tuple(perm),
-        )
-        if not validate(inst):
-            return inst
-    raise GenerationError(f"no valid permutation-demand instance after {GENERATION_TRIES} tries")
+        if perm is not None:
+            inst = _permutation_instance(q, side, perm)
+            if not validate(inst):
+                return inst
+        if fallback is None and (perm := _matched_demands(side, n)) is not None:
+            inst = _permutation_instance(q, side, perm)
+            if not validate(inst):
+                fallback = inst
+    if fallback is None:
+        raise GenerationError(
+            f"no valid permutation-demand instance after {GENERATION_TRIES} tries")
+    return fallback
+
+
+def _permutation_instance(q: int, side, perm) -> EicpInstance:
+    n = len(side)
+    return EicpInstance(FieldOrder(q), n, n, tuple(tuple(sorted(k)) for k in side), tuple(perm))
 
 
 def _demand_permutation(rng: random.Random, side, n: int):
@@ -128,6 +140,32 @@ def _demand_permutation(rng: random.Random, side, n: int):
         if all(perm[i] not in side[i] for i in range(n)):
             return list(perm)
     return None
+
+
+def _matched_demands(side, n: int) -> list[int] | None:
+    """A demand permutation avoiding every user's holdings, or None if there is none.
+
+    Bipartite matching by augmenting paths, users in order, messages
+    ascending; it draws no random numbers.
+    """
+    demander: dict[int, int] = {}
+
+    def augment(user: int, seen: set[int]) -> bool:
+        for m in range(1, n + 1):
+            if m in side[user] or m in seen:
+                continue
+            seen.add(m)
+            if m not in demander or augment(demander[m], seen):
+                demander[m] = user
+                return True
+        return False
+
+    if not all(augment(user, set()) for user in range(n)):
+        return None
+    perm = [0] * n
+    for m, user in demander.items():
+        perm[user] = m
+    return perm
 
 
 def random_bipartite_tree_instance(n: int, seed: int) -> EicpInstance:
@@ -161,10 +199,7 @@ def random_bipartite_tree_instance(n: int, seed: int) -> EicpInstance:
         perm = _demand_permutation(rng, side, n)
         if perm is None:
             continue
-        inst = EicpInstance(
-            FieldOrder(2), n, n,
-            tuple(tuple(sorted(k)) for k in side), tuple(perm),
-        )
+        inst = _permutation_instance(2, side, perm)
         if validate(inst):
             continue
         graph = build_side_info_graph(inst)

@@ -19,10 +19,11 @@ once, by path_pattern_edges; every other module reads it from there.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import GuardExceededError
+from .errors import ConsistencyError, GuardExceededError
 from .model import EicpInstance
 
 CANONICAL_SIZE_LIMIT = 8
@@ -245,8 +246,25 @@ def verify_structure(g: SideInfoBipartiteGraph, w: StructureWitness) -> bool:
     return False
 
 
-def _find_tree_sequence(g: SideInfoBipartiteGraph, pool: list[int], n: int):
-    """Lexicographically first index sequence forming the size-n pattern, or None."""
+def _pack(remaining: list[int], find) -> tuple[list[StructureWitness], list[int]]:
+    """Greedy message-disjoint packing: (taken structures, messages left).
+
+    Takes `find(remaining)` until it returns None, dropping each taken
+    structure's messages from `remaining`. Removing messages never creates a
+    structure, so the first None is final.
+    """
+    taken: list[StructureWitness] = []
+    while (w := find(remaining)) is not None:
+        taken.append(w)
+        remaining = [m for m in remaining if m not in w.msg_seq]
+    return taken, remaining
+
+
+def _find_tree(g: SideInfoBipartiteGraph, pool: Sequence[int], n: int
+               ) -> StructureWitness | None:
+    """Regular tree on the lexicographically first size-n sequence from `pool`, or None."""
+    if len(pool) < n:
+        return None
     # Filling a slot closes the edges whose later end it is; the edges
     # closed earlier held when their slots were filled.
     closes: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -272,27 +290,7 @@ def _find_tree_sequence(g: SideInfoBipartiteGraph, pool: list[int], n: int):
             used.discard(m)
         return False
 
-    return tuple(seq) if extend(0) else None
-
-
-def _pack_trees(g: SideInfoBipartiteGraph, remaining: list[int], sizes
-                ) -> list[StructureWitness]:
-    """Greedy message-disjoint packing of regular-tree witnesses.
-
-    For each n in `sizes`, in order, takes the lexicographically first size-n
-    tree of the sorted `remaining` messages until none is left. Removing
-    messages never creates a tree, so a size that found nothing is never
-    worth trying again.
-    """
-    found: list[StructureWitness] = []
-    for n in sizes:
-        while len(remaining) >= n:
-            seq = _find_tree_sequence(g, remaining, n)
-            if seq is None:
-                break
-            found.append(StructureWitness(REGULAR_TREE, seq))
-            remaining = [m for m in remaining if m not in seq]
-    return found
+    return StructureWitness(REGULAR_TREE, tuple(seq)) if extend(0) else None
 
 
 def _member_pool(g: SideInfoBipartiteGraph) -> list[int]:
@@ -323,7 +321,11 @@ def _clique_witness(g: SideInfoBipartiteGraph, members: tuple[int, ...]
 def search_regular_trees(g: SideInfoBipartiteGraph) -> list[StructureWitness]:
     """Greedy message-disjoint packing of regular trees on the member messages, largest first."""
     remaining = _member_pool(g)
-    return _pack_trees(g, remaining, range(len(remaining), 2, -1))
+    found: list[StructureWitness] = []
+    for n in range(len(remaining), 2, -1):
+        trees, remaining = _pack(remaining, lambda pool: _find_tree(g, pool, n))
+        found += trees
+    return found
 
 
 def find_covered_pairs(g: SideInfoBipartiteGraph) -> list[StructureWitness]:
@@ -374,28 +376,33 @@ def _max_clique(vertices: list[int], adj: dict[int, set[int]]) -> list[int]:
     return best
 
 
+def _lone_messages(g: SideInfoBipartiteGraph, left: list[int]) -> list[StructureWitness]:
+    """A single edge for each message in `left`; ConsistencyError if one has no outside holder."""
+    found = []
+    for m in left:
+        w = single_edge_witness(g, m)
+        if w is None:
+            raise ConsistencyError(f"message {m} has no outside holder")
+        found.append(w)
+    return found
+
+
 def search_bicliques(g: SideInfoBipartiteGraph) -> list[StructureWitness]:
     """Greedy packing of the member messages by mutual-knowledge cliques, largest first.
 
     Leftover messages come out as single edges; a message no other user holds
-    is silently skipped (cannot happen on valid instances).
+    is a ConsistencyError (cannot happen on valid instances).
     """
     remaining = _member_pool(g)
     # Cliques draw only from `remaining`, so one edge map serves every round.
     adj = _mutual_knowledge_edges(g, remaining)
-    found: list[StructureWitness] = []
-    while True:
-        clique = _max_clique(remaining, adj)
-        if len(clique) < 2:
-            break
-        members = tuple(sorted(clique))
-        found.append(_clique_witness(g, members))
-        remaining = [m for m in remaining if m not in set(members)]
-    for m in remaining:
-        w = single_edge_witness(g, m)
-        if w is not None:
-            found.append(w)
-    return found
+
+    def find(pool: list[int]) -> StructureWitness | None:
+        clique = _max_clique(pool, adj)
+        return _clique_witness(g, tuple(sorted(clique))) if len(clique) >= 2 else None
+
+    found, left = _pack(remaining, find)
+    return found + _lone_messages(g, left)
 
 
 def canonical_form(g: SideInfoBipartiteGraph) -> bytes:

@@ -138,18 +138,16 @@ def build_candidates(inst: EicpInstance, users=None,
     return out
 
 
-def _node_limit(node_limit: int | None) -> int:
-    """The node budget, DEFAULT_NODE_LIMIT unless given.
+def _checked_int(value, name: str, minimum: int | None = 1) -> int:
+    """`value`, an integer limit of at least `minimum` (any integer if None).
 
-    A bool, a non-integer or a value below 1 is an input error (ValueError).
+    A bool, a non-integer or a value below `minimum` is an input error (ValueError).
     """
-    if node_limit is None:
-        return DEFAULT_NODE_LIMIT
-    if not isinstance(node_limit, int) or isinstance(node_limit, bool):
-        raise ValueError(f"node limit must be an integer, got {node_limit!r}")
-    if node_limit < 1:
-        raise ValueError(f"node limit must be at least 1, got {node_limit}")
-    return node_limit
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    return value
 
 
 class _Budget:
@@ -452,7 +450,7 @@ def minrank_bnb(inst: EicpInstance, users=None,
     """
     require_valid(inst)
     users = _resolve_users(inst, users)
-    limit = _node_limit(node_limit)
+    limit = DEFAULT_NODE_LIMIT if node_limit is None else _checked_int(node_limit, "node limit")
     pool = _transmission_pool(inst)
     candidate_sets = build_candidates(inst, users, pool)
     order = sorted(candidate_sets, key=lambda cs: len(cs.vectors))
@@ -543,12 +541,16 @@ def minrank_oracle(inst: EicpInstance, l_max: int | None = None, users=None,
     by rank, just level-by-level feasibility. The winning subset is rebuilt
     as a code and re-verified through the code checker before it is returned.
     Exhausting l_max without an answer raises OracleExhaustedError; with the
-    default l_max the plain per-demand scheme guarantees an answer.
+    default l_max the plain per-demand scheme guarantees an answer. A bool or
+    non-integer l_max or budget, or a budget below 1, is a ValueError.
     """
     require_valid(inst)
     users = _resolve_users(inst, users)
+    _checked_int(budget, "oracle budget")
     if l_max is None:
         l_max = len({inst.demand(i) for i in users})
+    else:
+        _checked_int(l_max, "l_max", minimum=None)
     pool = _transmission_pool(inst)
 
     unit_bases = {i: side_info_basis(inst, i) for i in users}

@@ -1,5 +1,6 @@
 """Experiment drivers: instance families and the three study reports."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -12,7 +13,7 @@ from eicp.graphs import (
     is_connected,
 )
 from eicp.minrank import minrank_bnb
-from eicp.model import validate
+from eicp.model import serialize_instance, validate
 from eicp.experiments import (
     ExperimentReport,
     _canonical_family_reps,
@@ -51,12 +52,25 @@ def test_biclique_instance_shape():
 
 
 def test_random_single_unicast_contract():
-    for seed in range(20):
-        inst = random_single_unicast(4, 2, 0.5, seed)
+    # No try of the dense n = 9 and 10 draws finds an avoiding permutation in
+    # its 50 shuffles, so they return the first matched permutation.
+    draws = [(4, 0.5, seed) for seed in range(20)]
+    draws += [(n, 0.7, seed) for n in (9, 10) for seed in range(4)]
+    for n, density, seed in draws:
+        inst = random_single_unicast(n, 2, density, seed)
         assert validate(inst) == []
-        assert sorted(inst.demands) == [1, 2, 3, 4]
+        assert sorted(inst.demands) == list(range(1, n + 1))
     assert (random_single_unicast(4, 2, 0.5, 3)
             == random_single_unicast(4, 2, 0.5, 3))
+
+
+def test_random_single_unicast_draws_pinned():
+    # n = 8-12, d = .3/.5, seeds 0-3 hold the draws of the covers benchmark
+    # workload, whose cover lengths the benchmark pins.
+    text = "\n".join(serialize_instance(random_single_unicast(n, 2, d, s))
+                     for n in range(8, 13) for d in (0.3, 0.5) for s in range(4))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "d13d849b005c20460e45284118b0587affb3e5148647cd8db82b9b3774923911"
 
 
 def test_random_bipartite_tree_contract():

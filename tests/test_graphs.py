@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from eicp.errors import ConsistencyError
 from eicp.experiments import regular_tree_instance
 from eicp.gf import FieldOrder
 from eicp.graphs import (
@@ -211,6 +212,13 @@ def test_search_bicliques(seven_user):
     assert not by_seq[(5, 6, 7)].covered
     for w in found:
         assert verify_structure(g, w)
+
+
+def test_search_bicliques_rejects_a_message_without_an_outside_holder():
+    # Messages 1 and 2 form a covered pair; no user holds message 3.
+    g = SideInfoBipartiteGraph(3, 3, ((2,), (1,), (1, 2)))
+    with pytest.raises(ConsistencyError, match="message 3 has no outside holder"):
+        search_bicliques(g)
 
 
 def test_find_covered_pairs(seven_user):

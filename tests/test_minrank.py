@@ -302,6 +302,22 @@ def test_oracle_budget_guard(mixed4):
         minrank_oracle(mixed4, budget=3)
 
 
+@pytest.mark.parametrize("limits,message", [
+    ({"budget": True}, "oracle budget must be an integer, got True"),
+    ({"budget": 2.5}, "oracle budget must be an integer, got 2.5"),
+    ({"budget": "5"}, "oracle budget must be an integer, got '5'"),
+    ({"budget": 0}, "oracle budget must be at least 1, got 0"),
+    ({"budget": -1}, "oracle budget must be at least 1, got -1"),
+    ({"l_max": True}, "l_max must be an integer, got True"),
+    ({"l_max": 2.5}, "l_max must be an integer, got 2.5"),
+], ids=["budget-bool", "budget-float", "budget-str", "budget-zero", "budget-negative",
+        "l_max-bool", "l_max-float"])
+def test_oracle_rejects_a_bad_limit(mixed4, limits, message):
+    with pytest.raises(ValueError) as info:
+        minrank_oracle(mixed4, **limits)
+    assert str(info.value) == message
+
+
 def test_transmission_pool_is_scalar_free():
     inst = gen_random(4, 4, 3, 0.6, 2)
     pool = _transmission_pool(inst)
