@@ -18,6 +18,7 @@ transmissions and marks the ones the scheme counts as extra:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .codes import EmbeddedIndexCode, Transmission, transmissions_json, verify_code
 from .errors import ConsistencyError, GuardExceededError, NotSingleUnicastError
@@ -35,7 +36,6 @@ from .graphs import (
     find_covered_pairs,
     path_pattern_edges,
     search_bicliques,
-    single_edge_witness,
     verify_structure,
 )
 from .model import EicpInstance, classify, require_valid
@@ -222,78 +222,58 @@ def biclique_cover(inst: EicpInstance, exact: bool = False) -> CoverPlan:
 def _exact_cover(inst, graph, scheme: str) -> list[StructureWitness]:
     """Minimum-cost partition by dynamic programming over message subsets.
 
-    States are bitmasks of still-uncovered messages; the block containing the
-    lowest uncovered message is enumerated directly, so each partition is
-    visited once. Ties break on (length, extra-cost structures, block list),
-    which pins the answer down deterministically.
+    States are bitmasks of still-uncovered messages; the block holding the
+    lowest uncovered message is that message joined to each subset of the
+    rest, so each partition is visited once. Ties break on (length,
+    extra-cost structures, block list); that key is unique per partition, so
+    the answer does not depend on the order of the walk.
     """
     n = inst.num_messages
     if n > EXACT_COVER_LIMIT:
         raise GuardExceededError(
             f"exact cover search supports at most {EXACT_COVER_LIMIT} messages"
         )
-    messages = list(inst.messages)
-    full = (1 << n) - 1
 
-    def members_of(mask: int) -> tuple[int, ...]:
-        return tuple(messages[b] for b in range(n) if mask >> b & 1)
+    @cache
+    def structure(block: int) -> StructureWitness | None:
+        """The scheme's witness on the messages of `block`, or None."""
+        members = tuple(m for m in inst.messages if block >> (m - 1) & 1)
+        if len(members) == 1:
+            return _lone_messages(graph, members)[0]
+        if scheme == TREE_SCHEME and len(members) > 2:
+            return _find_tree(graph, members, len(members))
+        # A two-member tree block is a covered pair; the clique scheme also
+        # takes uncovered cliques, at two transmissions.
+        w = _clique_witness(graph, members)
+        if scheme == TREE_SCHEME and w is not None and not w.covered:
+            return None
+        return w
 
-    tree_cache: dict[int, StructureWitness | None] = {}
-
-    def tree(mask: int) -> StructureWitness | None:
-        if mask not in tree_cache:
-            pool = members_of(mask)
-            tree_cache[mask] = _find_tree(graph, pool, len(pool))
-        return tree_cache[mask]
-
-    def block_options(mask: int, low_bit: int):
-        """(block_mask, witness) choices for the block holding low_bit."""
-        m = messages[low_bit]
-        out = []
-        w = single_edge_witness(graph, m)
-        if w is not None:
-            out.append((1 << low_bit, w))
-        rest_mask = mask & ~(1 << low_bit)
-        sub = rest_mask
-        while sub:
-            block = sub | (1 << low_bit)
-            sub = (sub - 1) & rest_mask
-            members = members_of(block)
-            size = len(members)
-            if scheme == TREE_SCHEME and size > 2:
-                w = tree(block)
-                if w is not None:
-                    out.append((block, w))
-                continue
-            # A two-member tree block is a covered pair; the clique scheme
-            # also takes uncovered cliques, at two transmissions.
-            w = _clique_witness(graph, members)
-            if w is None or (scheme == TREE_SCHEME and not w.covered):
-                continue
-            out.append((block, w))
-        return out
-
-    best: dict[int, tuple[int, int, tuple]] = {0: (0, 0, ())}
-
+    @cache
     def solve(mask: int) -> tuple[int, int, tuple]:
-        if mask in best:
-            return best[mask]
-        low_bit = (mask & -mask).bit_length() - 1
+        if not mask:
+            return 0, 0, ()
+        low = mask & -mask
+        rest_mask = mask ^ low
         answer = None
-        for block, witness in block_options(mask, low_bit):
-            cost, extra = _cost(scheme, witness)
-            rest = solve(mask & ~block)
-            key = tuple(sorted(witness.msg_seq))
-            cand = (cost + rest[0], extra + rest[1],
-                    tuple(sorted(rest[2] + ((key, witness),))))
-            if answer is None or cand < answer:
-                answer = cand
-        if answer is None:
-            raise ConsistencyError("a lone message was not coverable")
-        best[mask] = answer
+        sub = rest_mask
+        while True:
+            w = structure(low | sub)
+            if w is not None:
+                cost, extra = _cost(scheme, w)
+                rest = solve(rest_mask ^ sub)
+                # The new block holds the lowest message, so its key sorts first.
+                cand = (cost + rest[0], extra + rest[1],
+                        ((tuple(sorted(w.msg_seq)), w),) + rest[2])
+                if answer is None or cand < answer:
+                    answer = cand
+            if not sub:
+                break
+            sub = (sub - 1) & rest_mask
         return answer
 
-    _, _, blocks = solve(full)
+    blocks = solve((1 << n) - 1)[2]
+    del solve  # it refers to itself: drop its caches now, not at a full collection
     return [w for _key, w in blocks]
 
 

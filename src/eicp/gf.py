@@ -57,18 +57,16 @@ def field_inv(a: int, q: int) -> int:
     a %= q
     if a == 0:
         raise ZeroDivisionError(f"0 has no multiplicative inverse in F_{int(q)}")
-    # Fermat: a^(q-2) = a^(-1) for prime q.
-    return pow(a, q - 2, q)
+    return inverse_table(q)[a]
 
 
-_INVERSE_TABLES: dict[int, tuple[int, ...]] = {}
-
-
+@cache
 def inverse_table(q: int) -> tuple[int, ...]:
     """inv[a] = a^-1 in F_q (Fermat), inv[0] a placeholder; built once per field."""
-    if q not in _INVERSE_TABLES:
-        _INVERSE_TABLES[q] = (0,) + tuple(pow(a, q - 2, q) for a in range(1, q))
-    return _INVERSE_TABLES[q]
+    if type(q) is not int:
+        # cache keys a FieldOrder apart from the int it equals: share one table
+        return inverse_table(int(q))
+    return (0,) + tuple(pow(a, q - 2, q) for a in range(1, q))
 
 
 @dataclass(frozen=True)

@@ -283,6 +283,15 @@ def test_cover_exact(capsys):
     assert "length\t3" in out
 
 
+@pytest.mark.parametrize("scheme", ["tree", "biclique"])
+def test_cover_exact_guard(capsys, tmp_path, scheme):
+    inst = tmp_path / "tree13.json"
+    inst.write_text(serialize_instance(regular_tree_instance(13)))
+    code, out, err = run(capsys, "cover", "--scheme", scheme, "--exact", str(inst))
+    assert code == 2 and out == ""
+    assert err == "guard: exact cover search supports at most 12 messages\n"
+
+
 def test_cover_rejects_repeated_demands(capsys, tmp_path):
     inst = tmp_path / "repeat.json"
     inst.write_text(json.dumps({

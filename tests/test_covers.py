@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 from types import SimpleNamespace
 
@@ -9,9 +10,11 @@ import pytest
 
 import eicp.covers
 from eicp.codes import EmbeddedIndexCode, verify_code
-from eicp.errors import ConsistencyError, NotSingleUnicastError
+from eicp.errors import ConsistencyError, GuardExceededError, NotSingleUnicastError
 from eicp.covers import (
+    EXACT_COVER_LIMIT,
     CoverPlan,
+    _cost,
     biclique_cover,
     compare_schemes,
     demand_relabeling,
@@ -19,6 +22,11 @@ from eicp.covers import (
 )
 from eicp.gf import FieldOrder
 from eicp.graphs import (
+    BICLIQUE,
+    COVERED_PAIR,
+    REGULAR_TREE,
+    SINGLE_EDGE,
+    StructureWitness,
     find_covered_pairs,
     search_bicliques,
     search_regular_trees,
@@ -230,6 +238,78 @@ def test_exact_cover_never_longer_than_greedy():
                 <= tree_cover(inst).counts["length"])
         assert (biclique_cover(inst, exact=True).counts["length"]
                 <= biclique_cover(inst).counts["length"])
+
+
+def _block_cost(graph, scheme, block):
+    """Cheapest _cost of a witness verify_structure accepts on `block`, or None.
+
+    Tried naively: every ordering for a tree, and each covering user or none
+    for a single edge, pair or clique.
+    """
+    covers = [None, *range(1, graph.num_users + 1)]
+    if len(block) == 1:
+        tried = [StructureWitness(SINGLE_EDGE, block, covering_user=u) for u in covers]
+    elif scheme == "tree" and len(block) > 2:
+        tried = [StructureWitness(REGULAR_TREE, seq) for seq in itertools.permutations(block)]
+    else:
+        kinds = (COVERED_PAIR,) if scheme == "tree" else (COVERED_PAIR, BICLIQUE)
+        tried = [StructureWitness(k, block, covering_user=u) for k in kinds for u in covers]
+    return min((_cost(scheme, w) for w in tried if verify_structure(graph, w)), default=None)
+
+
+def _set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        yield [(first,), *part]
+        for i, block in enumerate(part):
+            yield [*part[:i], (first, *block), *part[i + 1:]]
+
+
+def _brute_force_cover(inst, scheme):
+    """Least (length, extra) over every set partition of admissible blocks.
+
+    A block's admissible costs are ordered in both coordinates at once, so
+    summing each block's cheapest one gives the partition's least cost.
+    """
+    graph, _ = demand_relabeling(inst)
+    costs = {}
+    best = None
+    for part in _set_partitions(list(inst.messages)):
+        total = (0, 0)
+        for block in part:
+            block = tuple(sorted(block))
+            if block not in costs:
+                costs[block] = _block_cost(graph, scheme, block)
+            if costs[block] is None:
+                break
+            total = (total[0] + costs[block][0], total[1] + costs[block][1])
+        else:
+            best = total if best is None else min(best, total)
+    return best
+
+
+def test_exact_cover_reaches_the_brute_force_optimum():
+    instances = all_fixture_instances()
+    instances += [regular_tree_instance(n) for n in range(3, 8)]
+    instances += [biclique_instance(n, c) for n in range(2, 6) for c in (True, False)]
+    instances += [random_single_unicast(n, 2, d, s)
+                  for n in range(3, 7) for d in (0.3, 0.5, 0.7) for s in range(2)]
+    for inst in instances:
+        for scheme, build in (("tree", tree_cover), ("biclique", biclique_cover)):
+            plan = build(inst, exact=True)
+            extra = sum(_cost(scheme, w)[1] for w in plan.structures)
+            assert (plan.code.length, extra) == _brute_force_cover(inst, scheme)
+
+
+def test_exact_cover_guard_names_the_message_limit():
+    inst = regular_tree_instance(EXACT_COVER_LIMIT + 1)
+    for build in (tree_cover, biclique_cover):
+        with pytest.raises(GuardExceededError,
+                           match=f"at most {EXACT_COVER_LIMIT} messages"):
+            build(inst, exact=True)
 
 
 def test_task_based_flag():

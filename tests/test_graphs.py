@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from eicp.errors import ConsistencyError
+from eicp.errors import ConsistencyError, GuardExceededError
 from eicp.experiments import regular_tree_instance
 from eicp.gf import FieldOrder
 from eicp.graphs import (
@@ -264,6 +264,13 @@ def test_canonical_form_separates_shapes():
     a = SideInfoBipartiteGraph(3, 3, ((2,), (3,), (1,)))
     b = SideInfoBipartiteGraph(3, 3, ((2, 3), (3,), (1,)))
     assert canonical_form(a) != canonical_form(b)
+
+
+def test_canonical_form_guard():
+    # Nine users would mean 9! orderings; the guard trips before the first.
+    g = SideInfoBipartiteGraph(9, 2, ((1,), (2,)) * 4 + ((1, 2),))
+    with pytest.raises(GuardExceededError, match="at most 8 users and messages"):
+        canonical_form(g)
 
 
 def test_tree_witness_edges_pinned():

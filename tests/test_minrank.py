@@ -1,5 +1,6 @@
 """Exact solver: candidate sets, two search stages, oracle cross-check."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -251,6 +252,31 @@ def test_bnb_search_pinned(inst, users, kappa, rows, transmissions, stats):
     assert r.witness.rows == rows
     assert [(t.user, t.coeffs.coords) for t in r.code.transmissions] == transmissions
     assert r.stats == stats
+
+
+def _solver_outputs():
+    """The answer of each solve, with and without a users subset; no node counts."""
+    instances = all_fixture_instances()
+    instances += [gen_random(n, n, q, d, s)
+                  for q, sizes in ((2, range(4, 8)), (3, range(4, 6)), (5, range(3, 5)))
+                  for n in sizes for d in (0.3, 0.5, 0.7) for s in range(3)]
+    instances += [regular_tree_instance(n, q) for q in (2, 3) for n in range(3, 8)]
+    for k, inst in enumerate(instances):
+        for users in (None, tuple(inst.users)[::2]):
+            r = minrank_bnb(inst, users=users)
+            sends = [(t.user, t.coeffs.coords) for t in r.code.transmissions]
+            yield (f"{k} {r.kappa} {r.users} {r.witness.rows} {sends} "
+                   f"{r.stats['lower_bound']} {r.stats['row_rank_bound']}")
+
+
+def test_solver_output_pinned():
+    # Kappa, witness rows, code and the two bounds of 170 solves at q = 2, 3
+    # and 5. Node counts are left out: pruning that keeps the answers keeps
+    # this digest.
+    outputs = list(_solver_outputs())
+    assert len(outputs) == 170
+    digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
+    assert digest == "214815878fc9ba57908ab7ad911d729bba4d9fc20a4dbc69a45e972c4c148f57"
 
 
 @pytest.mark.parametrize("inst", [gen_random(8, 8, 2, 0.3, 7), regular_tree_instance(5, 5)])
