@@ -168,6 +168,20 @@ def verify_code(code: EmbeddedIndexCode, inst: EicpInstance) -> DecodeReport:
     return DecodeReport(overall, code.length, tuple(per_user), bad)
 
 
+def checked_code(inst: EicpInstance, users, transmissions, route: str) -> EmbeddedIndexCode:
+    """The code of `transmissions`, re-checked before the program uses a code it built.
+
+    The embedded model's one validity rule: each transmission sits inside its
+    sender's side information, and each user in `users` decodes its demand.
+    A code breaking it raises ConsistencyError naming `route`, the builder.
+    """
+    code = EmbeddedIndexCode(inst, tuple(transmissions))
+    columns = [t.coeffs for t in code.transmissions]
+    if support_violations(code) or not all(decodable_from(inst, columns, i) for i in users):
+        raise ConsistencyError(f"{route} accepted a code the checker rejects")
+    return code
+
+
 def uncoded_scheme(inst: EicpInstance) -> EmbeddedIndexCode:
     """One plain transmission per distinct demanded message; length = uniq(demands)."""
     transmissions = []

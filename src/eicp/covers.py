@@ -13,6 +13,10 @@ transmissions and marks the ones the scheme counts as extra:
                         pattern's edges are graphs.path_pattern_edges);
   mutual-knowledge cover: a clique costs 1, or 2 (extra) uncovered; lone
                         messages are always coverable, so length = K + K_u.
+
+The exact search (_exact_cover) offers only covered cliques. An uncovered
+clique of k members costs (2, 1); for any member m, the other k - 1 members,
+covered by m, plus m alone cost (2, 0), so an uncovered clique never wins.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .codes import EmbeddedIndexCode, Transmission, transmissions_json, verify_code
+from .codes import EmbeddedIndexCode, Transmission, checked_code, transmissions_json
 from .errors import ConsistencyError, GuardExceededError, NotSingleUnicastError
 from .gf import GfVector
 from .graphs import (
@@ -172,9 +176,7 @@ def _finish_plan(inst, graph, demander, scheme: str,
     transmissions = []
     for w in structures:
         transmissions.extend(_structure_transmissions(inst, demander, w))
-    code = EmbeddedIndexCode(inst, tuple(transmissions))
-    if not verify_code(code, inst).overall:
-        raise ConsistencyError("cover scheme produced an unusable code")
+    code = checked_code(inst, inst.users, transmissions, f"the {scheme} cover")
     return CoverPlan(scheme, tuple(structures), code)
 
 
@@ -242,12 +244,10 @@ def _exact_cover(inst, graph, scheme: str) -> list[StructureWitness]:
             return _lone_messages(graph, members)[0]
         if scheme == TREE_SCHEME and len(members) > 2:
             return _find_tree(graph, members, len(members))
-        # A two-member tree block is a covered pair; the clique scheme also
-        # takes uncovered cliques, at two transmissions.
+        # A two-member tree block is a covered pair; both schemes offer only
+        # covered cliques (module docstring).
         w = _clique_witness(graph, members)
-        if scheme == TREE_SCHEME and w is not None and not w.covered:
-            return None
-        return w
+        return w if w is not None and w.covered else None
 
     @cache
     def solve(mask: int) -> tuple[int, int, tuple]:

@@ -290,7 +290,9 @@ def _find_tree(g: SideInfoBipartiteGraph, pool: Sequence[int], n: int
             used.discard(m)
         return False
 
-    return StructureWitness(REGULAR_TREE, tuple(seq)) if extend(0) else None
+    found = extend(0)
+    del extend  # it refers to itself: free it at return, not at a full collection
+    return StructureWitness(REGULAR_TREE, tuple(seq)) if found else None
 
 
 def _member_pool(g: SideInfoBipartiteGraph) -> list[int]:
@@ -373,6 +375,7 @@ def _max_clique(vertices: list[int], adj: dict[int, set[int]]) -> list[int]:
             grow(clique + [v], [w for w in candidates[idx + 1:] if w in adj[v]])
 
     grow([], vertices)
+    del grow  # it refers to itself: free it at return, not at a full collection
     return best
 
 

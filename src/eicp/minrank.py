@@ -40,13 +40,11 @@ from dataclasses import dataclass, field
 from .codes import (
     EmbeddedIndexCode,
     Transmission,
-    decodable_from,
+    checked_code,
     decode_coeffs,
     message_support,
     side_info_basis,
-    support_violations,
     unit_vector,
-    verify_code,
 )
 from .errors import (
     ConsistencyError,
@@ -219,8 +217,8 @@ def extract_code(inst: EicpInstance, witness: GfMatrix, users) -> EmbeddedIndexC
     """Turn a stacked witness into transmissions: first-seen independent rows.
 
     The transmitter of a row is the smallest user, other than the row's
-    owner, whose side information contains the row's support. Every covered
-    user can decode from the result; this is checked before returning.
+    owner, whose side information contains the row's support. The result is
+    re-checked by codes.checked_code before it is returned.
     """
     users = _resolve_users(inst, users)
     if witness.num_rows != len(users):
@@ -241,11 +239,7 @@ def extract_code(inst: EicpInstance, witness: GfMatrix, users) -> EmbeddedIndexC
                 "no other user can transmit"
             )
         transmissions.append(Transmission(sender, row))
-    code = EmbeddedIndexCode(inst, tuple(transmissions))
-    columns = [t.coeffs for t in code.transmissions]
-    if not all(decodable_from(inst, columns, i) for i in users):
-        raise ConsistencyError("extracted code fails a covered user")
-    return code
+    return checked_code(inst, users, transmissions, "the branch and bound's stage one")
 
 
 def _column_search(inst: EicpInstance, users, pool, incumbent: int, space, masks: list[int],
@@ -479,10 +473,8 @@ def minrank_bnb(inst: EicpInstance, users=None,
         code = extract_code(inst, witness, users)
     else:
         kappa = len(improvement)
-        code = EmbeddedIndexCode(
-            inst, tuple(Transmission(sender, vec) for vec, sender in improvement)
-        )
-        _recheck_through_code_path(inst, users, code, "the branch and bound's stage two")
+        code = checked_code(inst, users, (Transmission(sender, vec) for vec, sender in improvement),
+                            "the branch and bound's stage two")
         rows = [_decode_row(code, inst, i).coords for i in users]
         witness = GfMatrix.from_rows(q, rows, num_cols=dim)
     if code.length != kappa:
@@ -566,10 +558,8 @@ def minrank_oracle(inst: EicpInstance, l_max: int | None = None, users=None,
                 )
             if not _subset_serves(inst, users, unit_bases, demand_units, subset):
                 continue
-            code = EmbeddedIndexCode(
-                inst, tuple(Transmission(sender, vec) for vec, sender in subset)
-            )
-            _recheck_through_code_path(inst, users, code, "the oracle")
+            code = checked_code(inst, users, (Transmission(sender, vec) for vec, sender in subset),
+                                "the oracle")
             stats = {
                 "subsets_examined": examined,
                 "pool_size": len(pool),
@@ -587,19 +577,6 @@ def _subset_serves(inst, users, unit_bases, demand_units, subset) -> bool:
         if not in_span(basis, demand_units[i]):
             return False
     return True
-
-
-def _recheck_through_code_path(inst, users, code, route: str) -> None:
-    """Dual-route confirmation, via the code checker, of a code `route` built."""
-    if len(users) == inst.num_users:
-        ok = verify_code(code, inst).overall
-    else:
-        columns = [t.coeffs for t in code.transmissions]
-        ok = not support_violations(code) and all(
-            decodable_from(inst, columns, i) for i in users
-        )
-    if not ok:
-        raise ConsistencyError(f"{route} accepted a code the checker rejects")
 
 
 def complexity_report(inst: EicpInstance, users=None,

@@ -5,12 +5,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
 import eicp.cli
-import eicp.covers
+import eicp.codes
 import eicp.minrank
 from eicp.cli import main
 from eicp.experiments import random_single_unicast, regular_tree_instance
@@ -207,20 +206,24 @@ def test_minrank_mismatch_exit(capsys, monkeypatch):
     assert err.startswith("mismatch:")
 
 
+def _reject_every_user(inst, columns, user):
+    return False
+
+
 def test_minrank_checker_rejection_exit(capsys, monkeypatch):
-    monkeypatch.setattr(eicp.minrank, "verify_code",
-                        lambda code, inst: SimpleNamespace(overall=False))
+    monkeypatch.setattr(eicp.codes, "decodable_from", _reject_every_user)
     code, out, err = run(capsys, "minrank", "--oracle", MIXED4)
     assert code == 3
     assert err.startswith("mismatch:") and "checker rejects" in err
+    assert "stage one" in err
 
 
-def _run_rejecting_checker_optimized(module: str, argv: list[str]):
-    """Run the CLI under python -O with `module`.verify_code rejecting every code."""
+def _run_rejecting_checker_optimized(argv: list[str]):
+    """Run the CLI under python -O with codes.decodable_from rejecting every user."""
     script = (
-        f"import sys, types, {module}\n"
+        "import sys, eicp.codes\n"
         "from eicp.cli import main\n"
-        f"{module}.verify_code = lambda c, i: types.SimpleNamespace(overall=False)\n"
+        "eicp.codes.decodable_from = lambda inst, columns, user: False\n"
         f"sys.exit(main({argv!r}))\n"
     )
     src = str(Path(eicp.minrank.__file__).resolve().parent.parent)
@@ -231,23 +234,23 @@ def _run_rejecting_checker_optimized(module: str, argv: list[str]):
 
 def test_minrank_checker_rejection_exit_under_optimize():
     # The consistency checks are raises, not asserts, so -O keeps them.
-    proc = _run_rejecting_checker_optimized("eicp.minrank", ["minrank", "--oracle", MIXED4])
+    proc = _run_rejecting_checker_optimized(["minrank", "--oracle", MIXED4])
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("mismatch:")
 
 
 def test_cover_checker_rejection_exit(capsys, monkeypatch):
-    monkeypatch.setattr(eicp.covers, "verify_code",
-                        lambda code, inst: SimpleNamespace(overall=False))
+    monkeypatch.setattr(eicp.codes, "decodable_from", _reject_every_user)
     code, out, err = run(capsys, "cover", "--scheme", "tree", SEVEN)
     assert code == 3
-    assert err.startswith("mismatch:") and "unusable code" in err
+    assert err.startswith("mismatch:") and "checker rejects" in err
+    assert "tree cover" in err
 
 
 def test_cover_checker_rejection_exit_under_optimize():
-    proc = _run_rejecting_checker_optimized("eicp.covers", ["cover", "--scheme", "tree", SEVEN])
+    proc = _run_rejecting_checker_optimized(["cover", "--scheme", "tree", SEVEN])
     assert proc.returncode == 3, proc.stdout + proc.stderr
-    assert proc.stderr.startswith("mismatch:") and "unusable code" in proc.stderr
+    assert proc.stderr.startswith("mismatch:") and "checker rejects" in proc.stderr
 
 
 def test_verify_good_code(capsys):

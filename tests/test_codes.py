@@ -11,6 +11,7 @@ from eicp.codes import (
     Transmission,
     assemble_matrix,
     can_decode,
+    checked_code,
     decodable_from,
     decode_coeffs,
     message_support,
@@ -21,7 +22,13 @@ from eicp.codes import (
     unit_vector,
     verify_code,
 )
-from eicp.errors import GenerationError, InstanceFormatError, InvalidCodeError, NotDecodableError
+from eicp.errors import (
+    ConsistencyError,
+    GenerationError,
+    InstanceFormatError,
+    InvalidCodeError,
+    NotDecodableError,
+)
 from eicp.experiments import regular_tree_instance
 from eicp.gf import FieldOrder, GfVector
 from eicp.minrank import minrank_bnb
@@ -108,6 +115,24 @@ def test_verify_code_reports_support_violation(mixed4):
     assert not report.overall
     assert len(report.support_violations) == 1
     assert "user 1" in report.support_violations[0]
+
+
+def test_checked_code_is_one_rule_for_built_codes(mixed4, mixed4_code_text):
+    shipped = parse_code(mixed4_code_text, mixed4).transmissions
+    assert checked_code(mixed4, mixed4.users, shipped, "a route") == EmbeddedIndexCode(
+        mixed4, shipped)
+    # Every user still decodes, but user 1 holds only message 1.
+    off_support = shipped + (Transmission(1, GfVector(2, (0, 1, 0, 0))),)
+    with pytest.raises(ConsistencyError,
+                       match="^a route accepted a code the checker rejects$"):
+        checked_code(mixed4, mixed4.users, off_support, "a route")
+    # Without user 3's x_4, user 2 cannot decode its demand, message 4.
+    trimmed = shipped[:1] + shipped[2:]
+    with pytest.raises(ConsistencyError,
+                       match="^the oracle accepted a code the checker rejects$"):
+        checked_code(mixed4, mixed4.users, trimmed, "the oracle")
+    # Only the users given are checked.
+    assert checked_code(mixed4, (1, 3, 4), trimmed, "the oracle").transmissions == trimmed
 
 
 def test_support_violations_wording(mixed4):

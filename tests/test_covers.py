@@ -4,11 +4,10 @@ import dataclasses
 import hashlib
 import itertools
 import json
-from types import SimpleNamespace
 
 import pytest
 
-import eicp.covers
+import eicp.codes
 from eicp.codes import EmbeddedIndexCode, verify_code
 from eicp.errors import ConsistencyError, GuardExceededError, NotSingleUnicastError
 from eicp.covers import (
@@ -153,11 +152,11 @@ def test_exact_cover_plans_pinned(seven_user):
 
 
 def test_rejected_plan_raises_consistency_error(monkeypatch):
-    monkeypatch.setattr(eicp.covers, "verify_code",
-                        lambda code, inst: SimpleNamespace(overall=False))
+    monkeypatch.setattr(eicp.codes, "decodable_from", lambda inst, columns, user: False)
     inst = regular_tree_instance(5)
-    for build in (tree_cover, biclique_cover):
-        with pytest.raises(ConsistencyError, match="unusable code"):
+    for build, scheme in ((tree_cover, "tree"), (biclique_cover, "biclique")):
+        with pytest.raises(ConsistencyError, match=f"the {scheme} cover accepted a code "
+                                                   "the checker rejects"):
             build(inst)
 
 

@@ -4,7 +4,6 @@ import hashlib
 import itertools
 import math
 import random
-from types import SimpleNamespace
 
 import pytest
 
@@ -282,8 +281,9 @@ def test_solver_output_pinned():
 @pytest.mark.parametrize("inst", [gen_random(8, 8, 2, 0.3, 7), regular_tree_instance(5, 5)])
 def test_search_loops_stay_off_the_reference_kernel(inst, monkeypatch):
     # Only the code extraction and the checker may use the reference kernel:
-    # verify_code decodes each user twice from at most kappa <= n columns plus
-    # its side-info units, so n users and m messages bound the calls whatever
+    # codes.checked_code decodes each user once and decode_coeffs recovers
+    # each witness row, each from at most kappa <= n columns plus the user's
+    # side-info units, so n users and m messages bound the calls whatever
     # the number of search nodes. On both instances stage two beats the row
     # rank (kappa 5 < 6 and 4 < 5), so the witness rows come from
     # decode_coeffs; on the first the acyclic bound, 4, is below kappa too.
@@ -303,7 +303,7 @@ def test_search_loops_stay_off_the_reference_kernel(inst, monkeypatch):
     assert r.kappa < r.stats["row_rank_bound"]
     assert r.stats["column_nodes_explored"] >= 2000
     assert 0 < calls["basis_insert"] <= 2 * n * (n + m)
-    assert 0 < calls["in_span"] <= 2 * n
+    assert 0 < calls["in_span"] <= n
 
 
 def test_witness_rows_decode_for_their_users():
@@ -391,8 +391,7 @@ def test_candidates_equal_direct_enumeration():
 
 
 def test_checker_rejection_raises_consistency_error(mixed4, dense4, monkeypatch):
-    monkeypatch.setattr(eicp.minrank, "verify_code",
-                        lambda code, inst: SimpleNamespace(overall=False))
+    monkeypatch.setattr(eicp.codes, "decodable_from", lambda inst, columns, user: False)
     with pytest.raises(ConsistencyError, match="the oracle accepted a code the checker rejects"):
         minrank_oracle(mixed4)
     # Stage two improves row rank 4 to kappa 3 here, so the rejected code
@@ -400,9 +399,11 @@ def test_checker_rejection_raises_consistency_error(mixed4, dense4, monkeypatch)
     with pytest.raises(ConsistencyError, match="checker rejects") as info:
         minrank_bnb(gen_random(6, 6, 3, .5, 0))
     assert "stage two" in str(info.value) and "oracle" not in str(info.value)
-    # A user subset is re-checked per user instead of by the full checker.
-    monkeypatch.setattr(eicp.minrank, "decodable_from", lambda inst, cols, i: False)
-    with pytest.raises(ConsistencyError, match="checker rejects"):
+    # Stage one's extracted code passes the same check.
+    with pytest.raises(ConsistencyError, match="stage one accepted a code the checker rejects"):
+        minrank_bnb(mixed4)
+    # A user subset is re-checked the same way.
+    with pytest.raises(ConsistencyError, match="the oracle accepted a code the checker rejects"):
         minrank_oracle(dense4, users=(2, 3))
 
 

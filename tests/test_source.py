@@ -87,3 +87,32 @@ def test_no_environment_reads_or_warnings_in_package():
             if name in banned:
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert not found, f"environment reads or warnings in the package: {found}"
+
+
+def test_one_recheck_for_built_codes():
+    # A code the program builds is re-checked by codes.checked_code alone;
+    # verify_code is the report `eicp verify` prints, and only codes raises
+    # the "checker rejects" error, from one function.
+    found, raisers = [], []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.name not in ("codes.py", "cli.py", "__init__.py"):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.Name):
+                    names = [node.id]
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno}" for n in names if n == "verify_code"]
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if any(isinstance(node, ast.Raise) and any(
+                    isinstance(c, ast.Constant) and "checker rejects" in str(c.value)
+                    for c in ast.walk(node)) for node in ast.walk(func)):
+                raisers.append(f"{path.name} {func.name}")
+    assert not found, f"verify_code named outside codes, cli and __init__: {found}"
+    assert raisers == ["codes.py checked_code"], raisers
