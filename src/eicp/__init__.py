@@ -4,7 +4,6 @@ from .codes import (
     DecodeReport,
     EmbeddedIndexCode,
     Transmission,
-    assemble_matrix,
     can_decode,
     decodable_from,
     decode_coeffs,

@@ -28,11 +28,16 @@ from .errors import (
 from .gf import FieldOrder
 
 
-def _emit(text: str, out: str | None) -> None:
+def _write(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text + "\n")
     else:
         print(text)
+
+
+def _emit(args, payload, rows) -> None:
+    """Write the payload as JSON under --json, else the rows as TSV."""
+    _write(json.dumps(payload, indent=2) if args.json else _tsv(rows), args.out)
 
 
 def _tsv(rows) -> str:
@@ -75,22 +80,19 @@ def _cmd_validate(args) -> int:
     inst = _load_instance(args.instance, check=False)
     violations = model.validate(inst)
     cls = model.classify(inst)
-    if args.json:
-        payload = {
-            "valid": not violations,
-            "violations": violations,
-            "single_unicast": cls.single_unicast,
-            "single_uniprior": cls.single_uniprior,
-        }
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        rows = [
-            ("valid", _bool(not violations)),
-            ("single_unicast", _bool(cls.single_unicast)),
-            ("single_uniprior", _bool(cls.single_uniprior)),
-        ]
-        rows += [("violation", v) for v in violations]
-        _emit(_tsv(rows), args.out)
+    payload = {
+        "valid": not violations,
+        "violations": violations,
+        "single_unicast": cls.single_unicast,
+        "single_uniprior": cls.single_uniprior,
+    }
+    rows = [
+        ("valid", _bool(not violations)),
+        ("single_unicast", _bool(cls.single_unicast)),
+        ("single_uniprior", _bool(cls.single_uniprior)),
+    ]
+    rows += [("violation", v) for v in violations]
+    _emit(args, payload, rows)
     return 0
 
 
@@ -115,8 +117,15 @@ def _cmd_minrank(args) -> int:
         "witness": [list(row) for row in result.witness.rows],
         "transmissions": transmissions_json(result.code),
     }
+    rows = [("kappa", result.kappa)]
     if oracle_kappa is not None:
         payload["oracle_kappa"] = oracle_kappa
+        rows.append(("oracle_kappa", oracle_kappa))
+    rows += [
+        ("witness_row", u, _csv(row))
+        for u, row in zip(result.users, result.witness.rows)
+    ]
+    rows += _transmission_rows(result.code)
     if args.stats:
         complexity = minrank.complexity_report(
             inst, users=users,
@@ -124,23 +133,11 @@ def _cmd_minrank(args) -> int:
         )
         payload["stats"] = result.stats
         payload["complexity"] = complexity
-    if args.json:
-        _emit(json.dumps(payload, indent=2, default=str), args.out)
-    else:
-        rows = [("kappa", result.kappa)]
-        if oracle_kappa is not None:
-            rows.append(("oracle_kappa", oracle_kappa))
-        rows += [
-            ("witness_row", u, _csv(row))
-            for u, row in zip(result.users, result.witness.rows)
-        ]
-        rows += _transmission_rows(result.code)
-        if args.stats:
-            rows += [(k, v) for k, v in result.stats.items()
-                     if k != "candidates_per_user"]
-            rows += [(k, v) for k, v in complexity.items()
-                     if k not in ("users", "filtered_candidates_per_user")]
-        _emit(_tsv(rows), args.out)
+        rows += [(k, v) for k, v in result.stats.items()
+                 if k != "candidates_per_user"]
+        rows += [(k, v) for k, v in complexity.items()
+                 if k not in ("users", "filtered_candidates_per_user")]
+    _emit(args, payload, rows)
     return 0
 
 
@@ -148,15 +145,12 @@ def _cmd_cover(args) -> int:
     inst = _load_instance(args.instance)
     build = covers.tree_cover if args.scheme == "tree" else covers.biclique_cover
     plan = build(inst, exact=args.exact)
-    if args.json:
-        _emit(json.dumps(plan.to_json_obj(), indent=2), args.out)
-    else:
-        rows = [("scheme", plan.scheme), ("length", plan.counts["length"])]
-        rows += [(k, v) for k, v in plan.counts.items() if k != "length"]
-        rows += [(k, _bool(v)) for k, v in plan.flags.items()]
-        rows += [_structure_row("structure", w) for w in plan.structures]
-        rows += _transmission_rows(plan.code)
-        _emit(_tsv(rows), args.out)
+    rows = [("scheme", plan.scheme), ("length", plan.counts["length"])]
+    rows += [(k, v) for k, v in plan.counts.items() if k != "length"]
+    rows += [(k, _bool(v)) for k, v in plan.flags.items()]
+    rows += [_structure_row("structure", w) for w in plan.structures]
+    rows += _transmission_rows(plan.code)
+    _emit(args, plan.to_json_obj(), rows)
     return 0
 
 
@@ -164,23 +158,20 @@ def _cmd_verify(args) -> int:
     inst = _load_instance(args.instance)
     code = parse_code(Path(args.code).read_text(), inst)
     report = verify_code(code, inst)
-    if args.json:
-        payload = {
-            "overall": report.overall,
-            "length": report.length,
-            "per_user": [
-                {"user": u.user, "decodable": u.decodable,
-                 "decodable_using_own": u.decodable_using_own}
-                for u in report.per_user
-            ],
-            "support_violations": list(report.support_violations),
-        }
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        rows = [("overall", _bool(report.overall)), ("length", report.length)]
-        rows += [("user", u.user, _bool(u.decodable)) for u in report.per_user]
-        rows += [("violation", v) for v in report.support_violations]
-        _emit(_tsv(rows), args.out)
+    payload = {
+        "overall": report.overall,
+        "length": report.length,
+        "per_user": [
+            {"user": u.user, "decodable": u.decodable,
+             "decodable_using_own": u.decodable_using_own}
+            for u in report.per_user
+        ],
+        "support_violations": list(report.support_violations),
+    }
+    rows = [("overall", _bool(report.overall)), ("length", report.length)]
+    rows += [("user", u.user, _bool(u.decodable)) for u in report.per_user]
+    rows += [("violation", v) for v in report.support_violations]
+    _emit(args, payload, rows)
     return 0 if report.overall else 1
 
 
@@ -195,7 +186,7 @@ def _cmd_gen(args) -> int:
             raise GenerationError(
                 f"vanet draw with seed {args.seed} is not connected; try another seed"
             )
-    _emit(model.serialize_instance(inst), args.out)
+    _write(model.serialize_instance(inst), args.out)
     return 0
 
 
@@ -207,14 +198,9 @@ def _cmd_structures(args) -> int:
         "trees": graphs.search_regular_trees(graph),
         "cliques": graphs.search_bicliques(graph),
     }
-    if args.json:
-        payload = {
-            key: [w.to_json_obj() for w in ws] for key, ws in found.items()
-        }
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        rows = [_structure_row(key, w) for key, ws in found.items() for w in ws]
-        _emit(_tsv(rows), args.out)
+    payload = {key: [w.to_json_obj() for w in ws] for key, ws in found.items()}
+    rows = [_structure_row(key, w) for key, ws in found.items() for w in ws]
+    _emit(args, payload, rows)
     return 0
 
 
@@ -225,10 +211,8 @@ def _cmd_experiment(args) -> int:
         "lemma-sweep": experiments.experiment_lemma_sweep,
     }[args.which]
     report = runner()
-    if args.json:
-        _emit(json.dumps(report.to_json_obj(), indent=2), args.out)
-    else:
-        _emit(report.to_tsv(), args.out)
+    rows = [report.columns, *report.rows, ("verdict", report.verdict)]
+    _emit(args, report.to_json_obj(), rows)
     return 0 if report.verdict == "pass" else 3
 
 

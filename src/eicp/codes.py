@@ -21,7 +21,7 @@ from .errors import (
     InvalidInstanceError,
     NotDecodableError,
 )
-from .gf import EchelonBasis, FieldOrder, GfMatrix, GfVector, basis_insert, in_span, reduce
+from .gf import EchelonBasis, FieldOrder, GfVector, basis_insert, in_span, reduce
 from .model import EicpInstance, load_json
 
 
@@ -103,17 +103,6 @@ def support_violations(code: EmbeddedIndexCode) -> tuple[str, ...]:
                 f"{sorted(extra)} outside its side information"
             )
     return tuple(out)
-
-
-def assemble_matrix(code: EmbeddedIndexCode) -> GfMatrix:
-    """The num_messages x length matrix whose j-th column is transmission j."""
-    bad = support_violations(code)
-    if bad:
-        raise InvalidCodeError("; ".join(bad))
-    inst = code.instance
-    return GfMatrix.from_cols(
-        inst.q, [t.coeffs.coords for t in code.transmissions], num_rows=inst.num_messages
-    )
 
 
 def side_info_basis(inst: EicpInstance, user: int) -> EchelonBasis:

@@ -16,7 +16,6 @@ from .errors import GenerationError, OracleExhaustedError
 from .gf import FieldOrder
 from .graphs import (
     SideInfoBipartiteGraph,
-    build_side_info_graph,
     canonical_form,
     is_connected,
     path_pattern_edges,
@@ -24,7 +23,7 @@ from .graphs import (
     uniq_demanded,
 )
 from .minrank import minrank_bnb, minrank_oracle
-from .model import EicpInstance, _repair_family, enumerate_demands, require_valid, validate
+from .model import EicpInstance, _repair_family, enumerate_demands, require_valid
 
 # Draws each random generator makes before it gives up.
 GENERATION_TRIES = 200
@@ -37,13 +36,6 @@ class ExperimentReport:
     rows: tuple[tuple, ...]
     verdict: str
     details: dict
-
-    def to_tsv(self) -> str:
-        lines = ["\t".join(self.columns)]
-        for row in self.rows:
-            lines.append("\t".join(str(v) for v in row))
-        lines.append(f"verdict\t{self.verdict}")
-        return "\n".join(lines)
 
     def to_json_obj(self) -> dict:
         return {
@@ -99,11 +91,11 @@ def random_single_unicast(n: int, q: int, density: float, seed: int) -> EicpInst
     """Random valid instance with n users, n messages, and a permutation demand.
 
     Each draw tries 50 random demand permutations. If every draw fails, the
-    first draw whose matched permutation (_matched_demands) validates is
+    first draw that has a matched permutation (_matched_demands) is
     returned instead.
     """
     rng = random.Random(seed)
-    fallback = None
+    inst = None
     for _ in range(GENERATION_TRIES):
         side = [
             {m for m in range(1, n + 1) if rng.random() < density}
@@ -113,19 +105,18 @@ def random_single_unicast(n: int, q: int, density: float, seed: int) -> EicpInst
             _repair_family(rng, side, n)
         except GenerationError:
             continue
-        perm = _demand_permutation(rng, side, n)
-        if perm is not None:
+        # A repaired family with a demand permutation avoiding every user's
+        # holdings meets every rule of validate().
+        if (perm := _demand_permutation(rng, side, n)) is not None:
             inst = _permutation_instance(q, side, perm)
-            if not validate(inst):
-                return inst
-        if fallback is None and (perm := _matched_demands(side, n)) is not None:
+            break
+        if inst is None and (perm := _matched_demands(side, n)) is not None:
             inst = _permutation_instance(q, side, perm)
-            if not validate(inst):
-                fallback = inst
-    if fallback is None:
+    if inst is None:
         raise GenerationError(
             f"no valid permutation-demand instance after {GENERATION_TRIES} tries")
-    return fallback
+    require_valid(inst)
+    return inst
 
 
 def _permutation_instance(q: int, side, perm) -> EicpInstance:
@@ -160,52 +151,14 @@ def _matched_demands(side, n: int) -> list[int] | None:
                 return True
         return False
 
-    if not all(augment(user, set()) for user in range(n)):
+    matched = all(augment(user, set()) for user in range(n))
+    del augment  # it refers to itself: free it at return, not at a full collection
+    if not matched:
         return None
     perm = [0] * n
     for m, user in demander.items():
         perm[user] = m
     return perm
-
-
-def random_bipartite_tree_instance(n: int, seed: int) -> EicpInstance:
-    """F_2 instance whose side-info graph is a random spanning tree on n users + n messages.
-
-    Trees have 2n - 1 edges, so side information is as sparse as connectivity
-    allows. Demands are a random permutation avoiding each user's own holdings.
-    """
-    if n < 2:
-        raise ValueError("need at least 2 users")
-    rng = random.Random(seed)
-    for _ in range(GENERATION_TRIES):
-        side: list[set[int]] = [set() for _ in range(n)]
-        attached_users = [1]
-        attached_msgs: list[int] = []
-        pending = [("u", i) for i in range(2, n + 1)] + [("m", m) for m in range(1, n + 1)]
-        rng.shuffle(pending)
-        # Attach each vertex to a random already-attached vertex of the other side.
-        for kind, v in pending:
-            if kind == "m":
-                side[rng.choice(attached_users) - 1].add(v)
-                attached_msgs.append(v)
-            else:
-                if not attached_msgs:
-                    pending.append((kind, v))
-                    continue
-                side[v - 1].add(rng.choice(attached_msgs))
-                attached_users.append(v)
-        if any(not k for k in side) or any(len(k) >= n for k in side):
-            continue
-        perm = _demand_permutation(rng, side, n)
-        if perm is None:
-            continue
-        inst = _permutation_instance(2, side, perm)
-        if validate(inst):
-            continue
-        graph = build_side_info_graph(inst)
-        if is_connected(graph) and sum(len(k) for k in side) == 2 * n - 1:
-            return inst
-    raise GenerationError(f"no tree-shaped instance after {GENERATION_TRIES} tries")
 
 
 # ---------- experiments ----------

@@ -129,19 +129,6 @@ class GfMatrix:
         return cls(FieldOrder(q), rows, num_cols)
 
     @classmethod
-    def from_cols(cls, q: int, cols, num_rows: int | None = None) -> "GfMatrix":
-        cols = [tuple(c) for c in cols]
-        if num_rows is None:
-            if not cols:
-                raise ValueError("num_rows is required for a matrix with no columns")
-            num_rows = len(cols[0])
-        for c in cols:
-            if len(c) != num_rows:
-                raise ValueError("ragged columns")
-        rows = tuple(tuple(c[i] for c in cols) for i in range(num_rows))
-        return cls(FieldOrder(q), rows, len(cols))
-
-    @classmethod
     def identity(cls, q: int, n: int) -> "GfMatrix":
         return cls(FieldOrder(q), tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
 

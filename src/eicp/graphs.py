@@ -56,14 +56,8 @@ class SideInfoBipartiteGraph:
     def knows(self) -> tuple[frozenset[int], ...]:
         return tuple(frozenset(k) for k in self.adjacency)
 
-    def user_knows(self, user: int) -> frozenset[int]:
-        return self.knows[user - 1]
-
     def message_degree(self, message: int) -> int:
         return sum(1 for k in self.knows if message in k)
-
-    def message_holders(self, message: int) -> tuple[int, ...]:
-        return tuple(i for i in range(1, self.num_users + 1) if message in self.knows[i - 1])
 
 
 @dataclass(frozen=True)

@@ -210,6 +210,7 @@ def _row_search(order: list[CandidateSet], incumbent: int, space, masks: list[in
                 return
 
     walk(0, (), [()] * len(masks))
+    del walk  # it refers to itself: free it at return, not at a full collection
     return incumbent, best
 
 
@@ -314,6 +315,7 @@ def _column_search(inst: EicpInstance, users, pool, incumbent: int, space, masks
                 return
 
     walk(0, [], (), [()] * len(masks), start_pending)
+    del walk  # it refers to itself: free it at return, not at a full collection
     return best
 
 

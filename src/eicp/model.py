@@ -335,7 +335,10 @@ def _repair_family(rng: random.Random, side: list[set[int]], num_messages: int) 
     raise GenerationError("side-info repair did not converge")
 
 
-def _draw_demands(rng: random.Random, side: list[set[int]], num_messages: int) -> list[int]:
+def _draw_instance(rng: random.Random, q: int, side: list[set[int]],
+                   num_messages: int) -> EicpInstance:
+    """Repair the drawn side information, draw each user's demand, and check the instance."""
+    _repair_family(rng, side, num_messages)
     full = set(range(1, num_messages + 1))
     demands = []
     for k in side:
@@ -343,7 +346,10 @@ def _draw_demands(rng: random.Random, side: list[set[int]], num_messages: int) -
         if not pool:
             raise GenerationError("a user holds every message after repair")
         demands.append(rng.choice(pool))
-    return demands
+    inst = EicpInstance(FieldOrder(q), len(side), num_messages,
+                        tuple(tuple(sorted(k)) for k in side), tuple(demands))
+    require_valid(inst)
+    return inst
 
 
 def gen_random(num_users: int, num_messages: int, q: int, density: float,
@@ -358,12 +364,7 @@ def gen_random(num_users: int, num_messages: int, q: int, density: float,
         {m for m in range(1, num_messages + 1) if rng.random() < density}
         for _ in range(num_users)
     ]
-    _repair_family(rng, side, num_messages)
-    demands = _draw_demands(rng, side, num_messages)
-    inst = EicpInstance(FieldOrder(q), num_users, num_messages,
-                        tuple(tuple(sorted(k)) for k in side), tuple(demands))
-    require_valid(inst)
-    return inst
+    return _draw_instance(rng, q, side, num_messages)
 
 
 def gen_vanet(num_users: int, num_messages: int, q: int, overlap: float,
@@ -392,12 +393,7 @@ def gen_vanet(num_users: int, num_messages: int, q: int, overlap: float,
             if rng.random() < overlap:
                 other = rng.randrange(num_users - 1)
                 side[other if other < anchor else other + 1].add(m)
-    _repair_family(rng, side, num_messages)
-    demands = _draw_demands(rng, side, num_messages)
-    inst = EicpInstance(FieldOrder(q), num_users, num_messages,
-                        tuple(tuple(sorted(k)) for k in side), tuple(demands))
-    require_valid(inst)
-    return inst
+    return _draw_instance(rng, q, side, num_messages)
 
 
 def enumerate_demands(side_info, num_messages: int) -> Iterator[tuple[int, ...]]:

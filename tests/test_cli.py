@@ -1,5 +1,6 @@
 """Command line behavior: outputs, exit codes, round trips."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,9 +13,10 @@ import eicp.cli
 import eicp.codes
 import eicp.minrank
 from eicp.cli import main
-from eicp.experiments import random_single_unicast, regular_tree_instance
+from eicp.codes import EmbeddedIndexCode, serialize_code, uncoded_scheme
+from eicp.experiments import biclique_instance, random_single_unicast, regular_tree_instance
 from eicp.minrank import MinrankResult
-from eicp.model import serialize_instance
+from eicp.model import gen_random, parse_instance, serialize_instance
 
 from conftest import fixture_path
 
@@ -371,3 +373,78 @@ def test_help_and_no_args(capsys):
 def test_unknown_subcommand(capsys):
     code, out, err = run(capsys, "frobnicate")
     assert code == 1
+
+
+def _cli_battery():
+    # Instance files named relative to the working directory, so that no
+    # temporary path reaches argv, stdout or stderr.
+    instances = {name: fixture_path(name).read_text()
+                 for name in ("mixed4.json", "dense4.json", "seven_user.json")}
+    seeded = {
+        "gr4q3.json": gen_random(4, 4, 3, 0.5, 1),
+        "su5.json": random_single_unicast(5, 2, 0.5, 0),
+        "rt4.json": regular_tree_instance(4),
+        "bc3.json": biclique_instance(3, True),
+    }
+    instances.update({name: serialize_instance(inst) for name, inst in seeded.items()})
+    instances["invalid.json"] = json.dumps({
+        "q": 2, "num_users": 2, "num_messages": 2,
+        "side_info": [[1, 2], [1]], "demands": [2, 2]})
+    files = dict(instances)
+    files["mixed4_code.json"] = Path(MIXED4_CODE).read_text()
+    argvs = []
+    for name in instances:
+        argvs += [["validate", name], ["validate", name, "--json"]]
+        if name == "invalid.json":
+            continue
+        inst = parse_instance(instances[name])
+        uncoded = uncoded_scheme(inst)
+        short = EmbeddedIndexCode(inst, uncoded.transmissions[1:])
+        files["full_" + name] = serialize_code(uncoded)
+        files["short_" + name] = serialize_code(short)
+        for flags in ([], ["--json"], ["--stats"], ["--stats", "--json"],
+                      ["--users", "1,2"], ["--node-limit", "3"]):
+            argvs.append(["minrank", name, *flags])
+        if inst.num_messages <= 5:
+            argvs.append(["minrank", name, "--oracle"])
+        for scheme in ("tree", "biclique"):
+            argvs += [["cover", name, "--scheme", scheme],
+                      ["cover", name, "--scheme", scheme, "--json"],
+                      ["cover", name, "--scheme", scheme, "--exact"]]
+        argvs += [["structures", name], ["structures", name, "--json"]]
+        for code in ("full_" + name, "short_" + name):
+            argvs += [["verify", name, code], ["verify", name, code, "--json"]]
+    argvs += [["verify", "mixed4.json", "mixed4_code.json"],
+              ["verify", "mixed4.json", "mixed4_code.json", "--json"]]
+    for which in ("fig5", "lemma-sweep"):
+        argvs += [["experiment", which], ["experiment", which, "--json"]]
+    for kind in ("uniform", "vanet"):
+        argvs.append(["gen", kind, "--users", "5", "--messages", "5", "--seed", "3"])
+    argvs += [
+        ["minrank", "mixed4.json", "--out", "out.tsv"],
+        ["minrank", "mixed4.json", "--json", "--out", "out.json"],
+        ["gen", "uniform", "--users", "4", "--messages", "4", "--seed", "1",
+         "--out", "gen.json"],
+        ["cover", "seven_user.json", "--scheme", "tree", "--out", "missing/out.tsv"],
+        ["experiment", "fig5", "--json", "--out", "."],
+        ["minrank", "mixed4.json", "--users", "x"],
+    ]
+    return files, argvs
+
+
+def test_cli_output_pinned(capsys, tmp_path, monkeypatch):
+    # Exit code, stdout, stderr and any --out file of every subcommand, in
+    # TSV and JSON, on the fixtures and a few seeded instances.
+    files, argvs = _cli_battery()
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        Path(name).write_text(text)
+    records = []
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        target = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+        written = target.read_text() if target is not None and target.is_file() else None
+        records.append(repr((argv, code, out, err, written)))
+    assert len(records) == 162
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == "9074eda7c647a0ab01a515a8017f14ecd618955113ac5576f7ab9d3735ad4da2"

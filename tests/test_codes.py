@@ -9,7 +9,6 @@ import pytest
 from eicp.codes import (
     EmbeddedIndexCode,
     Transmission,
-    assemble_matrix,
     can_decode,
     checked_code,
     decodable_from,
@@ -55,26 +54,6 @@ def test_code_rejects_shape_mismatches(mixed4):
         _code(mixed4, (1, (1, 0, 0)))
     with pytest.raises(InvalidCodeError, match="field"):
         EmbeddedIndexCode(mixed4, (Transmission(1, GfVector(3, (1, 0, 0, 0))),))
-
-
-def test_assemble_matrix_columns(mixed4, mixed4_code_text):
-    code = parse_code(mixed4_code_text, mixed4)
-    mat = assemble_matrix(code)
-    assert mat.num_rows == 4 and mat.num_cols == 3
-    assert mat.column(0) == (1, 1, 0, 0)
-    assert mat.column(1) == (0, 0, 0, 1)
-    assert mat.column(2) == (0, 0, 1, 0)
-
-
-def test_assemble_matrix_empty_code(mixed4):
-    mat = assemble_matrix(EmbeddedIndexCode(mixed4, ()))
-    assert mat.num_rows == 4 and mat.num_cols == 0
-
-
-def test_assemble_matrix_rejects_support_violation(mixed4):
-    code = _code(mixed4, (1, (0, 1, 0, 0)))  # user 1 only holds message 1
-    with pytest.raises(InvalidCodeError, match="outside its side information"):
-        assemble_matrix(code)
 
 
 def test_can_decode_shipped_code(mixed4, mixed4_code_text):

@@ -174,19 +174,9 @@ def test_in_span_examples():
     assert not in_span(basis, GfVector(q, (0, 0, 1, 0)))
 
 
-def test_matrix_from_cols_round_trip():
-    cols = [(1, 0, 1), (0, 1, 1)]
-    m = GfMatrix.from_cols(2, cols)
-    assert m.num_rows == 3 and m.num_cols == 2
-    assert [m.column(j) for j in range(2)] == [tuple(c) for c in cols]
-    assert m.transpose().rows == tuple(tuple(c) for c in cols)
-
-
 def test_matrix_requires_consistent_shapes():
     with pytest.raises(ValueError):
         GfMatrix.from_rows(2, [(1, 0), (1, 0, 1)])
-    with pytest.raises(ValueError):
-        GfMatrix.from_cols(2, [], num_rows=None)
 
 
 def test_vector_field_mismatch_rejected():

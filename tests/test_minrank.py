@@ -1,5 +1,6 @@
 """Exact solver: candidate sets, two search stages, oracle cross-check."""
 
+import gc
 import hashlib
 import itertools
 import math
@@ -10,7 +11,7 @@ import pytest
 import eicp.codes
 import eicp.minrank
 from eicp.codes import message_support, unit_vector, verify_code
-from eicp.experiments import regular_tree_instance
+from eicp.experiments import random_single_unicast, regular_tree_instance
 from eicp.errors import (
     ConsistencyError,
     GenerationError,
@@ -576,3 +577,28 @@ def test_unit_bound_gives_the_same_answers_with_no_fewer_nodes(monkeypatch):
         assert (r.kappa, r.witness, r.code) == (unit.kappa, unit.witness, unit.code)
         assert r.stats["nodes_explored"] <= unit.stats["nodes_explored"]
         assert r.stats["column_nodes_explored"] <= unit.stats["column_nodes_explored"]
+
+
+def test_searches_leave_no_cyclic_garbage():
+    # The self-recursive search closures (both stages' walks, and the
+    # matching behind random_single_unicast's fallback draws) are dropped at
+    # return, so no solve or draw waits for a full collection to be freed.
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for n in range(3, 8):
+            for seed in range(3):
+                minrank_bnb(gen_random(n, n, 2, 0.5, seed))
+        for n in (9, 10):
+            for seed in range(4):
+                random_single_unicast(n, 2, 0.7, seed)
+        gc.collect()
+        garbage = len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert garbage == 0

@@ -1,6 +1,7 @@
 """Source hygiene checks over the package itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import eicp
@@ -116,3 +117,62 @@ def test_one_recheck_for_built_codes():
                 raisers.append(f"{path.name} {func.name}")
     assert not found, f"verify_code named outside codes, cli and __init__: {found}"
     assert raisers == ["codes.py checked_code"], raisers
+
+
+# Public names nothing in the package or perfbench/ names, each with the
+# reason it stays.
+UNCALLED_PUBLIC_NAMES = {
+    "can_decode": "acceptance criterion 11 builds its invariance variants from it",
+    "uncoded_scheme": "acceptance criterion 11 builds its invariance variants from it",
+    "serialize_code": "it writes the code files that `eicp verify` reads",
+    "compare_schemes": "the fourth study of ROADMAP direction 1 reads it",
+    "GfMatrix.identity": "the property tests of the reference rank use it",
+    "GfMatrix.transpose": "the property tests of the reference rank use it",
+    "build_problem_graph": "the paper's bipartite problem graph",
+    "BipartiteProblemGraph.message_out": "the paper's bipartite problem graph",
+    "BipartiteProblemGraph.message_in": "the paper's bipartite problem graph",
+    "graph_candidate_supports": "the paper's bipartite problem graph",
+}
+
+
+def test_public_names_have_callers():
+    # A public module-level function or class, or a public method, that
+    # nothing in the package (bar __init__'s re-exports) or perfbench/ names
+    # outside its own body needs a reason on the list above. perfbench/
+    # names the functions it times as dotted strings, "module.function".
+    paths = [p for p in sorted(PACKAGE_DIR.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((PACKAGE_DIR.parents[1] / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    references = []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                references.append((node.id, path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                references.append((node.attr, path, node.lineno))
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and re.fullmatch(r"\w+(\.\w+)+", node.value)):
+                references.append((node.value.rsplit(".", 1)[1], path, node.lineno))
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    uncalled = []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE_DIR:
+            continue
+        defined = []
+        for node in tree.body:
+            if isinstance(node, (*functions, ast.ClassDef)):
+                defined.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{node.name}.{m.name}", m) for m in node.body
+                            if isinstance(m, functions)]
+        for qualname, node in defined:
+            if node.name.startswith("_"):
+                continue
+            if not any(name == node.name and not (where == path and
+                                                  node.lineno <= line <= node.end_lineno)
+                       for name, where, line in references):
+                uncalled.append(qualname)
+    unlisted = [name for name in uncalled if name not in UNCALLED_PUBLIC_NAMES]
+    stale = [name for name in UNCALLED_PUBLIC_NAMES if name not in uncalled]
+    assert not unlisted, f"public names nothing calls: {unlisted}"
+    assert not stale, f"listed as uncalled but now called: {stale}"
