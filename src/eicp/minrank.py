@@ -23,7 +23,9 @@ set, with its rank on some S's demand coordinates, already forces the
 incumbent's length.
 
 Route two (minrank_oracle) exhaustively searches codes of increasing length
-with no pruning at all and reports the first feasible length. The two routes
+and reports the first feasible length. It examines every column subset of
+each length, with no pruning at all; subsets that share a prefix share the
+users' bases over it, built once on the reference kernel. The two routes
 must agree; the workbench treats disagreement as a defect, never as data.
 
 Both routes accept an optional `users` subset and then answer for the
@@ -209,8 +211,10 @@ def _row_search(order: list[CandidateSet], incumbent: int, space, masks: list[in
             if bound >= incumbent:
                 return
 
-    walk(0, (), [()] * len(masks))
-    del walk  # it refers to itself: free it at return, not at a full collection
+    try:
+        walk(0, (), [()] * len(masks))
+    finally:
+        del walk  # it refers to itself: free it on every exit, not at a full collection
     return incumbent, best
 
 
@@ -314,8 +318,10 @@ def _column_search(inst: EicpInstance, users, pool, incumbent: int, space, masks
             if bound >= best_size:
                 return
 
-    walk(0, [], (), [()] * len(masks), start_pending)
-    del walk  # it refers to itself: free it at return, not at a full collection
+    try:
+        walk(0, [], (), [()] * len(masks), start_pending)
+    finally:
+        del walk  # it refers to itself: free it on every exit, not at a full collection
     return best
 
 
@@ -532,11 +538,15 @@ def minrank_oracle(inst: EicpInstance, l_max: int | None = None, users=None,
     """Shortest feasible code by brute force over transmittable column subsets.
 
     Independent of the branch-and-bound route: no per-user rows, no pruning
-    by rank, just level-by-level feasibility. The winning subset is rebuilt
-    as a code and re-verified through the code checker before it is returned.
-    Exhausting l_max without an answer raises OracleExhaustedError; with the
-    default l_max the plain per-demand scheme guarantees an answer. A bool or
-    non-integer l_max or budget, or a budget below 1, is a ValueError.
+    by rank and no packed kernel, just level-by-level feasibility. Each
+    length's subsets are walked depth first in itertools.combinations order,
+    and every one of them is examined; a prefix's side-info-plus-prefix
+    bases are built once for all the subsets that extend it. The winning
+    subset is rebuilt as a code and re-verified through the code checker
+    before it is returned. Exhausting l_max without an answer raises
+    OracleExhaustedError; with the default l_max the plain per-demand scheme
+    guarantees an answer. A bool or non-integer l_max or budget, or a budget
+    below 1, is a ValueError.
     """
     require_valid(inst)
     users = _resolve_users(inst, users)
@@ -547,38 +557,63 @@ def minrank_oracle(inst: EicpInstance, l_max: int | None = None, users=None,
         _checked_int(l_max, "l_max", minimum=None)
     pool = _transmission_pool(inst)
 
-    unit_bases = {i: side_info_basis(inst, i) for i in users}
-    demand_units = {i: unit_vector(inst.q, inst.num_messages, inst.demand(i)) for i in users}
+    start = [(side_info_basis(inst, i), unit_vector(inst.q, inst.num_messages, inst.demand(i)))
+             for i in users]
+    vectors = [vec for vec, _sender in pool]
 
     examined = 0
     for length in range(1, l_max + 1):
-        for subset in itertools.combinations(pool, length):
+        found, examined = _first_serving_subset(vectors, start, 0, length, examined, budget)
+        if found is None:
+            continue
+        subset = [pool[k] for k in found]
+        code = checked_code(inst, users, (Transmission(sender, vec) for vec, sender in subset),
+                            "the oracle")
+        stats = {
+            "subsets_examined": examined,
+            "pool_size": len(pool),
+            "l_max": l_max,
+        }
+        return MinrankResult(length, users, None, code, stats)
+    raise OracleExhaustedError(l_max)
+
+
+def _first_serving_subset(vectors, users, first, length, examined, budget):
+    """The first `length`-subset of vectors[first:] serving every user, and the count.
+
+    Subsets are visited in itertools.combinations order, each counted into
+    `examined` and checked against `budget` before it is tested. `users`
+    holds, for each user, the basis of its side information plus the chosen
+    prefix and its demand's unit vector, or None once the prefix serves it;
+    spans only grow, so every extension serves it too, and its basis grows no
+    further. Returns the pool indices of the subset (None if there is none)
+    and the updated count.
+    """
+    if length == 1:
+        for idx in range(first, len(vectors)):
             examined += 1
             if examined > budget:
                 raise GuardExceededError(
                     f"exhaustive code search examined more than {budget} subsets"
                 )
-            if not _subset_serves(inst, users, unit_bases, demand_units, subset):
-                continue
-            code = checked_code(inst, users, (Transmission(sender, vec) for vec, sender in subset),
-                                "the oracle")
-            stats = {
-                "subsets_examined": examined,
-                "pool_size": len(pool),
-                "l_max": l_max,
-            }
-            return MinrankResult(length, users, None, code, stats)
-    raise OracleExhaustedError(l_max)
-
-
-def _subset_serves(inst, users, unit_bases, demand_units, subset) -> bool:
-    for i in users:
-        basis = unit_bases[i]
-        for vec, _sender in subset:
-            basis, _ = basis_insert(basis, vec)
-        if not in_span(basis, demand_units[i]):
-            return False
-    return True
+            v = vectors[idx]
+            if all(d is None or in_span(basis_insert(b, v)[0], d) for b, d in users):
+                return (idx,), examined
+        return None, examined
+    for idx in range(first, len(vectors) - length + 1):
+        v = vectors[idx]
+        grown = []
+        for basis, demand in users:
+            if demand is not None:
+                basis = basis_insert(basis, v)[0]
+                if in_span(basis, demand):
+                    demand = None
+            grown.append((basis, demand))
+        found, examined = _first_serving_subset(vectors, grown, idx + 1, length - 1,
+                                                examined, budget)
+        if found is not None:
+            return (idx, *found), examined
+    return None, examined
 
 
 def complexity_report(inst: EicpInstance, users=None,

@@ -340,12 +340,9 @@ def _draw_instance(rng: random.Random, q: int, side: list[set[int]],
     """Repair the drawn side information, draw each user's demand, and check the instance."""
     _repair_family(rng, side, num_messages)
     full = set(range(1, num_messages + 1))
-    demands = []
-    for k in side:
-        pool = sorted(full - k)
-        if not pool:
-            raise GenerationError("a user holds every message after repair")
-        demands.append(rng.choice(pool))
+    # _repair_family returns only after a pass in which no user held every
+    # message, so no user's pool of demands is empty.
+    demands = [rng.choice(sorted(full - k)) for k in side]
     inst = EicpInstance(FieldOrder(q), len(side), num_messages,
                         tuple(tuple(sorted(k)) for k in side), tuple(demands))
     require_valid(inst)

@@ -31,7 +31,7 @@ from eicp.errors import (
 from eicp.experiments import regular_tree_instance
 from eicp.gf import FieldOrder, GfVector
 from eicp.minrank import minrank_bnb
-from eicp.model import EicpInstance, gen_random, parse_instance
+from eicp.model import EicpInstance, gen_random
 
 
 def _code(inst, *entries):

@@ -12,7 +12,6 @@ from eicp.codes import EmbeddedIndexCode, verify_code
 from eicp.errors import ConsistencyError, GuardExceededError, NotSingleUnicastError
 from eicp.covers import (
     EXACT_COVER_LIMIT,
-    CoverPlan,
     _cost,
     biclique_cover,
     compare_schemes,

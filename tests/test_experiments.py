@@ -5,7 +5,6 @@ import itertools
 
 import pytest
 
-from eicp.errors import GenerationError
 from eicp.graphs import (
     SideInfoBipartiteGraph,
     build_side_info_graph,

@@ -25,7 +25,7 @@ from eicp.graphs import (
     uniq_demanded,
     verify_structure,
 )
-from eicp.model import EicpInstance, enumerate_demands
+from eicp.model import EicpInstance
 
 
 def _random_graph(rng, n, m):

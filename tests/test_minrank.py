@@ -345,6 +345,47 @@ def test_oracle_rejects_a_bad_limit(mixed4, limits, message):
     assert str(info.value) == message
 
 
+def _oracle_instances():
+    return (all_fixture_instances() + _seeded_corpus(2, range(3, 7), 2)
+            + _seeded_corpus(3, range(3, 6), 2) + _seeded_corpus(5, range(3, 5), 2)
+            + [regular_tree_instance(n, q) for q in (2, 3) for n in range(3, 7)])
+
+
+def _oracle_failure(inst, **limits):
+    try:
+        minrank_oracle(inst, **limits)
+    except (GuardExceededError, OracleExhaustedError) as e:
+        return f"{type(e).__name__}: {e}"
+    raise AssertionError(f"the oracle answered under {limits}")
+
+
+def _oracle_outputs():
+    """Each oracle solve, with and without a users subset, and on every
+    seventh instance the budget and l_max edges around it."""
+    for k, inst in enumerate(_oracle_instances()):
+        for users in (None, inst.users[::2]):
+            r = minrank_oracle(inst, users=users)
+            sends = [(t.user, t.coeffs.coords) for t in r.code.transmissions]
+            yield f"{k} {r.kappa} {r.users} {sends} {r.stats}"
+            examined = r.stats["subsets_examined"]
+            if k % 7 or users is not None or examined < 2:
+                continue
+            yield _oracle_failure(inst, budget=examined - 1)
+            again = minrank_oracle(inst, budget=examined)
+            yield f"{again.kappa} {again.code.transmissions == r.code.transmissions}"
+            yield _oracle_failure(inst, l_max=r.kappa - 1)
+
+
+def test_oracle_output_pinned():
+    # Kappa, users, code and stats of 130 oracle solves at q = 2, 3 and 5,
+    # plus the budget trip one subset short of each of ten answers, the
+    # answer at exactly its budget and the exhaustion one length short.
+    outputs = list(_oracle_outputs())
+    assert len(outputs) == 130 + 3 * 10
+    digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
+    assert digest == "9680727f1da40aef722a35df04569c5bf15a0e88207b605b87b639a56199f191"
+
+
 def test_transmission_pool_is_scalar_free():
     inst = gen_random(4, 4, 3, 0.6, 2)
     pool = _transmission_pool(inst)
@@ -579,10 +620,13 @@ def test_unit_bound_gives_the_same_answers_with_no_fewer_nodes(monkeypatch):
         assert r.stats["column_nodes_explored"] <= unit.stats["column_nodes_explored"]
 
 
-def test_searches_leave_no_cyclic_garbage():
+def test_searches_leave_no_cyclic_garbage(mixed4):
     # The self-recursive search closures (both stages' walks, and the
-    # matching behind random_single_unicast's fallback draws) are dropped at
-    # return, so no solve or draw waits for a full collection to be freed.
+    # matching behind random_single_unicast's fallback draws) are dropped on
+    # every exit, a guard trip included, and the oracle's walk refers to
+    # nothing that refers back to it, so no solve, trip or draw waits for a
+    # full collection to be freed. The handlers bind no name: an exception
+    # held in the test's own frame would be a cycle of the test's making.
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
@@ -591,6 +635,19 @@ def test_searches_leave_no_cyclic_garbage():
         for n in range(3, 8):
             for seed in range(3):
                 minrank_bnb(gen_random(n, n, 2, 0.5, seed))
+        for n in range(3, 6):
+            for seed in range(3):
+                minrank_oracle(gen_random(n, n, 2, 0.5, seed))
+        for seed in range(5):
+            try:
+                minrank_bnb(gen_random(7, 7, 2, 0.5, seed), node_limit=3)
+            except GuardExceededError:
+                pass
+        for limits in ({"budget": 3}, {"l_max": 2}):
+            try:
+                minrank_oracle(mixed4, **limits)
+            except (GuardExceededError, OracleExhaustedError):
+                pass
         for n in (9, 10):
             for seed in range(4):
                 random_single_unicast(n, 2, 0.7, seed)

@@ -67,6 +67,26 @@ def test_no_unused_private_helpers():
     assert not unused, f"private helpers nothing uses: {unused}"
 
 
+def test_no_unused_imports():
+    # An imported name that nothing in its module names is left over from a
+    # refactor. __init__'s imports are the package's re-exports, and a
+    # `from __future__` import binds no name.
+    paths = [p for p in sorted(PACKAGE_DIR.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(Path(__file__).resolve().parent.glob("*.py"))
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [(a.asname or a.name.split(".")[0], node.lineno) for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [(a.asname or a.name, node.lineno) for a in node.names]
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported if name not in names]
+    assert not unused, f"imports nothing uses: {unused}"
+
+
 def test_no_environment_reads_or_warnings_in_package():
     # Every setting is an argument or a CLI flag, and every problem is an
     # exception or a reported violation, so a caller sees all of both.
