@@ -241,7 +241,8 @@ class PackedSpace:
     Coordinate k (0-based) occupies `width` bits from bit k * width. A basis
     is a tuple of entries kept by the echelon rule above, so
     reduce(basis + (e,), v) equals reduce((e,), reduce(basis, v)). Subclasses
-    fix the entry layout.
+    fix the entry layout and the lanewise sum `add(u, v)` of two packed
+    vectors.
     """
 
     width = 1
@@ -273,6 +274,9 @@ class _XorSpace(PackedSpace):
 
     An entry is (pivot bit, row), the pivot being the row's lowest set bit.
     """
+
+    def add(self, u: int, v: int) -> int:
+        return u ^ v
 
     def reduce(self, basis: tuple, v: int) -> int:
         for pivot, row in basis:
@@ -311,6 +315,10 @@ class _LaneSpace(PackedSpace):
         self._high = sum(1 << (self._guard + self.width * k) for k in range(dim))
         self._offset = sum(((1 << self._guard) - q) << (self.width * k) for k in range(dim))
         self._negs = _neg_pickers(self.q)
+
+    def add(self, u: int, v: int) -> int:
+        s = u + v
+        return s - (((s + self._offset) & self._high) >> self._guard) * self.q
 
     def reduce(self, basis: tuple, v: int) -> int:
         lane, offset, high, guard, q = self.lane, self._offset, self._high, self._guard, self.q

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .codes import (
@@ -267,11 +268,43 @@ def _column_search(inst: EicpInstance, users, pool, incumbent: int, space, masks
     acyclic sets' demand `masks`, LB being `lower_bound`, each set's size: a
     code serving a set has rank LB on its demand coordinates. The same test,
     repeated as the best size falls, skips the siblings of a serving subset
-    and stops the walk once the best size is down to LB. So a
-    serving subset is only ever reached when strictly smaller than the best,
-    and the answer is the first minimal serving subset in search order.
+    and stops the walk once the best size is down to LB. So a serving subset
+    is only ever reached when strictly smaller than the best, and the answer
+    is the first minimal serving subset in search order (the walk lists
+    subsets in lexicographic order of their pool indices).
+
+    Each span is visited once. The walk carries span(C) as its q^|C| packed
+    elements and accepts column c at pool index i only if no element c + s,
+    s in span(C), is a multiple of a pool column with an index below i; the
+    multiples of every pool column are keyed to its index once per call. So
+    C is the pool-order greedy basis of its span: a pool column x with a
+    smaller index than c_j in span(c_1..c_j) but not in span(c_1..c_j-1)
+    would have been taken before c_j. A dependent c fails the same test
+    when C is not empty, since c + span(C) = span(C) holds c_1. The rule
+    keeps the answer: the greedy basis of a span is lexicographically no
+    later than any other basis of it inside the pool and equally small, so
+    the first minimal serving subset is the greedy basis of its own span,
+    and every prefix of a greedy basis passes the rule.
+
+    A child with |C| + 2 >= best size is a leaf: one short of the best size,
+    it is cut unless it serves everyone. Leaves skip the rule (a serving
+    leaf that is not canonical has a canonical equivalent earlier in search
+    order, which would already have lowered the best size) and are not
+    scanned: with i the first pending user, B_i its projected basis and r_i
+    its residue, a last column c serves i iff P_i c = a r_i + b for some
+    a != 0 and b in span(B_i) = P_i span(C), and such a c is independent of
+    C. So the node probes the (q - 1) q^|B_i| targets, at most
+    (q - 1) q^(kappa - 2) for a best size kappa, in an index of the pool by
+    `col & keep_i`, built the first time user i leads such a node, and tests
+    the hits from the node's next pool index on, in ascending order, against
+    the other pending users: the first hit serving them all is the leaf a
+    scan of the pool would find first.
+
+    A node, counted against `budget`, is a tested column: a child checked
+    by the rule or a hit of the last-column lookup. Probes are not counted.
     """
-    insert, reduce = space.insert, space.reduce
+    insert, reduce, add = space.insert, space.reduce, space.add
+    q = inst.q
     columns = [space.pack(vec.coords) for vec, _sender in pool]
     start_pending = [
         (space.mask(m - 1 for m in inst.messages if m not in inst.knows(i)), (),
@@ -280,22 +313,61 @@ def _column_search(inst: EicpInstance, users, pool, incumbent: int, space, masks
     ]
     best: tuple | None = None
     best_size = incumbent
+    # Both indexes are built on first use: small searches never need them.
+    first_index: dict[int, int] = {}  # nonzero multiple of a pool column -> its pool index
+    projected: dict[int, dict] = {}  # keep mask -> col & keep -> ascending pool indices
 
-    def walk(pos: int, chosen: list, chosen_basis: tuple, projections: list,
-             pending: list) -> None:
+    def multiples(v: int) -> list[int]:
+        out = [v]
+        for _ in range(q - 2):
+            out.append(add(out[-1], v))
+        return out
+
+    def last_column(pos: int, span: list, pending: list) -> int | None:
+        keep, _basis, residue = pending[0]
+        index = projected.get(keep)
+        if index is None:
+            index = projected[keep] = {}
+            for idx, col in enumerate(columns):
+                index.setdefault(col & keep, []).append(idx)
+        projections = {s & keep for s in span}
+        hits = []
+        for a in multiples(residue):
+            for b in projections:
+                found = index.get(add(a, b))
+                if found:
+                    hits += found[bisect_left(found, pos):]
+        hits.sort()
+        for idx in hits:
+            budget.spend()
+            col = columns[idx]
+            for keep, basis, residue in pending[1:]:
+                basis, grew = insert(basis, col & keep)
+                if not grew or reduce(basis[-1:], residue):
+                    break
+            else:
+                return idx
+        return None
+
+    def walk(pos: int, chosen: list, span: list, projections: list, pending: list) -> None:
         nonlocal best, best_size
         bound = len(chosen) + max(1, lower_bound - min(map(len, projections)))
-        if bound >= best_size:
-            return
         for idx in range(pos, len(columns)):
+            if bound >= best_size:
+                return
+            if len(chosen) + 2 >= best_size:
+                last = last_column(idx, span, pending)
+                if last is not None:
+                    best, best_size = (*chosen, pool[last]), len(chosen) + 1
+                return
             col = columns[idx]
             budget.spend()
-            new_basis, grew = insert(chosen_basis, col)
-            if not grew:
-                continue
-            # A child one short of best_size is cut unless it serves everyone,
-            # so its first unserved user settles it.
-            leaf = len(chosen) + 2 >= best_size
+            if chosen:
+                if not first_index:
+                    # pool directions are distinct, so no two columns share a multiple
+                    first_index.update((m, i) for i, c in enumerate(columns) for m in multiples(c))
+                if any(first_index.get(add(col, s), idx) < idx for s in span):
+                    continue
             new_pending = []
             for keep, basis, residue in pending:
                 basis, grew = insert(basis, col & keep)
@@ -304,22 +376,18 @@ def _column_search(inst: EicpInstance, users, pool, incumbent: int, space, masks
                     if not residue:
                         continue
                 new_pending.append((keep, basis, residue))
-                if leaf:
-                    break
             chosen.append(pool[idx])
             if not new_pending:
                 # |chosen| <= bound < best_size: strictly smaller than the best.
                 best, best_size = tuple(chosen), len(chosen)
-            elif not leaf:
-                walk(idx + 1, chosen, new_basis,
+            else:
+                walk(idx + 1, chosen, span + [add(m, s) for m in multiples(col) for s in span],
                      [insert(p, col & mask)[0] for p, mask in zip(projections, masks)],
                      new_pending)
             chosen.pop()
-            if bound >= best_size:
-                return
 
     try:
-        walk(0, [], (), [()] * len(masks), start_pending)
+        walk(0, [], [0], [()] * len(masks), start_pending)
     finally:
         del walk  # it refers to itself: free it on every exit, not at a full collection
     return best
@@ -419,10 +487,12 @@ def minrank_bnb(inst: EicpInstance, users=None,
     Stage two searches transmittable column subsets strictly smaller than the
     stage-one rank; it usually finds nothing, but on chain-like instances the
     shortest code's columns are not decodable rows for any single user and
-    only this stage sees them. Both stages read one transmission pool and
-    one packed space `gf.packed_space` with one demand mask per acyclic set,
-    all built once per call; the reference kernel only extracts and checks
-    the answer.
+    only this stage sees them. It visits each span once, through its
+    pool-order greedy basis, and finds a last column by lookup instead of
+    scanning the pool (_column_search). Both stages read one transmission
+    pool and one packed space `gf.packed_space` with one demand mask per
+    acyclic set, all built once per call; the reference kernel only
+    extracts and checks the answer.
 
     The acyclic-set bound LB (acyclic_sets) is used three times. At the root,
     stage two is skipped when the row rank equals LB. Each stage stops as
@@ -445,10 +515,11 @@ def minrank_bnb(inst: EicpInstance, users=None,
     subset in search order, and each witness row is recomputed from its
     user's decoding recipe.
 
-    `stats` holds the node counts of the two stages (`nodes_explored`,
-    `column_nodes_explored`), the candidate counts, the uncoded length
-    `incumbent_initial`, `lower_bound` (LB), `row_rank_bound` (the stage-one
-    optimum) and `column_pool_size` (0 when stage two did not run).
+    `stats` holds the node counts of the two stages (`nodes_explored`, rows
+    tried, and `column_nodes_explored`, columns tested), the candidate
+    counts, the uncoded length `incumbent_initial`, `lower_bound` (LB),
+    `row_rank_bound` (the stage-one optimum) and `column_pool_size` (0 when
+    stage two did not run).
     """
     require_valid(inst)
     users = _resolve_users(inst, users)

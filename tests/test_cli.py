@@ -447,4 +447,4 @@ def test_cli_output_pinned(capsys, tmp_path, monkeypatch):
         records.append(repr((argv, code, out, err, written)))
     assert len(records) == 162
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
-    assert digest == "9074eda7c647a0ab01a515a8017f14ecd618955113ac5576f7ab9d3735ad4da2"
+    assert digest == "06c4ef45d8fa919f075918d9775d75418c1699e7dd57dbc8d896265d8f79fe9e"

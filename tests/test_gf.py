@@ -253,6 +253,20 @@ def test_packed_space_agrees_with_reference_kernel(q):
         assert space.pack(coords) & space.mask(keep) == space.pack(masked)
 
 
+@pytest.mark.parametrize("q", (2, 3, 5, 7))
+def test_packed_add_agrees_with_vector_add(q):
+    rng = random.Random(2000 + q)
+    for trial in range(60):
+        dim = 1 + trial % 12
+        space = packed_space(q, dim)
+        pairs = [([q - 1] * dim, [q - 1] * dim), ([0] * dim, [q - 1] * dim)]
+        pairs += [([rng.randrange(q) for _ in range(dim)], [rng.randrange(q) for _ in range(dim)])
+                  for _ in range(4)]
+        for u, v in pairs:
+            total = GfVector(q, u) + GfVector(q, v)
+            assert space.add(space.pack(u), space.pack(v)) == space.pack(total.coords)
+
+
 def test_packed_lanes_hold_the_largest_sums():
     # At q = 251, reducing (1, 250, ..., 250) by the all-ones row adds 250 to
     # every lane: lane 0 reaches q and the others 2q - 2 = 500.

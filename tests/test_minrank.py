@@ -197,9 +197,53 @@ def test_two_stage_improvement_on_chain():
     assert r.code.length == 3
 
 
-# kappa, witness rows, transmissions and stats recorded from the search on
-# the reference GF kernel; the packed kernel must replay the same search.
-# Stage two returns the first minimal serving subset in search order.
+# Odd-q solves where stage two beats the row rank, as (instance, users);
+# the users subsets are every other user, from the first or the second.
+ODD_Q_GAP_SOLVES = [
+    (gen_random(5, 5, 3, 0.7, 5), None),
+    (gen_random(6, 6, 3, 0.3, 1), slice(1, None, 2)),
+    (gen_random(6, 6, 3, 0.7, 2), None),
+    (gen_random(6, 6, 3, 0.7, 2), slice(None, None, 2)),
+    (gen_random(6, 6, 3, 0.3, 9), slice(None, None, 2)),
+    (random_single_unicast(6, 3, 0.3, 4), slice(None, None, 2)),
+    (regular_tree_instance(4, 3), None),
+    (regular_tree_instance(5, 3), None),
+    (gen_random(5, 5, 5, 0.7, 5), None),
+    (gen_random(6, 6, 5, 0.3, 9), slice(None, None, 2)),
+    (random_single_unicast(6, 5, 0.3, 4), slice(None, None, 2)),
+    (regular_tree_instance(4, 5), None),
+    (regular_tree_instance(5, 5), None),
+]
+
+
+def test_odd_q_stage_two_matches_oracle():
+    gaps = 0
+    for inst, part in ODD_Q_GAP_SOLVES:
+        users = None if part is None else inst.users[part]
+        r = minrank_bnb(inst, users=users)
+        assert r.kappa == minrank_oracle(inst, users=users).kappa
+        report = verify_code(r.code, inst)
+        assert not report.support_violations
+        assert all(u.decodable for u in report.per_user if u.user in r.users)
+        gaps += r.kappa < r.stats["row_rank_bound"]
+    assert gaps >= 8
+
+
+def test_stage_two_exhausts_a_q5_pool_within_100k_nodes():
+    # Two of the four users hold nothing, so LB = 3 is one short of the row
+    # rank 4, which equals kappa: stage two must rule out every 3-column span
+    # of the 161-column pool. A walk over every basis of each span needs
+    # 494 k nodes; one over each span once needs about 24 k.
+    inst = gen_random(4, 5, 5, 0.3, 850)
+    r = minrank_bnb(inst, node_limit=100_000)
+    assert (r.kappa, r.stats["lower_bound"], r.stats["column_pool_size"]) == (4, 3, 161)
+    assert verify_code(r.code, inst).overall
+
+
+# kappa, witness rows and transmissions recorded from the search on the
+# reference GF kernel; the packed kernel must replay the same answers. Stage
+# two returns the first minimal serving subset in search order. The node
+# counts are those of the search that visits each span once.
 PINNED_SEARCHES = [
     # q = 2 gap: stage two beats the row rank 3.
     (gen_random(6, 6, 2, 0.5, 1), None, 2,
@@ -209,7 +253,7 @@ PINNED_SEARCHES = [
      {"nodes_explored": 19, "candidates_total": 70,
       "candidates_per_user": {1: 12, 2: 8, 3: 5, 4: 5, 5: 20, 6: 20},
       "product_size": 960000, "incumbent_initial": 4, "lower_bound": 2,
-      "row_rank_bound": 3, "column_nodes_explored": 82, "column_pool_size": 51}),
+      "row_rank_bound": 3, "column_nodes_explored": 33, "column_pool_size": 51}),
     # The same instance with a users subset.
     (gen_random(6, 6, 2, 0.5, 1), (1, 2, 3, 5), 2,
      ((1, 1, 0, 0, 1, 0), (1, 0, 0, 0, 0, 1), (0, 1, 0, 0, 1, 1), (1, 1, 0, 0, 1, 0)),
@@ -217,7 +261,7 @@ PINNED_SEARCHES = [
      {"nodes_explored": 14, "candidates_total": 45,
       "candidates_per_user": {1: 12, 2: 8, 3: 5, 5: 20},
       "product_size": 9600, "incumbent_initial": 4, "lower_bound": 2,
-      "row_rank_bound": 3, "column_nodes_explored": 82, "column_pool_size": 51}),
+      "row_rank_bound": 3, "column_nodes_explored": 33, "column_pool_size": 51}),
     # q = 3 gap.
     (gen_random(5, 5, 3, 0.7, 5), None, 2,
      ((1, 0, 1, 0, 0), (1, 0, 1, 0, 0), (1, 0, 1, 0, 0), (2, 0, 0, 0, 1), (1, 0, 0, 0, 2)),
@@ -225,15 +269,15 @@ PINNED_SEARCHES = [
      {"nodes_explored": 48, "candidates_total": 75,
       "candidates_per_user": {1: 3, 2: 9, 3: 27, 4: 27, 5: 9},
       "product_size": 177147, "incumbent_initial": 3, "lower_bound": 2,
-      "row_rank_bound": 3, "column_nodes_explored": 84, "column_pool_size": 67}),
-    # q = 5, stage one stands after 332 column nodes.
+      "row_rank_bound": 3, "column_nodes_explored": 19, "column_pool_size": 67}),
+    # q = 5, stage one stands after 280 column nodes.
     (gen_random(4, 4, 5, 0.5, 3), None, 3,
      ((0, 1, 1, 0), (0, 0, 0, 1), (0, 1, 1, 0), (1, 0, 0, 0)),
      [(2, (0, 1, 1, 0)), (3, (0, 0, 0, 1)), (1, (1, 0, 0, 0))],
      {"nodes_explored": 10, "candidates_total": 48,
       "candidates_per_user": {1: 9, 2: 5, 3: 9, 4: 25},
       "product_size": 10125, "incumbent_initial": 4, "lower_bound": 2,
-      "row_rank_bound": 3, "column_nodes_explored": 332, "column_pool_size": 40}),
+      "row_rank_bound": 3, "column_nodes_explored": 280, "column_pool_size": 40}),
     # q = 5 gap.
     (regular_tree_instance(4, 5), None, 3,
      ((1, 0, 4, 0), (0, 1, 0, 0), (4, 0, 1, 0), (1, 0, 0, 1)),
@@ -241,7 +285,7 @@ PINNED_SEARCHES = [
      {"nodes_explored": 1, "candidates_total": 16,
       "candidates_per_user": {1: 1, 2: 5, 3: 5, 4: 5},
       "product_size": 125, "incumbent_initial": 4, "lower_bound": 3,
-      "row_rank_bound": 4, "column_nodes_explored": 208, "column_pool_size": 16}),
+      "row_rank_bound": 4, "column_nodes_explored": 68, "column_pool_size": 16}),
 ]
 
 
@@ -279,15 +323,15 @@ def test_solver_output_pinned():
     assert digest == "214815878fc9ba57908ab7ad911d729bba4d9fc20a4dbc69a45e972c4c148f57"
 
 
-@pytest.mark.parametrize("inst", [gen_random(8, 8, 2, 0.3, 7), regular_tree_instance(5, 5)])
+@pytest.mark.parametrize("inst", [gen_random(8, 8, 2, 0.3, 7), regular_tree_instance(6, 5)])
 def test_search_loops_stay_off_the_reference_kernel(inst, monkeypatch):
     # Only the code extraction and the checker may use the reference kernel:
     # codes.checked_code decodes each user once and decode_coeffs recovers
     # each witness row, each from at most kappa <= n columns plus the user's
     # side-info units, so n users and m messages bound the calls whatever
     # the number of search nodes. On both instances stage two beats the row
-    # rank (kappa 5 < 6 and 4 < 5), so the witness rows come from
-    # decode_coeffs; on the first the acyclic bound, 4, is below kappa too.
+    # rank (kappa 5 < 6), so the witness rows come from decode_coeffs; on
+    # the first the acyclic bound, 4, is below kappa too.
     calls = {"basis_insert": 0, "in_span": 0}
 
     def counting(name, fn):
