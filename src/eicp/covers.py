@@ -239,7 +239,7 @@ def _exact_cover(inst, graph, scheme: str) -> list[StructureWitness]:
     @cache
     def structure(block: int) -> StructureWitness | None:
         """The scheme's witness on the messages of `block`, or None."""
-        members = tuple(m for m in inst.messages if block >> (m - 1) & 1)
+        members = tuple(m for m in range(1, block.bit_length() + 1) if block >> (m - 1) & 1)
         if len(members) == 1:
             return _lone_messages(graph, members)[0]
         if scheme == TREE_SCHEME and len(members) > 2:

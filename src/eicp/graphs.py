@@ -14,6 +14,8 @@ count.
 
 The path pattern (the regular tree of the tree cover scheme) is defined
 once, by path_pattern_edges; every other module reads it from there.
+_find_tree, which searches for it on bitmasks, spells out which of its
+edges close at each slot.
 """
 
 from __future__ import annotations
@@ -55,6 +57,20 @@ class SideInfoBipartiteGraph:
     @cached_property
     def knows(self) -> tuple[frozenset[int], ...]:
         return tuple(frozenset(k) for k in self.adjacency)
+
+    @cached_property
+    def held_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(holds, held_by): the side information as bitmasks, both 1-based.
+
+        Bit m of holds[u] is set when user u holds message m, and bit u of
+        held_by[m] when the same edge is there; entry 0 of each is 0.
+        """
+        holds = (0,) + tuple(sum(1 << m for m in k) for k in self.adjacency)
+        held_by = [0] * (self.num_messages + 1)
+        for u, k in enumerate(self.adjacency, 1):
+            for m in k:
+                held_by[m] |= 1 << u
+        return holds, tuple(held_by)
 
     def message_degree(self, message: int) -> int:
         return sum(1 for k in self.knows if message in k)
@@ -256,35 +272,66 @@ def _pack(remaining: list[int], find) -> tuple[list[StructureWitness], list[int]
 
 def _find_tree(g: SideInfoBipartiteGraph, pool: Sequence[int], n: int
                ) -> StructureWitness | None:
-    """Regular tree on the lexicographically first size-n sequence from `pool`, or None."""
+    """Regular tree on the lexicographically first size-n sequence from `pool`, or None.
+
+    `pool` is ascending and n >= 3. The walk fills the slots of
+    path_pattern_edges(n) in order, and a slot's candidates are the free
+    pool members that close every pattern edge ending at it: any member at
+    slot 0, a member s_0 holds at slot 1, and at slot j >= 2 a member both
+    s_{j-1} and s_{j-2} hold; at slots n - 2 and n - 1 the member must also
+    hold s_0. Candidates are bits of one mask, visited in ascending order,
+    which is pool order, so the first sequence found is the
+    lexicographically first.
+
+    Two cuts drop only branches that hold no tree:
+      - After slot j <= n - 3 is filled, slots n - 2 and n - 1 are both
+        still empty and each needs its own free member holding s_0, so
+        fewer than two such members end the branch.
+      - When n is the pool size (every exact-cover block), each member fills
+        a slot. Every slot but the last holds two other slots, and every
+        slot but slot 1 is held by two, so the pool has no tree when two of
+        its members each hold fewer than two others, or when two are each
+        held by fewer than two others.
+    """
     if len(pool) < n:
         return None
-    # Filling a slot closes the edges whose later end it is; the edges
-    # closed earlier held when their slots were filled.
-    closes: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for slot, held in path_pattern_edges(n):
-        closes[max(slot, held)].append((slot, held))
-    knows = g.knows
-    seq: list[int] = []
-    used: set[int] = set()
-
-    def extend(slot: int):
+    holds, held_by = g.held_masks
+    free = sum(1 << m for m in pool)
+    if n == len(pool):
+        short_out = short_in = 0
         for m in pool:
-            if m in used:
+            others = free ^ (1 << m)
+            short_out += (holds[m] & others).bit_count() < 2
+            short_in += (held_by[m] & others).bit_count() < 2
+        if short_out > 1 or short_in > 1:
+            return None
+    seq = [0] * n
+    last, reserve = n - 1, n - 3
+
+    def extend(slot: int, free: int, cands: int, back: int, closers: int) -> bool:
+        # back is holds[s_{slot-1}] (every bit at slot 0); closers is
+        # held_by[s_0], the members that may fill slots n - 2 and n - 1,
+        # and `reserve` is the last slot filled while both are still empty.
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            m = low.bit_length() - 1
+            seq[slot] = m
+            if slot == last:
+                return True
+            if not slot:
+                closers = held_by[m]
+            rest = free ^ low
+            if slot <= reserve and (rest & closers).bit_count() < 2:
                 continue
-            seq.append(m)
-            used.add(m)
-            for s, held in closes[slot]:
-                if seq[held] not in knows[seq[s] - 1]:
-                    break
-            else:
-                if slot == n - 1 or extend(slot + 1):
-                    return True
-            seq.pop()
-            used.discard(m)
+            nxt = rest & back & holds[m]
+            if slot >= reserve:
+                nxt &= closers
+            if nxt and extend(slot + 1, rest, nxt, holds[m], closers):
+                return True
         return False
 
-    found = extend(0)
+    found = extend(0, free, free, -1, 0)
     del extend  # it refers to itself: free it at return, not at a full collection
     return StructureWitness(REGULAR_TREE, tuple(seq)) if found else None
 

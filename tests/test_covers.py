@@ -382,3 +382,12 @@ def test_cover_layer_output_pinned():
     assert len(outputs) == 808
     digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
     assert digest == "3aafc4b55fedbd0c8a8b658c681651235d30c7beb8d3c6ac2ed73c945448769b"
+
+
+def test_tree_cover_plans_pinned_past_n8():
+    # Greedy and exact tree plans at n = 10 and 12, dense draws included,
+    # where the cover layer pin above stops at n = 8.
+    plans = [json.dumps(tree_cover(random_single_unicast(n, 2, d, 0), exact=exact).to_json_obj())
+             for n in (10, 12) for d in (0.3, 0.5, 0.9) for exact in (False, True)]
+    digest = hashlib.sha256("\n".join(plans).encode()).hexdigest()
+    assert digest == "74fd79cb60f4ba247f4e0f4eb79c87b6885bcff2599ffa9efe0d298ecc0bbb57"

@@ -6,10 +6,12 @@ import random
 
 import pytest
 
+from eicp.covers import demand_relabeling
 from eicp.errors import ConsistencyError, GuardExceededError
-from eicp.experiments import regular_tree_instance
+from eicp.experiments import random_single_unicast, regular_tree_instance
 from eicp.gf import FieldOrder
 from eicp.graphs import (
+    REGULAR_TREE,
     SideInfoBipartiteGraph,
     StructureWitness,
     build_problem_graph,
@@ -25,6 +27,7 @@ from eicp.graphs import (
     uniq_demanded,
     verify_structure,
 )
+from eicp.graphs import _find_tree, _member_pool
 from eicp.model import EicpInstance
 
 
@@ -186,6 +189,31 @@ def test_search_regular_trees_finds_t44():
     assert found[0].kind == "regular_tree"
     assert len(found[0].msg_seq) == 4
     assert verify_structure(g, found[0])
+
+
+def test_find_tree_matches_brute_force():
+    # The first permutation that embeds, in lexicographic order, is the tree
+    # the mask walk must return, both when the tree takes the whole pool
+    # (each exact-cover block) and when it takes part of it (greedy packing).
+    def first_tree(g, pool, n):
+        return next((w for seq in itertools.permutations(pool, n)
+                     if verify_structure(g, w := StructureWitness(REGULAR_TREE, seq))), None)
+
+    blocks = trees = 0
+    for n in range(3, 7):
+        for d in (0.3, 0.5, 0.7):
+            for seed in range(4):
+                g, _ = demand_relabeling(random_single_unicast(n, 2, d, seed))
+                pool = _member_pool(g)
+                for size in range(3, n + 1):
+                    assert _find_tree(g, pool, size) == first_tree(g, pool, size)
+                    for block in itertools.combinations(pool, size):
+                        w = _find_tree(g, block, size)
+                        assert w == first_tree(g, block, size)
+                        blocks += 1
+                        trees += w is not None
+    assert blocks == 768
+    assert trees >= 150
 
 
 def test_search_trees_two_components():

@@ -11,6 +11,7 @@ import pytest
 import eicp.codes
 import eicp.minrank
 from eicp.codes import message_support, unit_vector, verify_code
+from eicp.covers import biclique_cover, tree_cover
 from eicp.experiments import random_single_unicast, regular_tree_instance
 from eicp.errors import (
     ConsistencyError,
@@ -665,11 +666,12 @@ def test_unit_bound_gives_the_same_answers_with_no_fewer_nodes(monkeypatch):
 
 
 def test_searches_leave_no_cyclic_garbage(mixed4):
-    # The self-recursive search closures (both stages' walks, and the
-    # matching behind random_single_unicast's fallback draws) are dropped on
-    # every exit, a guard trip included, and the oracle's walk refers to
-    # nothing that refers back to it, so no solve, trip or draw waits for a
-    # full collection to be freed. The handlers bind no name: an exception
+    # The self-recursive search closures (both stages' walks, the matching
+    # behind random_single_unicast's fallback draws, the tree walk and the
+    # exact cover's dynamic program) are dropped on every exit, a guard trip
+    # included, and the oracle's walk refers to nothing that refers back to
+    # it, so no solve, trip, draw or cover waits for a full collection to be
+    # freed. The handlers bind no name: an exception
     # held in the test's own frame would be a cycle of the test's making.
     gc.collect()
     enabled = gc.isenabled()
@@ -695,6 +697,12 @@ def test_searches_leave_no_cyclic_garbage(mixed4):
         for n in (9, 10):
             for seed in range(4):
                 random_single_unicast(n, 2, 0.7, seed)
+        for n in (6, 8):
+            for seed in range(2):
+                inst = random_single_unicast(n, 2, 0.5, seed)
+                for cover in (tree_cover, biclique_cover):
+                    for exact in (False, True):
+                        cover(inst, exact=exact)
         gc.collect()
         garbage = len(gc.garbage)
     finally:
