@@ -3,7 +3,8 @@
 Both schemes need one demand per message (a single unicast instance). Users
 are relabeled by the message they demand, so structure witnesses can use one
 index sequence for users and messages; senders are mapped back to the actual
-user indices when transmissions are assembled.
+user indices when transmissions are assembled. Message sets are bitmasks, the
+one member-set form of graphs.
 
 Costs come from one model, _cost, which charges each structure its
 transmissions and marks the ones the scheme counts as extra:
@@ -36,6 +37,8 @@ from .graphs import (
     _clique_witness,
     _find_tree,
     _lone_messages,
+    _mask,
+    _member_pool,
     _pack,
     find_covered_pairs,
     path_pattern_edges,
@@ -192,12 +195,12 @@ def tree_cover(inst: EicpInstance, exact: bool = False) -> CoverPlan:
     if exact:
         structures = _exact_cover(inst, graph, TREE_SCHEME)
     else:
-        pairs = find_covered_pairs(graph)
+        pairs = [(_mask(w.msg_seq), w) for w in find_covered_pairs(graph)]
         # The first pair inside what is left is the lexicographically first
         # covered pair there, as pairs is in lexicographic order.
-        structures, left = _pack(list(inst.messages), lambda pool: next(
-            (w for w in pairs if set(w.msg_seq) <= set(pool)), None))
-        for n in range(3, len(left) + 1):
+        structures, left = _pack(_member_pool(graph), lambda pool: next(
+            (w for pair, w in pairs if pair & pool == pair), None))
+        for n in range(3, left.bit_count() + 1):
             trees, left = _pack(left, lambda pool: _find_tree(graph, pool, n))
             structures += trees
         structures += _lone_messages(graph, left)
@@ -237,17 +240,19 @@ def _exact_cover(inst, graph, scheme: str) -> list[StructureWitness]:
         )
 
     @cache
-    def structure(block: int) -> StructureWitness | None:
-        """The scheme's witness on the messages of `block`, or None."""
-        members = tuple(m for m in range(1, block.bit_length() + 1) if block >> (m - 1) & 1)
-        if len(members) == 1:
-            return _lone_messages(graph, members)[0]
-        if scheme == TREE_SCHEME and len(members) > 2:
-            return _find_tree(graph, members, len(members))
-        # A two-member tree block is a covered pair; both schemes offer only
-        # covered cliques (module docstring).
-        w = _clique_witness(graph, members)
-        return w if w is not None and w.covered else None
+    def structure(block: int) -> tuple[int, int, tuple[int, ...], StructureWitness] | None:
+        """(cost, extra, key, witness) of the scheme's witness on `block`, or None."""
+        size = block.bit_count()
+        if size == 1:
+            w = _lone_messages(graph, block)[0]
+        elif scheme == TREE_SCHEME and size > 2:
+            w = _find_tree(graph, block, size)
+        else:
+            # A two-member tree block is a covered pair; both schemes offer
+            # only covered cliques (module docstring).
+            w = _clique_witness(graph, block)
+            w = w if w is not None and w.covered else None
+        return None if w is None else (*_cost(scheme, w), tuple(sorted(w.msg_seq)), w)
 
     @cache
     def solve(mask: int) -> tuple[int, int, tuple]:
@@ -258,13 +263,12 @@ def _exact_cover(inst, graph, scheme: str) -> list[StructureWitness]:
         answer = None
         sub = rest_mask
         while True:
-            w = structure(low | sub)
-            if w is not None:
-                cost, extra = _cost(scheme, w)
+            found = structure(low | sub)
+            if found is not None:
+                cost, extra, key, w = found
                 rest = solve(rest_mask ^ sub)
                 # The new block holds the lowest message, so its key sorts first.
-                cand = (cost + rest[0], extra + rest[1],
-                        ((tuple(sorted(w.msg_seq)), w),) + rest[2])
+                cand = (cost + rest[0], extra + rest[1], ((key, w),) + rest[2])
                 if answer is None or cand < answer:
                     answer = cand
             if not sub:
@@ -272,7 +276,7 @@ def _exact_cover(inst, graph, scheme: str) -> list[StructureWitness]:
             sub = (sub - 1) & rest_mask
         return answer
 
-    blocks = solve((1 << n) - 1)[2]
+    blocks = solve(_member_pool(graph))[2]
     del solve  # it refers to itself: drop its caches now, not at a full collection
     return [w for _key, w in blocks]
 

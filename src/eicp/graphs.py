@@ -12,16 +12,18 @@ the demanders of its member messages, while covering users and transmitters
 may be any other user, including pure helpers with indices above the message
 count.
 
+Side information is read only as the held_masks bitmasks, and a member set
+is one int mask, bit m for message m; member tuples appear only in the
+StructureWitness values callers see.
+
 The path pattern (the regular tree of the tree cover scheme) is defined
 once, by path_pattern_edges; every other module reads it from there.
-_find_tree, which searches for it on bitmasks, spells out which of its
-edges close at each slot.
+_find_tree spells out which of its edges close at each slot.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -34,6 +36,21 @@ SINGLE_EDGE = "single_edge"
 COVERED_PAIR = "covered_pair"
 REGULAR_TREE = "regular_tree"
 BICLIQUE = "biclique"
+
+
+def _mask(items) -> int:
+    """Bit i for each i in `items`; a repeated item carries, so the mask has fewer bits."""
+    return sum(1 << i for i in items)
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    """The set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -55,17 +72,13 @@ class SideInfoBipartiteGraph:
                 raise ValueError("message index out of range in adjacency")
 
     @cached_property
-    def knows(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(k) for k in self.adjacency)
-
-    @cached_property
     def held_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(holds, held_by): the side information as bitmasks, both 1-based.
 
         Bit m of holds[u] is set when user u holds message m, and bit u of
         held_by[m] when the same edge is there; entry 0 of each is 0.
         """
-        holds = (0,) + tuple(sum(1 << m for m in k) for k in self.adjacency)
+        holds = (0,) + tuple(_mask(k) for k in self.adjacency)
         held_by = [0] * (self.num_messages + 1)
         for u, k in enumerate(self.adjacency, 1):
             for m in k:
@@ -73,7 +86,7 @@ class SideInfoBipartiteGraph:
         return holds, tuple(held_by)
 
     def message_degree(self, message: int) -> int:
-        return sum(1 for k in self.knows if message in k)
+        return self.held_masks[1][message].bit_count() if 1 <= message <= self.num_messages else 0
 
 
 @dataclass(frozen=True)
@@ -119,24 +132,23 @@ def build_problem_graph(inst: EicpInstance) -> BipartiteProblemGraph:
     )
 
 
-def _connected(messages, adjacency) -> bool:
-    """Whether the users and `messages` form one component of the side-info graph.
+def _connected(g: SideInfoBipartiteGraph, messages: int) -> bool:
+    """Whether all users and the messages of mask `messages` form one component.
 
     User 1's held messages grow to a fixpoint: each pass absorbs the messages
     of every user left that holds one already reached.
     """
-    messages = set(messages)
-    held = [messages.intersection(k) for k in adjacency]
+    held = [messages & k for k in g.held_masks[0][1:]]
     if not held:
-        return len(messages) == 1
+        return messages.bit_count() == 1
     reached, rest = held[0], held[1:]
     while rest:
         outside = []
         for k in rest:
-            if reached.isdisjoint(k):
-                outside.append(k)
-            else:
+            if reached & k:
                 reached |= k
+            else:
+                outside.append(k)
         if len(outside) == len(rest):
             return False
         rest = outside
@@ -146,8 +158,8 @@ def _connected(messages, adjacency) -> bool:
 def is_connected(g: SideInfoBipartiteGraph | PrunedGraph) -> bool:
     """Connectivity over ALL vertices (isolated users or messages disconnect)."""
     if isinstance(g, PrunedGraph):
-        return _connected(g.x_prime, g.adjacency)
-    return _connected(range(1, g.num_messages + 1), g.adjacency)
+        return _connected(g.base, _mask(g.x_prime))
+    return _connected(g, (1 << g.num_messages + 1) - 2)
 
 
 def prune_degree_one(g: SideInfoBipartiteGraph) -> PrunedGraph:
@@ -155,8 +167,8 @@ def prune_degree_one(g: SideInfoBipartiteGraph) -> PrunedGraph:
     x_prime = tuple(
         m for m in range(1, g.num_messages + 1) if g.message_degree(m) >= 2
     )
-    keep = set(x_prime)
-    adjacency = tuple(tuple(m for m in k if m in keep) for k in g.adjacency)
+    keep = _mask(x_prime)
+    adjacency = tuple(_members(k & keep) for k in g.held_masks[0][1:])
     return PrunedGraph(g, x_prime, adjacency)
 
 
@@ -218,46 +230,51 @@ def tree_witness_edges(w: StructureWitness) -> set[tuple[int, int]]:
     return {(seq[slot], seq[held]) for slot, held in path_pattern_edges(w.size)}
 
 
-def _holds_all(g: SideInfoBipartiteGraph, user: int, members: set[int]) -> bool:
-    """The covering rule: `user` is outside `members` and holds every one of them."""
-    return user not in members and members <= g.knows[user - 1]
+def _covering_user(g: SideInfoBipartiteGraph, members: int, among: int = -1) -> int | None:
+    """The covering rule: the smallest user of `among` outside `members` holding them all."""
+    users = among & ((1 << g.num_users + 1) - 2) & ~members
+    for m in _members(members):
+        users &= g.held_masks[1][m]
+    return (users & -users).bit_length() - 1 if users else None
 
 
-def _mutually_known(g: SideInfoBipartiteGraph, members) -> bool:
+def _mutually_known(g: SideInfoBipartiteGraph, members: int) -> bool:
     """Whether each member user holds every other member's message."""
-    for a, b in itertools.combinations(members, 2):
-        if b not in g.knows[a - 1] or a not in g.knows[b - 1]:
-            return False
-    return True
+    holds = g.held_masks[0]
+    return all((holds[m] | 1 << m) & members == members for m in _members(members))
 
 
 def verify_structure(g: SideInfoBipartiteGraph, w: StructureWitness) -> bool:
     """True iff the witness is well formed and every edge it asserts exists in g.
 
-    Members are distinct, each both a user and a message; a covering user meets _holds_all.
+    Members are distinct, each both a user and a message; a covering user
+    meets the covering rule.
     """
     n = w.size
-    members = set(w.msg_seq)
     limit = min(g.num_users, g.num_messages)
-    if len(members) != n or any(not 1 <= m <= limit for m in members):
+    # Members out of range are left out and repeats carry: both leave < n bits.
+    members = _mask(m for m in w.msg_seq if 1 <= m <= limit)
+    if members.bit_count() != n:
         return False
     cov = w.covering_user
-    if cov is not None and not (1 <= cov <= g.num_users and _holds_all(g, cov, members)):
+    if cov is not None and not (1 <= cov <= g.num_users
+                                and _covering_user(g, members, 1 << cov) == cov):
         return False
     if w.kind == SINGLE_EDGE:
         return n == 1 and w.covered
     if w.kind == COVERED_PAIR:
-        return n == 2 and w.covered and _mutually_known(g, w.msg_seq)
+        return n == 2 and w.covered and _mutually_known(g, members)
     if w.kind == BICLIQUE:
-        return n >= 2 and _mutually_known(g, w.msg_seq)
+        return n >= 2 and _mutually_known(g, members)
     if w.kind == REGULAR_TREE:
+        holds = g.held_masks[0]
         return (n >= 3 and not w.covered
-                and all(m in g.knows[u - 1] for u, m in tree_witness_edges(w)))
+                and all(holds[u] >> m & 1 for u, m in tree_witness_edges(w)))
     return False
 
 
-def _pack(remaining: list[int], find) -> tuple[list[StructureWitness], list[int]]:
-    """Greedy message-disjoint packing: (taken structures, messages left).
+def _pack(remaining: int, find) -> tuple[list[StructureWitness], int]:
+    """Greedy message-disjoint packing: (taken structures, mask of messages left).
 
     Takes `find(remaining)` until it returns None, dropping each taken
     structure's messages from `remaining`. Removing messages never creates a
@@ -266,22 +283,20 @@ def _pack(remaining: list[int], find) -> tuple[list[StructureWitness], list[int]
     taken: list[StructureWitness] = []
     while (w := find(remaining)) is not None:
         taken.append(w)
-        remaining = [m for m in remaining if m not in w.msg_seq]
+        remaining &= ~_mask(w.msg_seq)
     return taken, remaining
 
 
-def _find_tree(g: SideInfoBipartiteGraph, pool: Sequence[int], n: int
-               ) -> StructureWitness | None:
+def _find_tree(g: SideInfoBipartiteGraph, pool: int, n: int) -> StructureWitness | None:
     """Regular tree on the lexicographically first size-n sequence from `pool`, or None.
 
-    `pool` is ascending and n >= 3. The walk fills the slots of
+    `pool` is a message mask and n >= 3. The walk fills the slots of
     path_pattern_edges(n) in order, and a slot's candidates are the free
     pool members that close every pattern edge ending at it: any member at
     slot 0, a member s_0 holds at slot 1, and at slot j >= 2 a member both
     s_{j-1} and s_{j-2} hold; at slots n - 2 and n - 1 the member must also
     hold s_0. Candidates are bits of one mask, visited in ascending order,
-    which is pool order, so the first sequence found is the
-    lexicographically first.
+    so the first sequence found is the lexicographically first.
 
     Two cuts drop only branches that hold no tree:
       - After slot j <= n - 3 is filled, slots n - 2 and n - 1 are both
@@ -293,14 +308,13 @@ def _find_tree(g: SideInfoBipartiteGraph, pool: Sequence[int], n: int
         its members each hold fewer than two others, or when two are each
         held by fewer than two others.
     """
-    if len(pool) < n:
+    if pool.bit_count() < n:
         return None
     holds, held_by = g.held_masks
-    free = sum(1 << m for m in pool)
-    if n == len(pool):
+    if n == pool.bit_count():
         short_out = short_in = 0
-        for m in pool:
-            others = free ^ (1 << m)
+        for m in _members(pool):
+            others = pool ^ (1 << m)
             short_out += (holds[m] & others).bit_count() < 2
             short_in += (held_by[m] & others).bit_count() < 2
         if short_out > 1 or short_in > 1:
@@ -331,25 +345,18 @@ def _find_tree(g: SideInfoBipartiteGraph, pool: Sequence[int], n: int
                 return True
         return False
 
-    found = extend(0, free, free, -1, 0)
+    found = extend(0, pool, pool, -1, 0)
     del extend  # it refers to itself: free it at return, not at a full collection
     return StructureWitness(REGULAR_TREE, tuple(seq)) if found else None
 
 
-def _member_pool(g: SideInfoBipartiteGraph) -> list[int]:
-    """The messages that have a member user (their demander), ascending."""
-    return list(range(1, min(g.num_users, g.num_messages) + 1))
+def _member_pool(g: SideInfoBipartiteGraph) -> int:
+    """The mask of the messages that have a member user (their demander)."""
+    return (1 << min(g.num_users, g.num_messages) + 1) - 2
 
 
-def _covering_user(g: SideInfoBipartiteGraph, members) -> int | None:
-    """Smallest user outside `members` that holds every member message."""
-    member_set = set(members)
-    return next((c for c in range(1, g.num_users + 1) if _holds_all(g, c, member_set)), None)
-
-
-def _clique_witness(g: SideInfoBipartiteGraph, members: tuple[int, ...]
-                    ) -> StructureWitness | None:
-    """Mutual-knowledge witness on the sorted `members`, or None if two miss each other.
+def _clique_witness(g: SideInfoBipartiteGraph, members: int) -> StructureWitness | None:
+    """Mutual-knowledge witness on the `members` mask, or None if two miss each other.
 
     Two members with a covering user form a covered pair; any other clique is
     a biclique, covered when some outside user holds all of it.
@@ -357,15 +364,15 @@ def _clique_witness(g: SideInfoBipartiteGraph, members: tuple[int, ...]
     if not _mutually_known(g, members):
         return None
     cov = _covering_user(g, members)
-    kind = COVERED_PAIR if len(members) == 2 and cov is not None else BICLIQUE
-    return StructureWitness(kind, members, covering_user=cov)
+    kind = COVERED_PAIR if members.bit_count() == 2 and cov is not None else BICLIQUE
+    return StructureWitness(kind, _members(members), covering_user=cov)
 
 
 def search_regular_trees(g: SideInfoBipartiteGraph) -> list[StructureWitness]:
     """Greedy message-disjoint packing of regular trees on the member messages, largest first."""
     remaining = _member_pool(g)
     found: list[StructureWitness] = []
-    for n in range(len(remaining), 2, -1):
+    for n in range(remaining.bit_count(), 2, -1):
         trees, remaining = _pack(remaining, lambda pool: _find_tree(g, pool, n))
         found += trees
     return found
@@ -374,8 +381,8 @@ def search_regular_trees(g: SideInfoBipartiteGraph) -> list[StructureWitness]:
 def find_covered_pairs(g: SideInfoBipartiteGraph) -> list[StructureWitness]:
     """Every covered pair of member messages, lexicographic, smallest cover user."""
     out = []
-    for pair in itertools.combinations(_member_pool(g), 2):
-        w = _clique_witness(g, pair)
+    for pair in itertools.combinations(_members(_member_pool(g)), 2):
+        w = _clique_witness(g, _mask(pair))
         if w is not None and w.kind == COVERED_PAIR:
             out.append(w)
     return out
@@ -383,47 +390,42 @@ def find_covered_pairs(g: SideInfoBipartiteGraph) -> list[StructureWitness]:
 
 def single_edge_witness(g: SideInfoBipartiteGraph, message: int) -> StructureWitness | None:
     """Lone message delivered plainly by its smallest non-demanding holder."""
-    cov = _covering_user(g, (message,))
+    cov = _covering_user(g, 1 << message) if 1 <= message <= g.num_messages else None
     if cov is None:
         return None
     return StructureWitness(SINGLE_EDGE, (message,), covering_user=cov)
 
 
-def _mutual_knowledge_edges(g: SideInfoBipartiteGraph, pool: list[int]) -> dict[int, set[int]]:
-    adj: dict[int, set[int]] = {m: set() for m in pool}
-    for a, b in itertools.combinations(pool, 2):
-        if _mutually_known(g, (a, b)):
-            adj[a].add(b)
-            adj[b].add(a)
-    return adj
+def _max_clique(g: SideInfoBipartiteGraph, pool: int) -> int:
+    """Exact maximum clique in `pool`, lexicographically smallest among the largest.
 
+    Candidates are walked in ascending bit order; m's neighbours are
+    holds[m] & held_by[m], the members it holds that also hold it.
+    """
+    holds, held_by = g.held_masks
+    best = best_size = 0
 
-def _max_clique(vertices: list[int], adj: dict[int, set[int]]) -> list[int]:
-    """Exact maximum clique, lexicographically smallest among the largest."""
-    best: list[int] = []
-
-    def grow(clique: list[int], candidates: list[int]):
-        nonlocal best
-        if len(clique) + len(candidates) <= len(best):
+    def grow(clique: int, size: int, cands: int):
+        nonlocal best, best_size
+        if not cands:
+            if size > best_size:
+                best, best_size = clique, size
             return
-        if not candidates:
-            if len(clique) > len(best):
-                best = list(clique)
-            return
-        for idx, v in enumerate(candidates):
-            if len(clique) + len(candidates) - idx <= len(best):
-                break
-            grow(clique + [v], [w for w in candidates[idx + 1:] if w in adj[v]])
+        while cands and size + cands.bit_count() > best_size:
+            low = cands & -cands
+            cands ^= low
+            m = low.bit_length() - 1
+            grow(clique | low, size + 1, cands & holds[m] & held_by[m])
 
-    grow([], vertices)
+    grow(0, 0, pool)
     del grow  # it refers to itself: free it at return, not at a full collection
     return best
 
 
-def _lone_messages(g: SideInfoBipartiteGraph, left: list[int]) -> list[StructureWitness]:
-    """A single edge for each message in `left`; ConsistencyError if one has no outside holder."""
+def _lone_messages(g: SideInfoBipartiteGraph, left: int) -> list[StructureWitness]:
+    """A single edge per message of mask `left`; ConsistencyError if one has no outside holder."""
     found = []
-    for m in left:
+    for m in _members(left):
         w = single_edge_witness(g, m)
         if w is None:
             raise ConsistencyError(f"message {m} has no outside holder")
@@ -437,15 +439,11 @@ def search_bicliques(g: SideInfoBipartiteGraph) -> list[StructureWitness]:
     Leftover messages come out as single edges; a message no other user holds
     is a ConsistencyError (cannot happen on valid instances).
     """
-    remaining = _member_pool(g)
-    # Cliques draw only from `remaining`, so one edge map serves every round.
-    adj = _mutual_knowledge_edges(g, remaining)
+    def find(pool: int) -> StructureWitness | None:
+        clique = _max_clique(g, pool)
+        return _clique_witness(g, clique) if clique.bit_count() >= 2 else None
 
-    def find(pool: list[int]) -> StructureWitness | None:
-        clique = _max_clique(pool, adj)
-        return _clique_witness(g, tuple(sorted(clique))) if len(clique) >= 2 else None
-
-    found, left = _pack(remaining, find)
+    found, left = _pack(_member_pool(g), find)
     return found + _lone_messages(g, left)
 
 
@@ -454,20 +452,17 @@ def canonical_form(g: SideInfoBipartiteGraph) -> bytes:
 
     For each user ordering, a message becomes the bitmask of its holders and
     the multiset of masks is sorted, which fully absorbs the message
-    permutation; minimizing over user orderings makes the key exact.
+    permutation; minimizing over user orderings makes the key exact. An
+    ordering weighs each user by 1 << its position, and a message's mask
+    sums the weights of the holders in its held_by column.
     """
     if g.num_users > CANONICAL_SIZE_LIMIT or g.num_messages > CANONICAL_SIZE_LIMIT:
         raise GuardExceededError(
             f"canonical_form supports at most {CANONICAL_SIZE_LIMIT} users and messages"
         )
-    best: tuple[int, ...] | None = None
-    users = range(g.num_users)
-    for perm in itertools.permutations(users):
-        cols = sorted(
-            sum(1 << p for p, orig in enumerate(perm) if m in g.knows[orig])
-            for m in range(1, g.num_messages + 1)
-        )
-        key = tuple(cols)
-        if best is None or key < best:
-            best = key
+    holders = [_members(col >> 1) for col in g.held_masks[1][1:]]
+    best = min(
+        sorted([sum([weight[u] for u in col]) for col in holders])
+        for weight in itertools.permutations([1 << p for p in range(g.num_users)])
+    )
     return bytes([g.num_users, g.num_messages, *best])

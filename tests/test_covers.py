@@ -391,3 +391,18 @@ def test_tree_cover_plans_pinned_past_n8():
              for n in (10, 12) for d in (0.3, 0.5, 0.9) for exact in (False, True)]
     digest = hashlib.sha256("\n".join(plans).encode()).hexdigest()
     assert digest == "74fd79cb60f4ba247f4e0f4eb79c87b6885bcff2599ffa9efe0d298ecc0bbb57"
+
+
+def test_biclique_plans_pinned_past_n8():
+    # search_bicliques and the greedy and exact biclique plans at n = 10 and
+    # 12, as the tree plans are pinned above.
+    outputs = []
+    for n in (10, 12):
+        for d in (0.3, 0.5, 0.9):
+            inst = random_single_unicast(n, 2, d, 0)
+            graph, _ = demand_relabeling(inst)
+            outputs.append(json.dumps([w.to_json_obj() for w in search_bicliques(graph)]))
+            outputs += [json.dumps(biclique_cover(inst, exact=exact).to_json_obj())
+                        for exact in (False, True)]
+    digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
+    assert digest == "44fcba600a77a8cdf0a53555736fd46f9628cff986805d7118e94ebeee8bf075"

@@ -135,3 +135,16 @@ def test_family_reps_match_the_full_product_dedupe():
                 family = _mask_family_to_sets(masks, m)
                 reps.setdefault(canonical_form(SideInfoBipartiteGraph(n, m, family)), family)
         assert _canonical_family_reps(n, m) == list(reps.values())
+
+
+def test_canonical_keys_of_every_visited_family_pinned():
+    # The key bytes of every valid family _canonical_family_reps walks at
+    # 2-4 users and messages; the keys are self-delimiting (users, messages,
+    # then one byte per message), so they are hashed back to back.
+    keys = [canonical_form(SideInfoBipartiteGraph(n, m, _mask_family_to_sets(masks, m)))
+            for n, m in itertools.product(range(2, 5), repeat=2)
+            for masks in itertools.combinations_with_replacement(range((1 << m) - 1), n)
+            if _family_valid(masks, m)]
+    assert len(keys) == 1821
+    digest = hashlib.sha256(b"".join(keys)).hexdigest()
+    assert digest == "34b5d2c379ac4733acef9eefce962683e26760ca3874af7cb25ee596a51ddf29"

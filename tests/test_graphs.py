@@ -11,6 +11,7 @@ from eicp.errors import ConsistencyError, GuardExceededError
 from eicp.experiments import random_single_unicast, regular_tree_instance
 from eicp.gf import FieldOrder
 from eicp.graphs import (
+    BICLIQUE,
     REGULAR_TREE,
     SideInfoBipartiteGraph,
     StructureWitness,
@@ -27,7 +28,15 @@ from eicp.graphs import (
     uniq_demanded,
     verify_structure,
 )
-from eicp.graphs import _find_tree, _member_pool
+from eicp.graphs import (
+    _covering_user,
+    _find_tree,
+    _mask,
+    _max_clique,
+    _member_pool,
+    _members,
+    _mutually_known,
+)
 from eicp.model import EicpInstance
 
 
@@ -43,6 +52,7 @@ def test_side_info_graph_shape(mixed4):
     g = build_side_info_graph(mixed4)
     assert g.num_users == 4 and g.num_messages == 4
     assert sum(g.message_degree(m) for m in range(1, 5)) == 7
+    assert g.message_degree(-1) == g.message_degree(0) == g.message_degree(5) == 0
 
 
 def test_side_info_graph_ignores_demands(mixed4):
@@ -151,7 +161,10 @@ def test_verify_structure_rejects_a_member_without_a_user():
     g = SideInfoBipartiteGraph(3, 4, ((2, 4), (1, 4), (1, 2, 4)))
     assert verify_structure(g, StructureWitness("covered_pair", (1, 2), covering_user=3))
     for w in (StructureWitness("biclique", (1, 4)),
-              StructureWitness("single_edge", (4,), covering_user=3)):
+              StructureWitness("single_edge", (4,), covering_user=3),
+              # A repeated member, and one that is no index at all.
+              StructureWitness("covered_pair", (1, 1), covering_user=3),
+              StructureWitness("covered_pair", (0, 1), covering_user=3)):
         assert not verify_structure(g, w)
 
 
@@ -204,16 +217,80 @@ def test_find_tree_matches_brute_force():
         for d in (0.3, 0.5, 0.7):
             for seed in range(4):
                 g, _ = demand_relabeling(random_single_unicast(n, 2, d, seed))
-                pool = _member_pool(g)
+                pool = tuple(range(1, n + 1))
+                assert _member_pool(g) == _mask(pool)
                 for size in range(3, n + 1):
-                    assert _find_tree(g, pool, size) == first_tree(g, pool, size)
+                    assert _find_tree(g, _mask(pool), size) == first_tree(g, pool, size)
                     for block in itertools.combinations(pool, size):
-                        w = _find_tree(g, block, size)
+                        w = _find_tree(g, _mask(block), size)
                         assert w == first_tree(g, block, size)
                         blocks += 1
                         trees += w is not None
     assert blocks == 768
     assert trees >= 150
+
+
+def test_mask_rules_match_the_set_definitions():
+    # Seeded graphs with helpers (more users than messages) and with more
+    # messages than users, against the set-based rules written out here.
+    def covers(adj, c, members):
+        return c not in members and set(members) <= set(adj[c - 1])
+
+    def covering_user(adj, members):
+        return next((c for c in range(1, len(adj) + 1) if covers(adj, c, members)), None)
+
+    def mutually_known(adj, members):
+        return all(b in adj[a - 1] and a in adj[b - 1]
+                   for a, b in itertools.combinations(members, 2))
+
+    def first_largest_clique(adj, pool):
+        return next((c for size in range(len(pool), 0, -1)
+                     for c in itertools.combinations(pool, size) if mutually_known(adj, c)), ())
+
+    def connected(adj, messages):
+        # Breadth-first search over the explicit user -- message edges.
+        nodes = [("u", u) for u in range(1, len(adj) + 1)] + [("m", m) for m in messages]
+        edges = {node: [] for node in nodes}
+        for u, held in enumerate(adj, 1):
+            for m in held:
+                if m in messages:
+                    edges["u", u].append(("m", m))
+                    edges["m", m].append(("u", u))
+        if not nodes:
+            return False
+        seen, frontier = {nodes[0]}, [nodes[0]]
+        while frontier:
+            frontier = [v for node in frontier for v in edges[node] if v not in seen]
+            seen.update(frontier)
+        return len(seen) == len(nodes)
+
+    rng = random.Random(18)
+    shapes = helpers = wide = 0
+    for users, messages in itertools.product(range(1, 8), repeat=2):
+        for d in (0.2, 0.5, 0.8):
+            for _ in range(3):
+                adj = tuple(tuple(m for m in range(1, messages + 1) if rng.random() < d)
+                            for _ in range(users))
+                g = SideInfoBipartiteGraph(users, messages, adj)
+                assert is_connected(g) == connected(adj, tuple(range(1, messages + 1)))
+                pruned = prune_degree_one(g)
+                assert is_connected(pruned) == connected(adj, pruned.x_prime)
+                pool = _members(_member_pool(g))
+                for size in range(len(pool) + 1):
+                    for members in itertools.combinations(pool, size):
+                        mask = _mask(members)
+                        known = mutually_known(adj, members)
+                        assert _covering_user(g, mask) == covering_user(adj, members)
+                        assert _mutually_known(g, mask) == known
+                        assert _members(_max_clique(g, mask)) == first_largest_clique(adj, members)
+                        if size >= 2:
+                            for c in range(1, users + 1):
+                                w = StructureWitness(BICLIQUE, members, covering_user=c)
+                                assert verify_structure(g, w) == (known and covers(adj, c, members))
+                shapes += 1
+                helpers += users > messages
+                wide += messages > users
+    assert shapes == 441 and helpers == wide == 189
 
 
 def test_search_trees_two_components():
@@ -267,6 +344,7 @@ def test_single_edge_witness(seven_user):
         "single_edge", (1,), covering_user=2)
     held_by_none = SideInfoBipartiteGraph(2, 2, ((2,), (2,)))
     assert single_edge_witness(held_by_none, 1) is None
+    assert all(single_edge_witness(lonely, m) is None for m in (-1, 0, 3))
 
 
 def test_canonical_form_permutation_invariant():
