@@ -216,12 +216,17 @@ class EchelonBasis:
 def basis_insert(basis: EchelonBasis, v: GfVector) -> tuple[EchelonBasis, bool]:
     """Insert v; returns (new_basis, grew). grew is False iff v was already in the span."""
     residue = _reduce_against(basis, v)
-    pivot = next((i for i, c in enumerate(residue) if c), None)
-    if pivot is None:
+    for pivot, lead in enumerate(residue):
+        if lead:
+            break
+    else:
         return basis, False
     q = basis.q
-    inv = field_inv(residue[pivot], q)
-    row = tuple([(inv * c) % q for c in residue])
+    if lead == 1:
+        row = tuple(residue)
+    else:
+        inv = inverse_table(q)[lead]
+        row = tuple([(inv * c) % q for c in residue])
     return EchelonBasis(q, basis.dim, basis.rows + (row,), basis.pivots + (pivot,)), True
 
 

@@ -24,9 +24,13 @@ incumbent's length.
 
 Route two (minrank_oracle) exhaustively searches codes of increasing length
 and reports the first feasible length. It examines every column subset of
-each length, with no pruning at all; subsets that share a prefix share the
-users' bases over it, built once on the reference kernel. The two routes
-must agree; the workbench treats disagreement as a defect, never as data.
+each length, with no pruning at all, on the reference kernel. Each user
+starts from its side-info basis s, its demand and every pool column reduced
+against s once per call; subsets that share a prefix share each user's
+basis b over it (s plus the prefix) and its demand reduced against b, built
+once. The bases are the ones plain inserts give: b extends s, so the echelon
+rule makes reduce(b, reduce(s, v)) equal reduce(b, v). The two routes must
+agree; the workbench treats disagreement as a defect, never as data.
 
 Both routes accept an optional `users` subset and then answer for the
 sub-problem in which only those users must decode while every user of the
@@ -55,7 +59,16 @@ from .errors import (
     InvalidCodeError,
     OracleExhaustedError,
 )
-from .gf import EchelonBasis, GfMatrix, GfVector, basis_insert, in_span, inverse_table, packed_space
+from .gf import (
+    EchelonBasis,
+    GfMatrix,
+    GfVector,
+    basis_insert,
+    in_span,
+    inverse_table,
+    packed_space,
+    reduce,
+)
 from .graphs import BipartiteProblemGraph
 from .model import EicpInstance, require_valid
 
@@ -611,8 +624,13 @@ def minrank_oracle(inst: EicpInstance, l_max: int | None = None, users=None,
     Independent of the branch-and-bound route: no per-user rows, no pruning
     by rank and no packed kernel, just level-by-level feasibility. Each
     length's subsets are walked depth first in itertools.combinations order,
-    and every one of them is examined; a prefix's side-info-plus-prefix
-    bases are built once for all the subsets that extend it. The winning
+    and every one of them is examined. Each user enters the walk as its
+    side-info basis s, its demand reduced against s, and every pool column
+    reduced against s, each reduced once per call; a prefix's bases and
+    demand residues are built once for all the subsets that extend it (see
+    _first_serving_subset). Since every basis of the walk extends s,
+    reduce(b, reduce(s, v)) == reduce(b, v), so inserting a reduced column
+    gives the very basis inserting the column did. The winning
     subset is rebuilt as a code and re-verified through the code checker
     before it is returned. Exhausting l_max without an answer raises
     OracleExhaustedError; with the default l_max the plain per-demand scheme
@@ -627,14 +645,17 @@ def minrank_oracle(inst: EicpInstance, l_max: int | None = None, users=None,
     else:
         _checked_int(l_max, "l_max", minimum=None)
     pool = _transmission_pool(inst)
-
-    start = [(side_info_basis(inst, i), unit_vector(inst.q, inst.num_messages, inst.demand(i)))
-             for i in users]
     vectors = [vec for vec, _sender in pool]
+
+    start = []
+    for i in users:
+        side = side_info_basis(inst, i)
+        demand = reduce(side, unit_vector(inst.q, inst.num_messages, inst.demand(i)))
+        start.append((side, demand, [reduce(side, v) for v in vectors]))
 
     examined = 0
     for length in range(1, l_max + 1):
-        found, examined = _first_serving_subset(vectors, start, 0, length, examined, budget)
+        found, examined = _first_serving_subset(len(vectors), start, 0, length, examined, budget)
         if found is None:
             continue
         subset = [pool[k] for k in found]
@@ -649,38 +670,50 @@ def minrank_oracle(inst: EicpInstance, l_max: int | None = None, users=None,
     raise OracleExhaustedError(l_max)
 
 
-def _first_serving_subset(vectors, users, first, length, examined, budget):
-    """The first `length`-subset of vectors[first:] serving every user, and the count.
+def _first_serving_subset(size, pending, first, length, examined, budget):
+    """The first `length`-subset of pool indices first..size-1 serving every user, and the count.
 
     Subsets are visited in itertools.combinations order, each counted into
-    `examined` and checked against `budget` before it is tested. `users`
-    holds, for each user, the basis of its side information plus the chosen
-    prefix and its demand's unit vector, or None once the prefix serves it;
-    spans only grow, so every extension serves it too, and its basis grows no
-    further. Returns the pool indices of the subset (None if there is none)
-    and the updated count.
+    `examined` and checked against `budget` before it is tested. `pending`
+    lists each user the chosen prefix does not serve yet as (basis, residue,
+    columns): b, the basis of its side information s plus the prefix; its
+    demand reduced against b, which is nonzero; and every pool column
+    reduced against s alone. b extends s, so reduce(b, reduce(s, v)) ==
+    reduce(b, v) and inserting a reduced column grows b exactly as
+    inserting the column would. The residue is zero on every pivot of b, so
+    a grown basis reduces it with at most one row operation, and it lies in
+    a grown span iff the demand does. A user the prefix serves is dropped:
+    spans only grow, so every extension serves it too. The list's order is
+    free (a subset serves iff it serves every listed user), so a leaf moves
+    the user that rejected it to the front. Returns the pool indices of the
+    subset (None if there is none) and the updated count.
     """
     if length == 1:
-        for idx in range(first, len(vectors)):
+        for idx in range(first, size):
             examined += 1
             if examined > budget:
                 raise GuardExceededError(
                     f"exhaustive code search examined more than {budget} subsets"
                 )
-            v = vectors[idx]
-            if all(d is None or in_span(basis_insert(b, v)[0], d) for b, d in users):
+            for k, (basis, residue, cols) in enumerate(pending):
+                if not in_span(basis_insert(basis, cols[idx])[0], residue):
+                    # the next leaf asks this user first
+                    if k:
+                        pending.insert(0, pending.pop(k))
+                    break
+            else:
                 return (idx,), examined
         return None, examined
-    for idx in range(first, len(vectors) - length + 1):
-        v = vectors[idx]
+    for idx in range(first, size - length + 1):
         grown = []
-        for basis, demand in users:
-            if demand is not None:
-                basis = basis_insert(basis, v)[0]
-                if in_span(basis, demand):
-                    demand = None
-            grown.append((basis, demand))
-        found, examined = _first_serving_subset(vectors, grown, idx + 1, length - 1,
+        for basis, residue, cols in pending:
+            basis, grew = basis_insert(basis, cols[idx])
+            if grew:
+                residue = reduce(basis, residue)
+                if residue.is_zero():
+                    continue
+            grown.append((basis, residue, cols))
+        found, examined = _first_serving_subset(size, grown, idx + 1, length - 1,
                                                 examined, budget)
         if found is not None:
             return (idx, *found), examined

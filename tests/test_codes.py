@@ -16,6 +16,7 @@ from eicp.codes import (
     message_support,
     parse_code,
     serialize_code,
+    side_info_basis,
     support_violations,
     uncoded_scheme,
     unit_vector,
@@ -29,15 +30,39 @@ from eicp.errors import (
     NotDecodableError,
 )
 from eicp.experiments import regular_tree_instance
-from eicp.gf import FieldOrder, GfVector
+from eicp.gf import EchelonBasis, FieldOrder, GfVector, basis_insert
 from eicp.minrank import minrank_bnb
 from eicp.model import EicpInstance, gen_random
+
+from conftest import all_fixture_instances
 
 
 def _code(inst, *entries):
     return EmbeddedIndexCode(inst, tuple(
         Transmission(u, GfVector(inst.q, tuple(c))) for u, c in entries
     ))
+
+
+def test_side_info_basis_is_the_inserted_units():
+    # side_info_basis writes the rows e_k, k ascending, out directly; they
+    # must be the very basis inserting the same units one by one gives.
+    instances = all_fixture_instances()
+    for q in (2, 3, 5):
+        for n in range(2, 8):
+            for density in (0.3, 0.5, 0.7):
+                for seed in range(3):
+                    try:
+                        instances.append(gen_random(n, n, q, density, seed))
+                    except GenerationError:
+                        continue
+    assert {inst.q for inst in instances} >= {2, 3, 5} and len(instances) > 150
+    for inst in instances:
+        for user in inst.users:
+            inserted = EchelonBasis.empty(inst.q, inst.num_messages)
+            for k in sorted(inst.knows(user)):
+                inserted, grew = basis_insert(inserted, unit_vector(inst.q, inst.num_messages, k))
+                assert grew
+            assert side_info_basis(inst, user) == inserted
 
 
 def test_transmission_rejects_zero_vector():

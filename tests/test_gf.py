@@ -267,6 +267,33 @@ def test_packed_add_agrees_with_vector_add(q):
             assert space.add(space.pack(u), space.pack(v)) == space.pack(total.coords)
 
 
+@pytest.mark.parametrize("q", (2, 3, 5, 7))
+def test_reductions_against_a_sub_basis_carry_over(q):
+    # The oracle reduces each column against a user's side information once
+    # and carries each demand's residue down a prefix. Both rest on these
+    # identities for a basis b grown from s by basis_insert: the rows of s
+    # come first in b, and a vector reduced against s is zero on their pivots.
+    rng = random.Random(3000 + q)
+    for trial in range(80):
+        dim = 1 + trial % 10
+        stack = _differential_stack(rng, q, dim)
+        cut = rng.randrange(len(stack) + 1)
+        s = EchelonBasis.empty(q, dim)
+        for coords in stack[:cut]:
+            s, _ = basis_insert(s, GfVector(q, coords))
+        b = s
+        for coords in stack[cut:]:
+            b, _ = basis_insert(b, GfVector(q, coords))
+        assert b.rows[:s.rank] == s.rows
+        probes = [GfVector(q, coords) for coords in stack]
+        probes += [GfVector(q, [rng.randrange(q) for _ in range(dim)]) for _ in range(4)]
+        for v in probes:
+            assert reduce(b, reduce(s, v)) == reduce(b, v)
+            assert basis_insert(b, reduce(s, v)) == basis_insert(b, v)
+            assert in_span(b, reduce(b, v)) == in_span(b, v)
+            assert in_span(b, reduce(s, v)) == in_span(b, v)
+
+
 def test_packed_lanes_hold_the_largest_sums():
     # At q = 251, reducing (1, 250, ..., 250) by the all-ones row adds 250 to
     # every lane: lane 0 reaches q and the others 2q - 2 = 500.

@@ -139,6 +139,26 @@ def test_one_recheck_for_built_codes():
     assert raisers == ["codes.py checked_code"], raisers
 
 
+def test_oracle_names_no_packed_kernel():
+    # The oracle is the independent route: it runs on the reference kernel
+    # and shares neither the packed kernel nor the branch and bound's
+    # candidates and searches.
+    banned = {"packed_space", "PackedSpace", "build_candidates", "_row_search", "_column_search"}
+    tree = ast.parse((PACKAGE_DIR / "minrank.py").read_text())
+    bodies = {node.name: node for node in tree.body
+              if isinstance(node, ast.FunctionDef)
+              and node.name in ("minrank_oracle", "_first_serving_subset")}
+    assert sorted(bodies) == ["_first_serving_subset", "minrank_oracle"]
+    found = []
+    for name, func in bodies.items():
+        for node in ast.walk(func):
+            named = node.id if isinstance(node, ast.Name) else (
+                node.attr if isinstance(node, ast.Attribute) else None)
+            if named in banned:
+                found.append(f"{name}:{node.lineno} {named}")
+    assert not found, f"the oracle names the branch and bound's kernel: {found}"
+
+
 # Public names nothing in the package or perfbench/ names, each with the
 # reason it stays.
 UNCALLED_PUBLIC_NAMES = {
