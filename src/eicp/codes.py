@@ -241,7 +241,12 @@ def decode_coeffs(code: EmbeddedIndexCode, inst: EicpInstance, user: int
 # ---------- JSON I/O ----------
 
 def parse_code(text: str, inst: EicpInstance) -> EmbeddedIndexCode:
-    """Parse {"transmissions": [{"user": u, "coeffs": [...]}, ...]} against an instance."""
+    """Parse {"transmissions": [{"user": u, "coeffs": [...]}, ...]} against an instance.
+
+    Each coefficient must be an integer in 0..q - 1; any other value is an
+    InstanceFormatError naming the transmission and the value, never reduced
+    mod q.
+    """
     obj = load_json(text)
     if not isinstance(obj, dict) or set(obj) != {"transmissions"}:
         raise InstanceFormatError("code file must be an object with the single key 'transmissions'")
@@ -262,6 +267,11 @@ def parse_code(text: str, inst: EicpInstance) -> EmbeddedIndexCode:
             isinstance(c, int) and not isinstance(c, bool) for c in coeffs
         ):
             raise InstanceFormatError(f"transmission {idx + 1}: 'coeffs' must be a list of integers")
+        bad = next((c for c in coeffs if not 0 <= c < inst.q), None)
+        if bad is not None:
+            raise InstanceFormatError(
+                f"transmission {idx + 1}: coefficient {bad} out of range 0..{inst.q - 1}"
+            )
         transmissions.append(Transmission(user, GfVector(inst.q, tuple(coeffs))))
     return EmbeddedIndexCode(inst, tuple(transmissions))
 

@@ -273,6 +273,14 @@ class PackedSpace:
             return basis, False
         return basis + (self.entry(w),), True
 
+    def multiples(self, v: int) -> list[int]:
+        """[v, 2v, ..., (q - 1)v], as GfVector.scale: for a nonzero v, its nonzero multiples."""
+        add = self.add
+        out = [v]
+        for _ in range(self.q - 2):
+            out.append(add(out[-1], v))
+        return out
+
 
 class _XorSpace(PackedSpace):
     """q = 2: bit k is coordinate k and addition is XOR.
@@ -335,15 +343,8 @@ class _LaneSpace(PackedSpace):
         return v
 
     def entry(self, w: int) -> tuple:
-        offset, high, guard, q = self._offset, self._high, self._guard, self.q
         shift = ((w & -w).bit_length() - 1) // self.width * self.width
-        multiples = [0, w]
-        s = w
-        for _ in range(q - 2):
-            s += w
-            s -= (((s + offset) & high) >> guard) * q
-            multiples.append(s)
-        return shift, self._negs[(w >> shift) & self.lane](multiples)
+        return shift, self._negs[(w >> shift) & self.lane]([0, *self.multiples(w)])
 
 
 def packed_space(q: int, dim: int) -> PackedSpace:

@@ -24,13 +24,17 @@ incumbent's length.
 
 Route two (minrank_oracle) exhaustively searches codes of increasing length
 and reports the first feasible length. It examines every column subset of
-each length, with no pruning at all, on the reference kernel. Each user
-starts from its side-info basis s, its demand and every pool column reduced
-against s once per call; subsets that share a prefix share each user's
-basis b over it (s plus the prefix) and its demand reduced against b, built
-once. The bases are the ones plain inserts give: b extends s, so the echelon
-rule makes reduce(b, reduce(s, v)) equal reduce(b, v). The two routes must
-agree; the workbench treats disagreement as a defect, never as data.
+each length, with no pruning at all, on the reference kernel. The two routes
+must agree; the workbench treats disagreement as a defect, never as data.
+
+Both column searches test decodability by one projection identity. With P_i
+the map that zeroes the coordinates of the messages user i holds,
+span(C + E_K_i) = span(P_i C) + span(E_K_i), and P_i e_d_i = e_d_i since d_i
+is not in K_i; so user i decodes its demand from columns C iff e_d_i lies in
+span(P_i C). The oracle projects a column v once per call, as
+reduce(side_info_basis(inst, i), v), and stage two as a packed `v & keep_i`.
+codes.checked_code, which re-checks every code either route returns, keeps
+the definition.
 
 Both routes accept an optional `users` subset and then answer for the
 sub-problem in which only those users must decode while every user of the
@@ -165,20 +169,23 @@ def _checked_int(value, name: str, minimum: int | None = 1) -> int:
 
 
 class _Budget:
-    __slots__ = ("used", "limit", "label")
+    """The one node counter and guard of every search here.
 
-    def __init__(self, limit: int, label: str = "rank search"):
+    `spend` counts a node and raises GuardExceededError with `message`, fixed
+    when the budget is built, once the count passes `limit`.
+    """
+
+    __slots__ = ("used", "limit", "message")
+
+    def __init__(self, limit: int, message: str):
         self.used = 0
         self.limit = limit
-        self.label = label
+        self.message = message
 
     def spend(self) -> None:
         self.used += 1
         if self.used > self.limit:
-            raise GuardExceededError(
-                f"{self.label} visited more than {self.limit} nodes; "
-                "raise node_limit (--node-limit) to keep going"
-            )
+            raise GuardExceededError(self.message)
 
 
 def _row_search(order: list[CandidateSet], incumbent: int, space, masks: list[int],
@@ -268,13 +275,12 @@ def _column_search(inst: EicpInstance, users, pool, incumbent: int, space, masks
     Depth-first over the scalar-normalized transmittable columns in pool
     order, extending only with columns independent of those already chosen
     (a dependent column never enlarges any user's decoding span, so minimal
-    serving subsets are independent). Decodability is tested by projection:
-    with P_i the map zeroing K_i's coordinates, span(C + E_K_i) is
-    span(P_i C) + span(E_K_i), so user i decodes from the chosen columns C
-    iff P_i e_d_i lies in span(P_i C), and P_i e_d_i = e_d_i since d_i is not
-    in K_i. `pending` carries, for each user still unserved, its mask, the
-    packed basis of its projected columns and the residue of its demand unit
-    against that basis; a user is dropped the moment the residue is zero.
+    serving subsets are independent). Decodability is the projection
+    identity of the module docstring, P_i c being `c & keep_i`, with keep_i
+    the mask of the messages user i does not hold. `pending` carries, for
+    each user still unserved, that mask, the packed basis of its projected
+    columns and the residue of its demand unit against that basis; a user is
+    dropped the moment the residue is zero.
 
     A node C that does not serve every user is cut once
     |C| + max(1, LB - rank(C & mask)) reaches the best size for one of the
@@ -316,8 +322,7 @@ def _column_search(inst: EicpInstance, users, pool, incumbent: int, space, masks
     A node, counted against `budget`, is a tested column: a child checked
     by the rule or a hit of the last-column lookup. Probes are not counted.
     """
-    insert, reduce, add = space.insert, space.reduce, space.add
-    q = inst.q
+    insert, reduce, add, multiples = space.insert, space.reduce, space.add, space.multiples
     columns = [space.pack(vec.coords) for vec, _sender in pool]
     start_pending = [
         (space.mask(m - 1 for m in inst.messages if m not in inst.knows(i)), (),
@@ -329,12 +334,6 @@ def _column_search(inst: EicpInstance, users, pool, incumbent: int, space, masks
     # Both indexes are built on first use: small searches never need them.
     first_index: dict[int, int] = {}  # nonzero multiple of a pool column -> its pool index
     projected: dict[int, dict] = {}  # keep mask -> col & keep -> ascending pool indices
-
-    def multiples(v: int) -> list[int]:
-        out = [v]
-        for _ in range(q - 2):
-            out.append(add(out[-1], v))
-        return out
 
     def last_column(pos: int, span: list, pending: list) -> int | None:
         keep, _basis, residue = pending[0]
@@ -548,10 +547,12 @@ def minrank_bnb(inst: EicpInstance, users=None,
     sets = acyclic_sets(inst, users)
     lower_bound = len(sets[0])
     masks = [space.mask(inst.demand(u) - 1 for u in s) for s in sets]
-    budget = _Budget(limit)
+    budget, column_budget = (
+        _Budget(limit, f"{search} visited more than {limit} nodes; "
+                       "raise node_limit (--node-limit) to keep going")
+        for search in ("rank search", "code search"))
     row_rank, choice = _row_search(order, start_incumbent, space, masks, lower_bound, budget)
 
-    column_budget = _Budget(limit, "code search")
     improvement = None
     pool_size = 0
     if row_rank > lower_bound:
@@ -624,45 +625,43 @@ def minrank_oracle(inst: EicpInstance, l_max: int | None = None, users=None,
     Independent of the branch-and-bound route: no per-user rows, no pruning
     by rank and no packed kernel, just level-by-level feasibility. Each
     length's subsets are walked depth first in itertools.combinations order,
-    and every one of them is examined. Each user enters the walk as its
-    side-info basis s, its demand reduced against s, and every pool column
-    reduced against s, each reduced once per call; a prefix's bases and
-    demand residues are built once for all the subsets that extend it (see
-    _first_serving_subset). Since every basis of the walk extends s,
-    reduce(b, reduce(s, v)) == reduce(b, v), so inserting a reduced column
-    gives the very basis inserting the column did. The winning
-    subset is rebuilt as a code and re-verified through the code checker
-    before it is returned. Exhausting l_max without an answer raises
-    OracleExhaustedError; with the default l_max the plain per-demand scheme
-    guarantees an answer. A bool or non-integer l_max or budget, or a budget
-    below 1, is a ValueError.
+    and every one of them is examined, at most `budget` in all. Decodability
+    is the projection identity of the module docstring: each user enters the
+    walk as an empty basis, its demand's unit vector, and every pool column
+    projected once by reduce(side_info_basis(inst, i), v), and a prefix's
+    bases are built once for all the subsets that extend it (see
+    _first_serving_subset). The winning subset is rebuilt as a code and
+    re-verified through the code checker before it is returned. Exhausting
+    l_max without an answer raises OracleExhaustedError; with the default
+    l_max the plain per-demand scheme guarantees an answer. A bool or
+    non-integer l_max or budget, or a budget below 1, is a ValueError.
     """
     require_valid(inst)
     users = _resolve_users(inst, users)
-    _checked_int(budget, "oracle budget")
+    examined = _Budget(_checked_int(budget, "oracle budget"),
+                       f"exhaustive code search examined more than {budget} subsets")
     if l_max is None:
         l_max = len({inst.demand(i) for i in users})
     else:
         _checked_int(l_max, "l_max", minimum=None)
     pool = _transmission_pool(inst)
     vectors = [vec for vec, _sender in pool]
-
+    empty = EchelonBasis.empty(inst.q, inst.num_messages)
     start = []
     for i in users:
         side = side_info_basis(inst, i)
-        demand = reduce(side, unit_vector(inst.q, inst.num_messages, inst.demand(i)))
-        start.append((side, demand, [reduce(side, v) for v in vectors]))
+        start.append((empty, unit_vector(inst.q, inst.num_messages, inst.demand(i)),
+                      [reduce(side, v) for v in vectors]))
 
-    examined = 0
     for length in range(1, l_max + 1):
-        found, examined = _first_serving_subset(len(vectors), start, 0, length, examined, budget)
+        found = _first_serving_subset(len(vectors), start, 0, length, examined)
         if found is None:
             continue
         subset = [pool[k] for k in found]
         code = checked_code(inst, users, (Transmission(sender, vec) for vec, sender in subset),
                             "the oracle")
         stats = {
-            "subsets_examined": examined,
+            "subsets_examined": examined.used,
             "pool_size": len(pool),
             "l_max": l_max,
         }
@@ -670,54 +669,41 @@ def minrank_oracle(inst: EicpInstance, l_max: int | None = None, users=None,
     raise OracleExhaustedError(l_max)
 
 
-def _first_serving_subset(size, pending, first, length, examined, budget):
-    """The first `length`-subset of pool indices first..size-1 serving every user, and the count.
+def _first_serving_subset(size, pending, first, length, budget):
+    """The pool indices of the first `length`-subset of first..size-1 serving every user.
 
-    Subsets are visited in itertools.combinations order, each counted into
-    `examined` and checked against `budget` before it is tested. `pending`
-    lists each user the chosen prefix does not serve yet as (basis, residue,
-    columns): b, the basis of its side information s plus the prefix; its
-    demand reduced against b, which is nonzero; and every pool column
-    reduced against s alone. b extends s, so reduce(b, reduce(s, v)) ==
-    reduce(b, v) and inserting a reduced column grows b exactly as
-    inserting the column would. The residue is zero on every pivot of b, so
-    a grown basis reduces it with at most one row operation, and it lies in
-    a grown span iff the demand does. A user the prefix serves is dropped:
-    spans only grow, so every extension serves it too. The list's order is
-    free (a subset serves iff it serves every listed user), so a leaf moves
-    the user that rejected it to the front. Returns the pool indices of the
-    subset (None if there is none) and the updated count.
+    Subsets are visited in itertools.combinations order, each spent from
+    `budget` before it is tested; None if none serves. `pending` lists each
+    user the chosen prefix does not serve yet as (basis, demand, columns):
+    the basis of its projected prefix columns, its demand's unit vector, and
+    every pool column projected (the projection identity of the module
+    docstring). A user the prefix serves is dropped: spans only grow, so
+    every extension serves it too. The list's order is free (a subset serves
+    iff it serves every listed user), so a leaf moves the user that rejected
+    it to the front.
     """
     if length == 1:
         for idx in range(first, size):
-            examined += 1
-            if examined > budget:
-                raise GuardExceededError(
-                    f"exhaustive code search examined more than {budget} subsets"
-                )
-            for k, (basis, residue, cols) in enumerate(pending):
-                if not in_span(basis_insert(basis, cols[idx])[0], residue):
+            budget.spend()
+            for k, (basis, demand, cols) in enumerate(pending):
+                if not in_span(basis_insert(basis, cols[idx])[0], demand):
                     # the next leaf asks this user first
                     if k:
                         pending.insert(0, pending.pop(k))
                     break
             else:
-                return (idx,), examined
-        return None, examined
+                return (idx,)
+        return None
     for idx in range(first, size - length + 1):
         grown = []
-        for basis, residue, cols in pending:
+        for basis, demand, cols in pending:
             basis, grew = basis_insert(basis, cols[idx])
-            if grew:
-                residue = reduce(basis, residue)
-                if residue.is_zero():
-                    continue
-            grown.append((basis, residue, cols))
-        found, examined = _first_serving_subset(size, grown, idx + 1, length - 1,
-                                                examined, budget)
+            if not (grew and in_span(basis, demand)):
+                grown.append((basis, demand, cols))
+        found = _first_serving_subset(size, grown, idx + 1, length - 1, budget)
         if found is not None:
-            return (idx, *found), examined
-    return None, examined
+            return (idx, *found)
+    return None
 
 
 def complexity_report(inst: EicpInstance, users=None,

@@ -309,6 +309,21 @@ def test_parse_code_rejects_bad_shapes(mixed4):
             mixed4)
 
 
+def test_parse_code_rejects_a_coefficient_outside_the_field(mixed4):
+    # A coefficient is read as written, not reduced mod q: 2 at q = 2 would
+    # otherwise become the empty transmission 0.
+    with pytest.raises(InstanceFormatError) as info:
+        parse_code('{"transmissions": [{"user": 2, "coeffs": [1, 0, 0, 0]}, '
+                   '{"user": 1, "coeffs": [2, 0, 0, 0]}]}', mixed4)
+    assert str(info.value) == "transmission 2: coefficient 2 out of range 0..1"
+    inst = EicpInstance(3, 2, 2, ((2,), (1,)), (1, 2))
+    with pytest.raises(InstanceFormatError) as info:
+        parse_code('{"transmissions": [{"user": 2, "coeffs": [-1, 0]}]}', inst)
+    assert str(info.value) == "transmission 1: coefficient -1 out of range 0..2"
+    code = parse_code('{"transmissions": [{"user": 2, "coeffs": [2, 0]}]}', inst)
+    assert code.transmissions[0].coeffs.coords == (2, 0)
+
+
 def test_serialize_code_of_bnb_codes_pinned(mixed4, seven_user):
     expected = {
         "mixed4": '{"transmissions": [{"user": 2, "coeffs": [1, 1, 0, 0]}, '

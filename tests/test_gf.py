@@ -268,11 +268,25 @@ def test_packed_add_agrees_with_vector_add(q):
 
 
 @pytest.mark.parametrize("q", (2, 3, 5, 7))
+def test_packed_multiples_agree_with_vector_scale(q):
+    rng = random.Random(4000 + q)
+    for trial in range(60):
+        dim = 1 + trial % 12
+        space = packed_space(q, dim)
+        vectors = [[q - 1] * dim, [1] + [0] * (dim - 1)]
+        vectors += [[rng.randrange(q) for _ in range(dim)] for _ in range(4)]
+        for coords in vectors:
+            v = GfVector(q, coords)
+            assert space.multiples(space.pack(coords)) == [
+                space.pack(v.scale(a).coords) for a in range(1, q)]
+
+
+@pytest.mark.parametrize("q", (2, 3, 5, 7))
 def test_reductions_against_a_sub_basis_carry_over(q):
-    # The oracle reduces each column against a user's side information once
-    # and carries each demand's residue down a prefix. Both rest on these
-    # identities for a basis b grown from s by basis_insert: the rows of s
-    # come first in b, and a vector reduced against s is zero on their pivots.
+    # The echelon rule on the reference kernel, for a basis b grown from s by
+    # basis_insert: the rows of s come first in b, and a vector reduced
+    # against s is zero on their pivots, so reduce(b, reduce(s, v)) is
+    # reduce(b, v).
     rng = random.Random(3000 + q)
     for trial in range(80):
         dim = 1 + trial % 10

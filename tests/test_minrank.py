@@ -10,7 +10,13 @@ import pytest
 
 import eicp.codes
 import eicp.minrank
-from eicp.codes import message_support, unit_vector, verify_code
+from eicp.codes import (
+    decodable_from,
+    message_support,
+    side_info_basis,
+    unit_vector,
+    verify_code,
+)
 from eicp.covers import biclique_cover, tree_cover
 from eicp.experiments import random_single_unicast, regular_tree_instance
 from eicp.errors import (
@@ -20,7 +26,7 @@ from eicp.errors import (
     InvalidCodeError,
     OracleExhaustedError,
 )
-from eicp.gf import FieldOrder, GfMatrix, rank
+from eicp.gf import EchelonBasis, FieldOrder, GfMatrix, basis_insert, in_span, rank, reduce
 from eicp.graphs import build_problem_graph
 from eicp.minrank import (
     ACYCLIC_EXACT_USERS_LIMIT,
@@ -429,6 +435,34 @@ def test_oracle_output_pinned():
     assert len(outputs) == 130 + 3 * 10
     digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
     assert digest == "9680727f1da40aef722a35df04569c5bf15a0e88207b605b87b639a56199f191"
+
+
+def test_projection_rule_matches_the_decoding_definition():
+    # Both column searches rest on the projection identity of the minrank
+    # module docstring: user i decodes from columns C iff its demand's unit
+    # vector lies in the span of C projected off i's side information.
+    # codes.decodable_from is the definition: C plus the side-info units.
+    rng = random.Random(20)
+    outcomes = []
+    for q in (2, 3, 5):
+        for seed in range(12):
+            try:
+                inst = gen_random(3 + seed % 3, 3 + seed % 4, q,
+                                  (0.3, 0.5, 0.7)[seed % 3], seed)
+            except GenerationError:
+                continue
+            pool = [vec for vec, _sender in _transmission_pool(inst)]
+            for _ in range(8):
+                cols = rng.sample(pool, rng.randint(0, min(4, len(pool))))
+                for i in inst.users:
+                    side = side_info_basis(inst, i)
+                    basis = EchelonBasis.empty(q, inst.num_messages)
+                    for c in cols:
+                        basis, _ = basis_insert(basis, reduce(side, c))
+                    projected = in_span(basis, unit_vector(q, inst.num_messages, inst.demand(i)))
+                    assert projected == decodable_from(inst, cols, i)
+                    outcomes.append(projected)
+    assert len(outcomes) >= 500 and outcomes.count(True) >= 100 and outcomes.count(False) >= 100
 
 
 def test_transmission_pool_is_scalar_free():

@@ -159,6 +159,30 @@ def test_oracle_names_no_packed_kernel():
     assert not found, f"the oracle names the branch and bound's kernel: {found}"
 
 
+def test_one_guard_raise_in_minrank_searches():
+    # Stage one, stage two and the oracle count their nodes on one _Budget,
+    # so its spend is the only GuardExceededError raised once a search is
+    # running. The two size pre-checks refuse an enumeration before it starts.
+    tree = ast.parse((PACKAGE_DIR / "minrank.py").read_text())
+    functions = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    functions += [(f"{node.name}.{m.name}", m) for node in tree.body
+                  if isinstance(node, ast.ClassDef) for m in node.body
+                  if isinstance(m, ast.FunctionDef)]
+    raisers = sorted(name for name, func in functions if any(
+        isinstance(node, ast.Raise) and any(
+            isinstance(n, ast.Name) and n.id == "GuardExceededError" for n in ast.walk(node))
+        for node in ast.walk(func)))
+    assert raisers == ["_Budget.spend", "_transmission_pool", "graph_candidate_supports"], raisers
+
+
+def test_package_parses_as_python_3_10():
+    # pyproject.toml and the README promise Python 3.10 or newer. This checks
+    # syntax only, with the 3.10 grammar: it cannot tell whether a library
+    # API the code calls exists in 3.10.
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
 # Public names nothing in the package or perfbench/ names, each with the
 # reason it stays.
 UNCALLED_PUBLIC_NAMES = {
