@@ -95,8 +95,7 @@ class GfVector:
         return GfVector(self.q, tuple((a - b) % self.q for a, b in zip(self.coords, other.coords)))
 
     def scale(self, a: int) -> "GfVector":
-        a %= self.q
-        return GfVector(self.q, tuple((a * c) % self.q for c in self.coords))
+        return GfVector(self.q, tuple(a * c for c in self.coords))  # reduced mod q on creation
 
     def is_zero(self) -> bool:
         return not any(self.coords)

@@ -138,8 +138,7 @@ def build_candidates(inst: EicpInstance, users=None,
     users = _resolve_users(inst, users)
     if pool is None:
         pool = _transmission_pool(inst)
-    q = inst.q
-    inv = inverse_table(q)
+    inv = inverse_table(inst.q)
     supports = [message_support(vec) for vec, _sender in pool]
     out = []
     for i in users:
@@ -149,8 +148,7 @@ def build_candidates(inst: EicpInstance, users=None,
         for (vec, _sender), supp in zip(pool, supports):
             lead = vec.coords[d - 1]
             if lead and supp <= allowed:
-                scale = inv[lead]
-                vectors.append(GfVector(q, tuple(scale * c % q for c in vec.coords)))
+                vectors.append(vec.scale(inv[lead]))
         vectors.sort(key=lambda v: (len(message_support(v)), v.coords))
         out.append(CandidateSet(i, tuple(vectors)))
     return out
@@ -199,15 +197,27 @@ def _row_search(order: list[CandidateSet], incumbent: int, space, masks: list[in
     of the acyclic sets' demand `masks`, LB being `lower_bound`, each set's
     size: every completion stacks all of a set's rows, whose rank on its
     demand coordinates is LB. The same test, repeated as the incumbent falls,
-    stops the walk once the incumbent is down to LB. Only a strictly better
-    leaf replaces the rows, so the rows returned are those of the first leaf
-    in search order with the final rank. The stack and its projection on
-    each set are packed bases.
+    stops the walk once the incumbent is down to LB. The stack and its
+    projection on each set are packed bases.
+
+    Two sibling cuts drop leaves that an earlier leaf dominates. A row r
+    already in span(A) ends its siblings: a later sibling's leaf spans at
+    least what r's leaf with the same completion spans. A row that grows A
+    is skipped when its new entry matches an earlier sibling's: the entry is
+    the row's residue against A scaled to a leading 1, one per span A + r,
+    so both subtrees reach the same spans. Only a strictly better leaf is
+    recorded, so neither cut, nor the bound, can drop the first leaf in
+    search order with the final rank.
+
+    That leaf is recorded as its stack alone. Its rows are each user's first
+    candidate, in candidate order, inside its span: an earlier candidate
+    inside it would make an earlier leaf of no larger rank.
     """
-    insert = space.insert
+    insert, reduce = space.insert, space.reduce
     packed = [[space.pack(v.coords) for v in cs.vectors] for cs in order]
-    chosen: list[int] = []
-    best = {cs.user: cs.vectors[0] for cs in order}
+    best = ()
+    for rows in packed:
+        best = insert(best, rows[0])[0]
     last = len(order) - 1
 
     def walk(depth: int, basis: tuple, projections: list) -> None:
@@ -215,28 +225,29 @@ def _row_search(order: list[CandidateSet], incumbent: int, space, masks: list[in
         bound = len(basis) + lower_bound - min(map(len, projections))
         if bound >= incumbent:
             return
-        for idx, row in enumerate(packed[depth]):
+        grown = set()  # the new entries of the siblings so far that grew the stack
+        for row in packed[depth]:
             budget.spend()
-            stack = insert(basis, row)[0]
-            if len(stack) >= incumbent:
-                continue
-            chosen.append(idx)
+            stack, grew = insert(basis, row)
+            if grew:
+                if len(stack) >= incumbent or stack[-1] in grown:
+                    continue
+                grown.add(stack[-1])
             if depth == last:
                 # A full stack holds every set's rows, so the bound is its rank.
-                incumbent = len(stack)
-                best = {cs.user: cs.vectors[i] for cs, i in zip(order, chosen)}
+                incumbent, best = len(stack), stack
             else:
                 walk(depth + 1, stack,
                      [insert(p, row & mask)[0] for p, mask in zip(projections, masks)])
-            chosen.pop()
-            if bound >= incumbent:
+            if not grew or bound >= incumbent:
                 return
 
     try:
         walk(0, (), [()] * len(masks))
     finally:
         del walk  # it refers to itself: free it on every exit, not at a full collection
-    return incumbent, best
+    return incumbent, {cs.user: next(v for v, row in zip(cs.vectors, rows) if not reduce(best, row))
+                       for cs, rows in zip(order, packed)}
 
 
 def extract_code(inst: EicpInstance, witness: GfMatrix, users) -> EmbeddedIndexCode:
@@ -494,7 +505,10 @@ def minrank_bnb(inst: EicpInstance, users=None,
     incumbent at the number of distinct demands, users enter the search with
     the smallest candidate sets first (ties in ascending user order), and a
     subtree is cut as soon as its partial stack already reaches the
-    incumbent.
+    incumbent. Two sibling cuts drop leaves that an earlier leaf dominates
+    (_row_search): a row already inside the partial stack's span ends its
+    siblings, and a row that grows the span into an earlier sibling's grown
+    span is skipped.
 
     Stage two searches transmittable column subsets strictly smaller than the
     stage-one rank; it usually finds nothing, but on chain-like instances the
@@ -521,9 +535,13 @@ def minrank_bnb(inst: EicpInstance, users=None,
     witness is the first row assignment in search order that attains the
     optimum, and the code is read off its independent rows. Stage one starts
     from the first leaf, each user's first candidate being the unit vector of
-    its demand, whose stack has the distinct-demand rank, and records each
-    strictly better assignment as it goes. When stage two improves on stage
-    one, the winning columns become the code, the first minimal serving
+    its demand, whose stack has the distinct-demand rank, and records the
+    stack of each strictly better leaf as it goes. Each cut drops only leaves
+    that follow a leaf of the same or a smaller span, so none of them drops
+    the first optimal leaf, and neither cut can move the answer. That leaf's
+    rows are each user's first candidate inside its span: an earlier one
+    would make an earlier leaf of no larger rank. When stage two improves on
+    stage one, the winning columns become the code, the first minimal serving
     subset in search order, and each witness row is recomputed from its
     user's decoding recipe.
 

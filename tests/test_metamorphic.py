@@ -1,0 +1,70 @@
+"""Metamorphic checks of the exact solver at sizes the oracle cannot reach.
+
+The oracle stops near n = 6 at q = 2, so on larger draws the solver's answer
+is checked against itself: the same question asked through a different
+search. Renumbering users and messages changes every search order but not
+the problem, so kappa, the acyclic-set bound and the stage-one row rank must
+not move (node counts may). Dropping users to decode can only shorten the
+optimal code.
+"""
+
+import random
+
+from eicp.experiments import random_single_unicast
+from eicp.minrank import minrank_bnb
+from eicp.model import EicpInstance, gen_random
+
+
+def relabel(inst: EicpInstance, rng: random.Random) -> EicpInstance:
+    """`inst` with its users and its messages renumbered by permutations drawn from `rng`."""
+    users = list(range(inst.num_users))  # users[new position] = old position
+    rng.shuffle(users)
+    messages = list(inst.messages)
+    rng.shuffle(messages)
+    new = {old: k for k, old in enumerate(messages, 1)}
+    return EicpInstance(inst.q, inst.num_users, inst.num_messages,
+                        side_info=tuple(tuple(new[m] for m in inst.side_info[u]) for u in users),
+                        demands=tuple(new[inst.demands[u]] for u in users))
+
+
+def _corpus():
+    """Seeded gen_random and random_single_unicast draws, q = 2 at n = 6-8 and q = 3 at n = 6.
+
+    At q = 3 and n = 7-8 several single-unicast draws take seconds in stage
+    two, too slow for tier-1.
+    """
+    return [draw
+            for q, sizes in ((2, (6, 7, 8)), (3, (6,)))
+            for n in sizes for density in (0.3, 0.5, 0.7) for seed in (0, 1)
+            for draw in (random_single_unicast(n, q, density, seed),
+                         gen_random(n, n, q, density, seed))]
+
+
+def _answer(inst):
+    r = minrank_bnb(inst)
+    return r.kappa, r.stats["lower_bound"], r.stats["row_rank_bound"]
+
+
+def test_relabeling_keeps_kappa_and_both_bounds():
+    rng = random.Random(7)
+    corpus = _corpus()
+    assert len(corpus) == 48
+    for inst in corpus:
+        answer = _answer(inst)
+        for _ in range(2):
+            assert _answer(relabel(inst, rng)) == answer
+
+
+def test_kappa_is_monotone_in_the_users_to_serve():
+    # Each draw is solved for all its users and for two nested random
+    # subsets of them: kappa(I, S) <= kappa(I, T) whenever S is inside T.
+    rng = random.Random(11)
+    chains = 0
+    for inst in _corpus():
+        users = list(inst.users)
+        middle = sorted(rng.sample(users, len(users) * 2 // 3))
+        small = sorted(rng.sample(middle, len(middle) // 2))
+        kappas = [minrank_bnb(inst, users=s).kappa for s in (small, middle, users)]
+        assert kappas == sorted(kappas), kappas
+        chains += kappas[0] < kappas[-1]
+    assert chains >= 40

@@ -186,6 +186,40 @@ def test_row_stage_matches_product_enumeration():
     assert (r.kappa, r.stats["row_rank_bound"], r.stats["incumbent_initial"]) == (2, 2, 3)
 
 
+def test_stage_one_witness_is_first_in_its_span():
+    # Where stage one stands, each witness row is its user's first candidate
+    # inside the span of the witness rows, checked on the reference kernel.
+    # Half of these solves have a product above what the enumeration test
+    # above reaches.
+    instances = _seeded_corpus(2, range(6, 10), 3) + _seeded_corpus(3, (5, 6), 3)
+    instances += [regular_tree_instance(n, q) for q in (2, 3) for n in range(4, 9)]
+    stands = beyond_enumeration = 0
+    for inst in instances:
+        r = minrank_bnb(inst)
+        if r.kappa < r.stats["row_rank_bound"]:
+            continue
+        stands += 1
+        beyond_enumeration += r.stats["product_size"] > 7000
+        span = EchelonBasis.empty(inst.q, inst.num_messages)
+        for row in r.witness.row_vectors():
+            span = basis_insert(span, row)[0]
+        for cs, row in zip(build_candidates(inst, r.users), r.witness.row_vectors()):
+            assert next(v for v in cs.vectors if in_span(span, v)) == row
+    assert (stands, beyond_enumeration) == (41, 21)
+
+
+def test_stage_one_solves_its_former_guard_trips():
+    # Both q = 3 draws tripped the default rank-search guard before stage one
+    # cut dominated siblings, and gen_random(12, 12, 2, .4, 2) took 861 k
+    # stage-one nodes.
+    for seed in (0, 2):
+        r = minrank_bnb(random_single_unicast(7, 3, 0.7, seed))
+        assert r.kappa == r.stats["lower_bound"] == 3
+    r = minrank_bnb(gen_random(12, 12, 2, 0.4, 2))
+    assert r.kappa == 7
+    assert r.stats["nodes_explored"] < 100_000
+
+
 def test_bnb_matches_oracle_on_random_batch():
     for inst in _small_random_instances(40, seed=7):
         r = minrank_bnb(inst)
@@ -273,7 +307,7 @@ PINNED_SEARCHES = [
     (gen_random(5, 5, 3, 0.7, 5), None, 2,
      ((1, 0, 1, 0, 0), (1, 0, 1, 0, 0), (1, 0, 1, 0, 0), (2, 0, 0, 0, 1), (1, 0, 0, 0, 2)),
      [(2, (0, 0, 1, 0, 1)), (4, (1, 0, 1, 0, 0))],
-     {"nodes_explored": 48, "candidates_total": 75,
+     {"nodes_explored": 35, "candidates_total": 75,
       "candidates_per_user": {1: 3, 2: 9, 3: 27, 4: 27, 5: 9},
       "product_size": 177147, "incumbent_initial": 3, "lower_bound": 2,
       "row_rank_bound": 3, "column_nodes_explored": 19, "column_pool_size": 67}),

@@ -202,21 +202,25 @@ UNCALLED_PUBLIC_NAMES = {
 def test_public_names_have_callers():
     # A public module-level function or class, or a public method, that
     # nothing in the package (bar __init__'s re-exports) or perfbench/ names
-    # outside its own body needs a reason on the list above. perfbench/
-    # names the functions it times as dotted strings, "module.function".
+    # outside its own body needs a reason on the list above. A method counts
+    # as named only by an attribute access or by one of perfbench/'s dotted
+    # strings ("module.function"), so a local variable that shares its name
+    # does not count; a function or class counts as named by a loaded name
+    # or an attribute access.
+    perfbench_dir = PACKAGE_DIR.parents[1] / "perfbench"
     paths = [p for p in sorted(PACKAGE_DIR.glob("*.py")) if p.name != "__init__.py"]
-    paths += sorted((PACKAGE_DIR.parents[1] / "perfbench").glob("*.py"))
+    paths += sorted(perfbench_dir.glob("*.py"))
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
-    references = []
+    references = []  # (name, path, line, how it is named)
     for path, tree in trees.items():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                references.append((node.id, path, node.lineno))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                references.append((node.id, path, node.lineno, "name"))
             elif isinstance(node, ast.Attribute):
-                references.append((node.attr, path, node.lineno))
-            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                  and re.fullmatch(r"\w+(\.\w+)+", node.value)):
-                references.append((node.value.rsplit(".", 1)[1], path, node.lineno))
+                references.append((node.attr, path, node.lineno, "attribute"))
+            elif (path.parent == perfbench_dir and isinstance(node, ast.Constant)
+                  and isinstance(node.value, str) and re.fullmatch(r"\w+(\.\w+)+", node.value)):
+                references.append((node.value.rsplit(".", 1)[1], path, node.lineno, "dotted"))
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     uncalled = []
     for path, tree in trees.items():
@@ -232,9 +236,10 @@ def test_public_names_have_callers():
         for qualname, node in defined:
             if node.name.startswith("_"):
                 continue
-            if not any(name == node.name and not (where == path and
-                                                  node.lineno <= line <= node.end_lineno)
-                       for name, where, line in references):
+            kinds = ("attribute", "dotted") if "." in qualname else ("name", "attribute")
+            if not any(name == node.name and kind in kinds
+                       and not (where == path and node.lineno <= line <= node.end_lineno)
+                       for name, where, line, kind in references):
                 uncalled.append(qualname)
     unlisted = [name for name in uncalled if name not in UNCALLED_PUBLIC_NAMES]
     stale = [name for name in UNCALLED_PUBLIC_NAMES if name not in uncalled]
