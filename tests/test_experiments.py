@@ -2,21 +2,27 @@
 
 import hashlib
 import itertools
+import random
 
 import pytest
 
+from eicp import experiments
+from eicp.gf import FieldOrder
 from eicp.graphs import (
     SideInfoBipartiteGraph,
     build_side_info_graph,
     canonical_form,
     is_connected,
 )
-from eicp.model import serialize_instance, validate
+from eicp.minrank import minrank_bnb
+from eicp.model import EicpInstance, enumerate_demands, serialize_instance, validate
 from eicp.experiments import (
     ExperimentReport,
     _canonical_family_reps,
+    _demand_orbit_key,
     _family_valid,
     _mask_family_to_sets,
+    _message_automorphisms,
     biclique_instance,
     experiment_fig5,
     experiment_lemma_sweep,
@@ -83,6 +89,16 @@ def test_fig5_report():
         if not row[3] and row[5] != "-":
             assert row[5] == 3
     assert experiment_fig5().rows == report.rows
+    assert report.rows == (
+        (1, "-/1/2,3", 3, False, 2, 3),
+        (2, "-/1,2/1,3", 4, False, 1, 3),
+        (3, "1/1/2,3", 4, False, 2, 3),
+        (4, "1/1,2/2,3", 5, True, 1, 2),
+        (5, "1/2/1,3", 4, False, 1, 3),
+        (6, "1/2/3", 3, False, 2, 3),
+        (7, "1/2,3/2,3", 5, False, 0, "-"),
+        (8, "1,2/1,3/2,3", 6, True, 1, 2),
+    )
 
 
 def test_lemma_sweep_report():
@@ -94,12 +110,77 @@ def test_lemma_sweep_report():
         ("clique", n, covered) for n in range(3, 6) for covered in (False, True)]
 
 
-def test_theorem2_report_small():
-    report = experiment_theorem2()
+@pytest.fixture(scope="module")
+def theorem2_run():
+    """One run of experiment_theorem2 and the number of minrank_bnb calls it made."""
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return minrank_bnb(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "minrank_bnb", counted)
+        report = experiment_theorem2()
+    return report, calls
+
+
+def test_theorem2_report_small(theorem2_run):
+    report, _ = theorem2_run
     assert report.verdict == "pass"
-    assert report.details["instances_checked"] > 0
-    assert [(r[0], r[1]) for r in report.rows] == [
-        (n, m) for n in range(2, 5) for m in range(2, 5)]
+    assert report.details == {"instances_checked": 146}
+    # users, messages, classes, hypothesis, corollary, violations, disconnected better
+    assert report.rows == (
+        (2, 2, 1, 0, 0, 0, 0),
+        (2, 3, 1, 0, 0, 0, 0),
+        (2, 4, 2, 0, 0, 0, 0),
+        (3, 2, 2, 0, 0, 0, 0),
+        (3, 3, 8, 2, 1, 0, 0),
+        (3, 4, 19, 6, 0, 0, 0),
+        (4, 2, 4, 0, 0, 0, 0),
+        (4, 3, 25, 13, 7, 0, 4),
+        (4, 4, 114, 125, 24, 0, 52),
+    )
+
+
+def test_theorem2_solves_once_per_demand_orbit(theorem2_run):
+    # The study reads 1,982 demand vectors; 866 orbits remain under the
+    # relabelings of messages that fix each family. More calls mean the memo
+    # is gone, fewer that the key merges vectors it must not.
+    _, calls = theorem2_run
+    assert calls == 866
+
+
+def _orbit_groups(pairs, num_messages):
+    """kappa of every (family, demands) pair, solved directly, grouped by family and orbit key."""
+    groups: dict[tuple, set[int]] = {}
+    for family, demands in pairs:
+        key = (family, _demand_orbit_key(_message_automorphisms(family, num_messages), demands))
+        inst = EicpInstance(FieldOrder(2), len(family), num_messages, family, demands)
+        groups.setdefault(key, set()).add(minrank_bnb(inst).kappa)
+    return groups
+
+
+def test_equal_orbit_keys_mean_equal_kappa():
+    # Every demand vector of every family at 2-3 users and messages (a
+    # superset of theorem2's scope there), and 100 seeded vectors of the
+    # 2,072 at 4 users and 4 messages.
+    merged = 0
+    for n, m in itertools.product((2, 3), repeat=2):
+        pairs = [(family, demands) for family in _canonical_family_reps(n, m)
+                 for demands in enumerate_demands(family, m)]
+        groups = _orbit_groups(pairs, m)
+        assert all(len(kappas) == 1 for kappas in groups.values())
+        merged += len(pairs) - len(groups)
+    assert merged > 0
+    everything = [(family, demands) for family in _canonical_family_reps(4, 4)
+                  for demands in enumerate_demands(family, 4)]
+    assert len(everything) == 2072
+    sample = random.Random(0).sample(everything, 100)
+    groups = _orbit_groups(sample, 4)
+    assert all(len(kappas) == 1 for kappas in groups.values())
+    assert len(groups) < len(sample)
 
 
 def test_report_serialization():

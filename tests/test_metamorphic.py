@@ -4,12 +4,18 @@ The oracle stops near n = 6 at q = 2, so on larger draws the solver's answer
 is checked against itself: the same question asked through a different
 search. Renumbering users and messages changes every search order but not
 the problem, so kappa, the acyclic-set bound and the stage-one row rank must
-not move (node counts may). Dropping users to decode can only shorten the
-optimal code.
+not move (node counts may). A copy of a user asks nothing new, so kappa
+must not move either; the exhaustive studies rely on this to solve one
+demand vector per orbit. Dropping users to decode can only shorten the
+optimal code, and every cover plan is a code, so no cover is shorter than
+kappa.
 """
 
 import random
 
+import pytest
+
+from eicp.covers import biclique_cover, tree_cover
 from eicp.experiments import random_single_unicast
 from eicp.minrank import minrank_bnb
 from eicp.model import EicpInstance, gen_random
@@ -45,26 +51,53 @@ def _answer(inst):
     return r.kappa, r.stats["lower_bound"], r.stats["row_rank_bound"]
 
 
-def test_relabeling_keeps_kappa_and_both_bounds():
-    rng = random.Random(7)
+@pytest.fixture(scope="module")
+def solved():
+    """Each corpus draw with its (kappa, lower_bound, row_rank_bound)."""
     corpus = _corpus()
     assert len(corpus) == 48
-    for inst in corpus:
-        answer = _answer(inst)
+    return [(inst, _answer(inst)) for inst in corpus]
+
+
+def test_relabeling_keeps_kappa_and_both_bounds(solved):
+    rng = random.Random(7)
+    for inst, answer in solved:
         for _ in range(2):
             assert _answer(relabel(inst, rng)) == answer
 
 
-def test_kappa_is_monotone_in_the_users_to_serve():
+def test_a_copied_user_keeps_kappa(solved):
+    rng = random.Random(5)
+    for inst, (kappa, _, _) in solved:
+        u = rng.randrange(inst.num_users)
+        doubled = EicpInstance(inst.q, inst.num_users + 1, inst.num_messages,
+                               side_info=inst.side_info + (inst.side_info[u],),
+                               demands=inst.demands + (inst.demands[u],))
+        assert minrank_bnb(doubled).kappa == kappa
+
+
+def test_no_cover_is_shorter_than_kappa():
+    for n in (6, 7, 8):
+        for density in (0.3, 0.5, 0.7):
+            for seed in (0, 1):
+                inst = random_single_unicast(n, 2, density, seed)
+                kappa = minrank_bnb(inst).kappa
+                for cover in (tree_cover, biclique_cover):
+                    for exact in (False, True):
+                        assert kappa <= cover(inst, exact=exact).counts["length"], (
+                            n, density, seed, cover.__name__, exact)
+
+
+def test_kappa_is_monotone_in_the_users_to_serve(solved):
     # Each draw is solved for all its users and for two nested random
     # subsets of them: kappa(I, S) <= kappa(I, T) whenever S is inside T.
     rng = random.Random(11)
     chains = 0
-    for inst in _corpus():
+    for inst, (kappa, _, _) in solved:
         users = list(inst.users)
         middle = sorted(rng.sample(users, len(users) * 2 // 3))
         small = sorted(rng.sample(middle, len(middle) // 2))
-        kappas = [minrank_bnb(inst, users=s).kappa for s in (small, middle, users)]
+        kappas = [minrank_bnb(inst, users=s).kappa for s in (small, middle)] + [kappa]
         assert kappas == sorted(kappas), kappas
         chains += kappas[0] < kappas[-1]
     assert chains >= 40
