@@ -18,12 +18,15 @@ transmissions and marks the ones the scheme counts as extra:
 The exact search (_exact_cover) offers only covered cliques. An uncovered
 clique of k members costs (2, 1); for any member m, the other k - 1 members,
 covered by m, plus m alone cost (2, 0), so an uncovered clique never wins.
+It skips each block size that, with the floor for the messages it leaves,
+costs more than the best partition found, before it looks for a witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import combinations
 
 from .codes import EmbeddedIndexCode, Transmission, checked_code, transmissions_json
 from .errors import ConsistencyError, GuardExceededError, NotSingleUnicastError
@@ -39,6 +42,7 @@ from .graphs import (
     _lone_messages,
     _mask,
     _member_pool,
+    _members,
     _pack,
     find_covered_pairs,
     path_pattern_edges,
@@ -62,6 +66,23 @@ def _cost(scheme: str, w: StructureWitness) -> tuple[int, int]:
     if w.kind == SINGLE_EDGE:
         return 1, int(scheme == TREE_SCHEME)
     return (1, 0) if w.covered else (2, 1)
+
+
+def _size_cost(scheme: str, size: int) -> int:
+    """Transmissions of every block of `size` messages that _exact_cover offers.
+
+    _cost charges a lone message 1, a tree block of k >= 2 messages k - 1 (a
+    covered pair when k = 2) and a covered clique 1, so size alone fixes it.
+    """
+    return max(1, size - 1) if scheme == TREE_SCHEME else 1
+
+
+def _floor(scheme: str, left: int) -> int:
+    """Fewest transmissions any exact-cover partition of `left` messages sends.
+
+    No tree block beats the covered pair's one transmission per two messages.
+    """
+    return (left + 1) // 2 if scheme == TREE_SCHEME else int(left > 0)
 
 
 @dataclass(frozen=True)
@@ -232,6 +253,17 @@ def _exact_cover(inst, graph, scheme: str) -> list[StructureWitness]:
     rest, so each partition is visited once. Ties break on (length,
     extra-cost structures, block list); that key is unique per partition, so
     the answer does not depend on the order of the walk.
+
+    A block's cost depends on its size alone (_size_cost), and no partition
+    of r messages costs less than _floor(r): ceil(r / 2) under the tree
+    scheme, whose cheapest rate is a covered pair's one transmission per two
+    messages, and 1 under the clique scheme when r > 0. Each state walks its
+    blocks by size, smallest first, and skips a size whose cost plus the
+    floor for the messages it leaves is strictly above the best found so
+    far. Every partition through such a block is longer than that best, so
+    it loses on the key's first entry; ties are still examined, and the
+    answer is the one the full walk finds. The lone block comes first and
+    is never skipped, so every message's lone witness is still looked up.
     """
     n = inst.num_messages
     if n > EXACT_COVER_LIMIT:
@@ -254,26 +286,37 @@ def _exact_cover(inst, graph, scheme: str) -> list[StructureWitness]:
             w = w if w is not None and w.covered else None
         return None if w is None else (*_cost(scheme, w), tuple(sorted(w.msg_seq)), w)
 
+    holds, held_by = graph.held_masks
+    # The messages that may share a block with message m: a clique lies
+    # within each member's mutual neighbours, a tree block need not.
+    partners = [-1 if scheme == TREE_SCHEME else holds[m] & held_by[m]
+                for m in range(n + 1)]
+
     @cache
     def solve(mask: int) -> tuple[int, int, tuple]:
         if not mask:
             return 0, 0, ()
         low = mask & -mask
         rest_mask = mask ^ low
+        left = rest_mask.bit_count()
+        others = [1 << m for m in _members(rest_mask & partners[low.bit_length() - 1])]
         answer = None
-        sub = rest_mask
-        while True:
-            found = structure(low | sub)
-            if found is not None:
+        for k in range(len(others) + 1):
+            # Every size-(k + 1) block loses when its cost plus the floor for
+            # the messages it leaves is already above the best found.
+            if answer is not None and (_size_cost(scheme, k + 1)
+                                       + _floor(scheme, left - k) > answer[0]):
+                continue
+            for sub in map(sum, combinations(others, k)):
+                found = structure(low | sub)
+                if found is None:
+                    continue
                 cost, extra, key, w = found
                 rest = solve(rest_mask ^ sub)
                 # The new block holds the lowest message, so its key sorts first.
                 cand = (cost + rest[0], extra + rest[1], ((key, w),) + rest[2])
                 if answer is None or cand < answer:
                     answer = cand
-            if not sub:
-                break
-            sub = (sub - 1) & rest_mask
         return answer
 
     blocks = solve(_member_pool(graph))[2]

@@ -8,11 +8,14 @@ import json
 import pytest
 
 import eicp.codes
+import eicp.covers
 from eicp.codes import EmbeddedIndexCode, verify_code
 from eicp.errors import ConsistencyError, GuardExceededError, NotSingleUnicastError
 from eicp.covers import (
     EXACT_COVER_LIMIT,
     _cost,
+    _floor,
+    _size_cost,
     biclique_cover,
     compare_schemes,
     demand_relabeling,
@@ -294,12 +297,18 @@ def test_exact_cover_reaches_the_brute_force_optimum():
     instances += [regular_tree_instance(n) for n in range(3, 8)]
     instances += [biclique_instance(n, c) for n in range(2, 6) for c in (True, False)]
     instances += [random_single_unicast(n, 2, d, s)
-                  for n in range(3, 7) for d in (0.3, 0.5, 0.7) for s in range(2)]
+                  for n in range(3, 7) for d in (0.3, 0.5, 0.7, 0.9) for s in range(2)]
     for inst in instances:
+        n = inst.num_messages
         for scheme, build in (("tree", tree_cover), ("biclique", biclique_cover)):
             plan = build(inst, exact=True)
             extra = sum(_cost(scheme, w)[1] for w in plan.structures)
-            assert (plan.code.length, extra) == _brute_force_cover(inst, scheme)
+            best = _brute_force_cover(inst, scheme)
+            assert (plan.code.length, extra) == best
+            # The floor the exact search prunes with: no partition is cheaper,
+            # and a tree partition sends at least ceil(n / 2).
+            assert best[0] >= _floor(scheme, n)
+        assert _floor("tree", n) == -(-n // 2)
 
 
 def test_exact_cover_guard_names_the_message_limit():
@@ -356,14 +365,18 @@ def test_greedy_tree_cover_transmissions_pinned():
         assert got == [(u, tuple(int(m in supp) for m in range(1, n + 1))) for u, supp in sends]
 
 
-def _cover_layer_outputs():
-    """Structure searches with their verdicts, then the four plans of each instance."""
+def _cover_layer_instances():
     instances = all_fixture_instances()
     instances += [regular_tree_instance(n) for n in range(3, 10)]
     instances += [biclique_instance(n, c) for n in range(2, 6) for c in (True, False)]
     instances += [random_single_unicast(n, 2, d, s)
                   for n in range(3, 9) for d in (0.3, 0.5, 0.7) for s in range(3)]
-    for k, inst in enumerate(instances):
+    return instances
+
+
+def _cover_layer_outputs():
+    """Structure searches with their verdicts, then the four plans of each instance."""
+    for k, inst in enumerate(_cover_layer_instances()):
         graph, _ = demand_relabeling(inst)
         for search in (find_covered_pairs, search_regular_trees, search_bicliques):
             for w in search(graph):
@@ -406,3 +419,46 @@ def test_biclique_plans_pinned_past_n8():
                         for exact in (False, True)]
     digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
     assert digest == "44fcba600a77a8cdf0a53555736fd46f9628cff986805d7118e94ebeee8bf075"
+
+
+def test_exact_plans_pinned_where_the_bound_prunes():
+    # Exact tree and clique plans at n = 11 and 12, two seeds and four
+    # densities, where _exact_cover skips the most block sizes.
+    plans = []
+    for n in (11, 12):
+        for d in (0.3, 0.5, 0.7, 0.9):
+            for s in (0, 1):
+                inst = random_single_unicast(n, 2, d, s)
+                plans += [json.dumps(build(inst, exact=True).to_json_obj())
+                          for build in (tree_cover, biclique_cover)]
+    digest = hashlib.sha256("\n".join(plans).encode()).hexdigest()
+    assert digest == "0debc8156b7517dbf122e49347b89234787d7fd9e0da0b85ddde4bd1e7541b3f"
+
+
+def test_exact_tree_cover_skips_blocks_that_cannot_win(monkeypatch):
+    # Walking every block of every state looks for 4,017 trees here; the
+    # size bound leaves 549.
+    calls = []
+    find_tree = eicp.covers._find_tree
+    monkeypatch.setattr(eicp.covers, "_find_tree",
+                        lambda *args: calls.append(args) or find_tree(*args))
+    tree_cover(random_single_unicast(12, 2, 0.5, 0), exact=True)
+    assert 0 < len(calls) <= 600
+
+
+def test_block_cost_follows_from_its_size():
+    # _exact_cover prices a block by _size_cost before it looks for the
+    # block's witness, so every witness it can offer must cost just that:
+    # under the tree scheme a lone message (1, 1) and k >= 2 messages
+    # (k - 1, 0); under the clique scheme a covered block (1, 0). Only a
+    # greedy clique cover holds uncovered cliques, at (2, 1).
+    for inst in _cover_layer_instances():
+        for exact in (False, True):
+            for w in tree_cover(inst, exact=exact).structures:
+                assert _cost("tree", w) == ((1, 1) if w.size == 1 else (w.size - 1, 0))
+                assert _cost("tree", w)[0] == _size_cost("tree", w.size)
+            for w in biclique_cover(inst, exact=exact).structures:
+                assert w.covered or not exact
+                assert _cost("biclique", w) == ((1, 0) if w.covered else (2, 1))
+                if w.covered:
+                    assert _cost("biclique", w)[0] == _size_cost("biclique", w.size)
