@@ -113,7 +113,7 @@ def side_info_basis(inst: EicpInstance, user: int) -> EchelonBasis:
     same units inserted one by one with basis_insert would give.
     """
     held = sorted(inst.knows(user))
-    rows = tuple(unit_vector(inst.q, inst.num_messages, k).coords for k in held)
+    rows = tuple(tuple(int(m == k) for m in range(1, inst.num_messages + 1)) for k in held)
     return EchelonBasis(inst.q, inst.num_messages, rows, tuple(k - 1 for k in held))
 
 
@@ -145,17 +145,19 @@ def verify_code(code: EmbeddedIndexCode, inst: EicpInstance) -> DecodeReport:
     For a support-clean code the two decodability answers always agree (a
     user's own columns lie inside its side-information span); a disagreement
     raises ConsistencyError, and the others-only answer is the operative one.
+    A user that sends nothing has one column list for both, decoded once.
     """
     _require_same_instance(code, inst)
     bad = support_violations(code)
+    columns = [t.coeffs for t in code.transmissions]
+    senders = {t.user for t in code.transmissions}
     per_user = []
     for i in inst.users:
-        using_own = decodable_from(inst, [t.coeffs for t in code.transmissions], i)
-        others = decodable_from(
-            inst, [t.coeffs for t in code.transmissions if t.user != i], i
-        )
-        if not bad and others != using_own:
-            raise ConsistencyError(f"own-column dependence for user {i}")
+        using_own = others = decodable_from(inst, columns, i)
+        if i in senders:
+            others = decodable_from(inst, [t.coeffs for t in code.transmissions if t.user != i], i)
+            if not bad and others != using_own:
+                raise ConsistencyError(f"own-column dependence for user {i}")
         per_user.append(UserDecode(i, others, using_own))
     overall = not bad and all(u.decodable for u in per_user)
     return DecodeReport(overall, code.length, tuple(per_user), bad)

@@ -7,7 +7,8 @@ user indices when transmissions are assembled. Message sets are bitmasks, the
 one member-set form of graphs.
 
 Costs come from one model, _cost, which charges each structure its
-transmissions and marks the ones the scheme counts as extra:
+transmissions and marks the ones the scheme counts as extra. Every block but
+an uncovered clique costs what its size fixes in _size_cost:
   path-pattern cover:   a size-n structure costs n - 1 transmissions and a
                         lone message costs 1 (extra), so length = N - K + K_e
                         with K_e lone messages among K structures (the
@@ -18,8 +19,9 @@ transmissions and marks the ones the scheme counts as extra:
 The exact search (_exact_cover) offers only covered cliques. An uncovered
 clique of k members costs (2, 1); for any member m, the other k - 1 members,
 covered by m, plus m alone cost (2, 0), so an uncovered clique never wins.
-It skips each block size that, with the floor for the messages it leaves,
-costs more than the best partition found, before it looks for a witness.
+Under the tree scheme it skips each block size that, with the floor for the
+messages it leaves, costs more than the best partition found, before it
+looks for a witness; under the clique scheme that bound never fires.
 """
 
 from __future__ import annotations
@@ -61,28 +63,27 @@ def _cost(scheme: str, w: StructureWitness) -> tuple[int, int]:
 
     extra is 1 on the K_e or K_u structures of the module docstring.
     """
-    if w.kind == REGULAR_TREE:
-        return w.size - 1, 0
-    if w.kind == SINGLE_EDGE:
-        return 1, int(scheme == TREE_SCHEME)
-    return (1, 0) if w.covered else (2, 1)
+    if w.kind == BICLIQUE and not w.covered:
+        return 2, 1
+    return _size_cost(scheme, w.size), int(scheme == TREE_SCHEME and w.kind == SINGLE_EDGE)
 
 
 def _size_cost(scheme: str, size: int) -> int:
-    """Transmissions of every block of `size` messages that _exact_cover offers.
+    """Transmissions of a block of `size` messages, uncovered cliques aside.
 
-    _cost charges a lone message 1, a tree block of k >= 2 messages k - 1 (a
-    covered pair when k = 2) and a covered clique 1, so size alone fixes it.
+    Under the tree scheme a lone message costs 1 and a block of k >= 2
+    messages k - 1 (a covered pair when k = 2); under the clique scheme a
+    lone message or covered clique costs 1.
     """
     return max(1, size - 1) if scheme == TREE_SCHEME else 1
 
 
-def _floor(scheme: str, left: int) -> int:
-    """Fewest transmissions any exact-cover partition of `left` messages sends.
+def _floor(left: int) -> int:
+    """Fewest transmissions any exact tree-cover partition of `left` messages sends.
 
     No tree block beats the covered pair's one transmission per two messages.
     """
-    return (left + 1) // 2 if scheme == TREE_SCHEME else int(left > 0)
+    return (left + 1) // 2
 
 
 @dataclass(frozen=True)
@@ -173,13 +174,12 @@ def _structure_transmissions(inst, demander, w: StructureWitness) -> list[Transm
         return [Transmission(demander[w.covering_user], _combination(inst, w.msg_seq))]
     if w.kind == REGULAR_TREE:
         return _tree_transmissions(inst, demander, w)
-    if w.kind == BICLIQUE:
-        first, second = w.msg_seq[0], w.msg_seq[1]
-        return [
-            Transmission(demander[first], _combination(inst, w.msg_seq[1:])),
-            Transmission(demander[second], _combination(inst, (first,))),
-        ]
-    raise ValueError(f"unknown structure kind {w.kind!r}")
+    # verify_structure passed, so an uncovered structure that is no tree is a biclique.
+    first, second = w.msg_seq[0], w.msg_seq[1]
+    return [
+        Transmission(demander[first], _combination(inst, w.msg_seq[1:])),
+        Transmission(demander[second], _combination(inst, (first,))),
+    ]
 
 
 def _usage_bound(w: StructureWitness) -> int:
@@ -254,16 +254,22 @@ def _exact_cover(inst, graph, scheme: str) -> list[StructureWitness]:
     extra-cost structures, block list); that key is unique per partition, so
     the answer does not depend on the order of the walk.
 
-    A block's cost depends on its size alone (_size_cost), and no partition
-    of r messages costs less than _floor(r): ceil(r / 2) under the tree
-    scheme, whose cheapest rate is a covered pair's one transmission per two
-    messages, and 1 under the clique scheme when r > 0. Each state walks its
-    blocks by size, smallest first, and skips a size whose cost plus the
-    floor for the messages it leaves is strictly above the best found so
-    far. Every partition through such a block is longer than that best, so
-    it loses on the key's first entry; ties are still examined, and the
-    answer is the one the full walk finds. The lone block comes first and
-    is never skipped, so every message's lone witness is still looked up.
+    A block's cost depends on its size alone (_size_cost). Each state walks
+    its blocks by size, smallest first. Under the tree scheme no partition
+    of r messages costs less than _floor(r) = ceil(r / 2), the covered
+    pair's one transmission per two messages, so the walk skips a size
+    whose cost plus the floor for the messages it leaves is strictly above
+    the best found so far. Every partition through such a block is longer
+    than that best, so it loses on the key's first entry; ties are still
+    examined, and the answer is the one the full walk finds. The lone block
+    comes first and is never skipped, so every message's lone witness is
+    still looked up.
+
+    Under the clique scheme every block costs 1 and the floor of r > 0
+    messages would be 1, so the bound never fires there. A block that leaves
+    messages is bounded by 1 + 1, and every answer found before the block of
+    the whole state (the largest, walked last) leaves messages, so it costs
+    at least 2; the whole block's bound, 1 + 0, is above no answer.
     """
     n = inst.num_messages
     if n > EXACT_COVER_LIMIT:
@@ -302,10 +308,10 @@ def _exact_cover(inst, graph, scheme: str) -> list[StructureWitness]:
         others = [1 << m for m in _members(rest_mask & partners[low.bit_length() - 1])]
         answer = None
         for k in range(len(others) + 1):
-            # Every size-(k + 1) block loses when its cost plus the floor for
-            # the messages it leaves is already above the best found.
-            if answer is not None and (_size_cost(scheme, k + 1)
-                                       + _floor(scheme, left - k) > answer[0]):
+            # Every size-(k + 1) tree block loses when its cost plus the
+            # floor for the messages it leaves is already above the best found.
+            if scheme == TREE_SCHEME and answer is not None and (
+                    _size_cost(scheme, k + 1) + _floor(left - k) > answer[0]):
                 continue
             for sub in map(sum, combinations(others, k)):
                 found = structure(low | sub)

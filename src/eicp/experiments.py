@@ -7,7 +7,9 @@ silently drop a failing case.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 
@@ -164,14 +166,9 @@ def _matched_demands(side, n: int) -> list[int] | None:
 # ---------- experiments ----------
 
 def _family_valid(masks: tuple[int, ...], num_messages: int) -> bool:
-    full = (1 << num_messages) - 1
-    if any(k == full for k in masks):
-        return False
-    for m in range(num_messages):
-        holders = sum(1 for k in masks if k >> m & 1)
-        if holders == 0 or holders == len(masks):
-            return False
-    return True
+    """Whether every message is held by some user and by not every user."""
+    return (functools.reduce(operator.or_, masks) == (1 << num_messages) - 1
+            and not functools.reduce(operator.and_, masks))
 
 
 def _mask_family_to_sets(masks: tuple[int, ...], num_messages: int):

@@ -192,10 +192,6 @@ class StructureWitness:
     covering_user: int | None = field(default=None, kw_only=True)
 
     @property
-    def user_seq(self) -> tuple[int, ...]:
-        return self.msg_seq
-
-    @property
     def covered(self) -> bool:
         return self.covering_user is not None
 
@@ -206,7 +202,7 @@ class StructureWitness:
     def to_json_obj(self) -> dict:
         obj = {
             "kind": self.kind,
-            "users": list(self.user_seq),
+            "users": list(self.msg_seq),
             "messages": list(self.msg_seq),
             "covered": self.covered,
         }
@@ -358,13 +354,16 @@ def _member_pool(g: SideInfoBipartiteGraph) -> int:
 def _clique_witness(g: SideInfoBipartiteGraph, members: int) -> StructureWitness | None:
     """Mutual-knowledge witness on the `members` mask, or None if two miss each other.
 
-    Two members with a covering user form a covered pair; any other clique is
-    a biclique, covered when some outside user holds all of it.
+    One member is a single edge, sent plainly by its covering user; two
+    members with a covering user form a covered pair; any other clique is a
+    biclique. Each is covered when some outside user holds all of it.
     """
     if not _mutually_known(g, members):
         return None
     cov = _covering_user(g, members)
-    kind = COVERED_PAIR if members.bit_count() == 2 and cov is not None else BICLIQUE
+    size = members.bit_count()
+    kind = (SINGLE_EDGE if size == 1
+            else COVERED_PAIR if size == 2 and cov is not None else BICLIQUE)
     return StructureWitness(kind, _members(members), covering_user=cov)
 
 
@@ -386,14 +385,6 @@ def find_covered_pairs(g: SideInfoBipartiteGraph) -> list[StructureWitness]:
         if w is not None and w.kind == COVERED_PAIR:
             out.append(w)
     return out
-
-
-def single_edge_witness(g: SideInfoBipartiteGraph, message: int) -> StructureWitness | None:
-    """Lone message delivered plainly by its smallest non-demanding holder."""
-    cov = _covering_user(g, 1 << message) if 1 <= message <= g.num_messages else None
-    if cov is None:
-        return None
-    return StructureWitness(SINGLE_EDGE, (message,), covering_user=cov)
 
 
 def _max_clique(g: SideInfoBipartiteGraph, pool: int) -> int:
@@ -426,8 +417,8 @@ def _lone_messages(g: SideInfoBipartiteGraph, left: int) -> list[StructureWitnes
     """A single edge per message of mask `left`; ConsistencyError if one has no outside holder."""
     found = []
     for m in _members(left):
-        w = single_edge_witness(g, m)
-        if w is None:
+        w = _clique_witness(g, 1 << m)
+        if not w.covered:
             raise ConsistencyError(f"message {m} has no outside holder")
         found.append(w)
     return found

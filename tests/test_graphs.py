@@ -23,14 +23,15 @@ from eicp.graphs import (
     prune_degree_one,
     search_bicliques,
     search_regular_trees,
-    single_edge_witness,
     tree_witness_edges,
     uniq_demanded,
     verify_structure,
 )
 from eicp.graphs import (
+    _clique_witness,
     _covering_user,
     _find_tree,
+    _lone_messages,
     _mask,
     _max_clique,
     _member_pool,
@@ -335,16 +336,22 @@ def test_find_covered_pairs(seven_user):
 
 
 def test_single_edge_witness(seven_user):
+    # A lone message is the one-member clique, sent by its covering user.
     g = build_side_info_graph(seven_user)
-    w = single_edge_witness(g, 7)
-    assert w is not None and w.covering_user == 5
+    w = _clique_witness(g, 1 << 7)
+    assert w.kind == "single_edge" and w.covering_user == 5
     assert verify_structure(g, w)
+    assert _lone_messages(g, 1 << 7) == [w]
     lonely = SideInfoBipartiteGraph(2, 2, ((2,), (1,)))
-    assert single_edge_witness(lonely, 1) == StructureWitness(
-        "single_edge", (1,), covering_user=2)
+    assert _lone_messages(lonely, 0b110) == [
+        StructureWitness("single_edge", (1,), covering_user=2),
+        StructureWitness("single_edge", (2,), covering_user=1)]
     held_by_none = SideInfoBipartiteGraph(2, 2, ((2,), (2,)))
-    assert single_edge_witness(held_by_none, 1) is None
-    assert all(single_edge_witness(lonely, m) is None for m in (-1, 0, 3))
+    w = _clique_witness(held_by_none, 1 << 1)
+    assert w.kind == "single_edge" and not w.covered
+    assert not verify_structure(held_by_none, w)
+    with pytest.raises(ConsistencyError, match="message 1 has no outside holder"):
+        _lone_messages(held_by_none, 1 << 1)
 
 
 def test_canonical_form_permutation_invariant():
