@@ -3,6 +3,11 @@
 Each experiment returns an ExperimentReport: a small table plus a verdict
 string. A verdict of "pass" means every checked claim held; experiments never
 silently drop a failing case.
+
+Messages are renamed in one place in the package, model._renamed.
+itertools.permutations is called only by graphs.canonical_form, which
+orders users, and by _orbit_kappa, which renames messages through
+model._renamed.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .graphs import (
     uniq_demanded,
 )
 from .minrank import minrank_bnb, minrank_oracle
-from .model import EicpInstance, _repair_family, enumerate_demands, require_valid
+from .model import EicpInstance, _renamed, _repair_family, enumerate_demands, require_valid
 
 # Draws each random generator makes before it gives up.
 GENERATION_TRIES = 200
@@ -177,64 +182,34 @@ def _mask_family_to_sets(masks: tuple[int, ...], num_messages: int):
     )
 
 
-def _message_automorphisms(family, num_messages: int):
-    """Every relabeling of messages 1..num_messages that maps the family onto itself.
-
-    Each comes as (each user's relabeled side information as a mask, bit m
-    for message m; the image of each message, indexed by message).
-    """
-    masks = sorted(sum(1 << msg for msg in k) for k in family)
-    autos = []
-    for perm in itertools.permutations(range(1, num_messages + 1)):
-        message_image = (0,) + perm
-        images = tuple(sum(1 << message_image[msg] for msg in k) for k in family)
-        if sorted(images) == masks:
-            autos.append((images, message_image))
-    return autos
-
-
-def _demand_orbit_key(autos, demands) -> tuple:
-    """One key per orbit of `demands` under the family's automorphisms `autos`.
-
-    The key is the least, over the automorphisms, of the sorted distinct
-    (relabeled side-information mask, relabeled demand) pairs of the users.
-    """
-    return min(
-        tuple(sorted({(image, message_image[d]) for image, d in zip(images, demands)}))
-        for images, message_image in autos
-    )
-
-
 def _orbit_kappa(family, num_messages: int):
     """kappa(demands) over F_2 for `family`, solving one demand vector per orbit.
 
-    The returned function keys each demand vector by _demand_orbit_key and
-    calls minrank_bnb only on a key it has not met; its memo lives as long
-    as the function, one family.
+    The automorphisms are the renamings of the messages (model._renamed)
+    that map the family onto itself. The returned function keys each demand
+    vector by the least, over them, of the sorted distinct (renamed side
+    information, renamed demand) pairs of its users, and calls minrank_bnb
+    only on a key it has not met; its memo lives as long as the function,
+    one family.
 
-    Why one solve per key is exact. A code is a set of transmissions, each a
-    combination of messages that some user holds, and user i is served when
-    d_i is recoverable from the transmissions and the messages of K_i. So
-    kappa reads the users only as the set P of their (K_i, d_i) pairs: the
-    K_i of P fix what can be sent, and the pairs fix what must be decoded.
-    Reordering users changes no pair, and a repeated user adds a sender and
-    a decoding condition that are already there, so demand vectors with the
-    same P have the same kappa. A relabeling sigma of the messages maps a
-    code for P to a code for sigma(P) of the same length, by permuting the
-    coordinates of every transmission, and sigma^-1 maps it back; so
-    kappa(P) == kappa(sigma(P)). When sigma is an automorphism of the
-    family, sigma(P) is the pair set of a demand vector of the same family.
-    Equal keys are equal images sigma(P) == tau(P') of two pair sets, so
-    P' == tau^-1 sigma(P) and the two vectors have equal kappa.
+    Why one solve per key is exact. kappa reads a demand vector only as its
+    pair set P and does not change under a renaming (model._renamed). Equal
+    keys are equal images sigma(P) == tau(P') of two pair sets, so
+    P' == tau^-1 sigma(P), and the two vectors have equal kappa.
     """
-    num_users = len(family)
-    autos = _message_automorphisms(family, num_messages)
+    autos = []
+    for perm in itertools.permutations(range(1, num_messages + 1)):
+        image = (0,) + perm
+        renamed = _renamed(family, image)
+        if sorted(renamed) == sorted(family):
+            autos.append((renamed, image))
     solved: dict[tuple, int] = {}
 
     def kappa(demands) -> int:
-        key = _demand_orbit_key(autos, demands)
+        key = min(tuple(sorted({(k, image[d]) for k, d in zip(renamed, demands)}))
+                  for renamed, image in autos)
         if key not in solved:
-            inst = EicpInstance(FieldOrder(2), num_users, num_messages, family, demands)
+            inst = EicpInstance(FieldOrder(2), len(family), num_messages, family, demands)
             solved[key] = minrank_bnb(inst).kappa
         return solved[key]
 

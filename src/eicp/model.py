@@ -393,6 +393,27 @@ def gen_vanet(num_users: int, num_messages: int, q: int, overlap: float,
     return _draw_instance(rng, q, side, num_messages)
 
 
+def _renamed(side_info, image) -> tuple[tuple[int, ...], ...]:
+    """Each user's side information after message m is renamed image[m], as a sorted tuple.
+
+    `image` is indexed by message (image[0] is unused); a demand d becomes
+    image[d].
+
+    Why a renaming keeps kappa. A code is a set of transmissions, each a
+    combination of messages that some user holds, and user i is served when
+    d_i is recoverable from the transmissions and the messages of K_i. So
+    kappa reads the users only as the set P of their (K_i, d_i) pairs: the
+    K_i of P fix what can be sent, and the pairs fix what must be decoded.
+    Reordering users changes no pair, and a repeated user adds a sender and
+    a decoding condition that are already there, so demand vectors with the
+    same P have the same kappa. A renaming sigma of the messages maps a
+    code for P to a code for sigma(P) of the same length, by permuting the
+    coordinates of every transmission, and sigma^-1 maps it back; so
+    kappa(P) == kappa(sigma(P)).
+    """
+    return tuple(tuple(sorted(image[m] for m in k)) for k in side_info)
+
+
 def enumerate_demands(side_info, num_messages: int) -> Iterator[tuple[int, ...]]:
     """All demand vectors with d_i outside user i's side info, lexicographic order.
 

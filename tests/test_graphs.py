@@ -38,7 +38,7 @@ from eicp.graphs import (
     _members,
     _mutually_known,
 )
-from eicp.model import EicpInstance
+from eicp.model import EicpInstance, _renamed
 
 
 def _random_graph(rng, n, m):
@@ -364,10 +364,8 @@ def test_canonical_form_permutation_invariant():
         perm_m = list(range(1, m + 1))
         rng.shuffle(perm_u)
         rng.shuffle(perm_m)
-        shuffled = SideInfoBipartiteGraph(n, m, tuple(
-            tuple(sorted(perm_m[x - 1] for x in g.adjacency[perm_u[i]]))
-            for i in range(n)
-        ))
+        renamed = _renamed(g.adjacency, (0, *perm_m))
+        shuffled = SideInfoBipartiteGraph(n, m, tuple(renamed[u] for u in perm_u))
         assert canonical_form(g) == canonical_form(shuffled)
 
 

@@ -11,6 +11,7 @@ optimal code, and every cover plan is a code, so no cover is shorter than
 kappa.
 """
 
+import itertools
 import random
 
 import pytest
@@ -18,19 +19,20 @@ import pytest
 from eicp.covers import biclique_cover, tree_cover
 from eicp.experiments import random_single_unicast
 from eicp.minrank import minrank_bnb
-from eicp.model import EicpInstance, gen_random
+from eicp.model import EicpInstance, _renamed, gen_random
 
 
 def relabel(inst: EicpInstance, rng: random.Random) -> EicpInstance:
     """`inst` with its users and its messages renumbered by permutations drawn from `rng`."""
     users = list(range(inst.num_users))  # users[new position] = old position
     rng.shuffle(users)
-    messages = list(inst.messages)
+    messages = list(inst.messages)  # messages[new name - 1] = old name
     rng.shuffle(messages)
-    new = {old: k for k, old in enumerate(messages, 1)}
+    image = (0,) + tuple(messages.index(m) + 1 for m in inst.messages)
+    side_info = _renamed(inst.side_info, image)
     return EicpInstance(inst.q, inst.num_users, inst.num_messages,
-                        side_info=tuple(tuple(new[m] for m in inst.side_info[u]) for u in users),
-                        demands=tuple(new[inst.demands[u]] for u in users))
+                        side_info=tuple(side_info[u] for u in users),
+                        demands=tuple(image[inst.demands[u]] for u in users))
 
 
 def _corpus():
@@ -76,16 +78,15 @@ def test_a_copied_user_keeps_kappa(solved):
         assert minrank_bnb(doubled).kappa == kappa
 
 
-def test_no_cover_is_shorter_than_kappa():
-    for n in (6, 7, 8):
-        for density in (0.3, 0.5, 0.7):
-            for seed in (0, 1):
-                inst = random_single_unicast(n, 2, density, seed)
-                kappa = minrank_bnb(inst).kappa
-                for cover in (tree_cover, biclique_cover):
-                    for exact in (False, True):
-                        assert kappa <= cover(inst, exact=exact).counts["length"], (
-                            n, density, seed, cover.__name__, exact)
+def test_no_cover_is_shorter_than_kappa(solved):
+    # The q = 2 single-unicast draws are the even entries of the first 36.
+    draws = itertools.product((6, 7, 8), (0.3, 0.5, 0.7), (0, 1))
+    for (n, density, seed), (inst, (kappa, _, _)) in zip(draws, solved[:36:2], strict=True):
+        assert inst == random_single_unicast(n, 2, density, seed)
+        for cover in (tree_cover, biclique_cover):
+            for exact in (False, True):
+                assert kappa <= cover(inst, exact=exact).counts["length"], (
+                    n, density, seed, cover.__name__, exact)
 
 
 def test_kappa_is_monotone_in_the_users_to_serve(solved):

@@ -17,6 +17,7 @@ from eicp.graphs import build_side_info_graph, is_connected
 from eicp.model import (
     EicpInstance,
     RawEicp,
+    _renamed,
     classify,
     enumerate_demands,
     gen_random,
@@ -213,3 +214,24 @@ def test_gen_vanet_rejects_low_overlap():
 def test_all_instance_fixtures_are_valid():
     for name in ("mixed4.json", "dense4.json", "seven_user.json"):
         assert validate(load_instance(name)) == []
+
+
+def test_renamed_inverts_and_sorts():
+    assert _renamed(((1, 3), (2,), ()), (0, 3, 1, 2)) == ((2, 3), (1,), ())
+    rng = random.Random(29)
+    reordered = 0
+    for _ in range(40):
+        m = rng.randint(2, 6)
+        side_info = tuple(tuple(sorted(rng.sample(range(1, m + 1), rng.randint(0, m))))
+                          for _ in range(rng.randint(1, 6)))
+        assert _renamed(side_info, tuple(range(m + 1))) == side_info
+        image = (0, *rng.sample(range(1, m + 1), m))
+        inverse = [0] * (m + 1)
+        for old, new in enumerate(image):
+            inverse[new] = old
+        renamed = _renamed(side_info, image)
+        assert all(list(k) == sorted(k) for k in renamed)
+        assert _renamed(renamed, inverse) == side_info
+        # Renaming in place would leave some of these sets out of order.
+        reordered += any([image[x] for x in k] != list(r) for k, r in zip(side_info, renamed))
+    assert reordered > 20

@@ -159,6 +159,20 @@ def test_oracle_names_no_packed_kernel():
     assert not found, f"the oracle names the branch and bound's kernel: {found}"
 
 
+def test_permutations_only_order_users_or_rename_through_model():
+    # Messages are renamed by model._renamed alone; the one other walk over
+    # permutations orders users for canonical_form.
+    callers = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in tree.body:
+            if isinstance(func, ast.FunctionDef) and any(
+                    getattr(node, "attr", getattr(node, "id", None)) == "permutations"
+                    for node in ast.walk(func)):
+                callers.append(f"{path.stem}.{func.name}")
+    assert callers == ["experiments._orbit_kappa", "graphs.canonical_form"], callers
+
+
 def test_one_guard_raise_in_minrank_searches():
     # Stage one, stage two and the oracle count their nodes on one _Budget,
     # so its spend is the only GuardExceededError raised once a search is
