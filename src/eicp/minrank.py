@@ -36,6 +36,21 @@ reduce(side_info_basis(inst, i), v), and stage two as a packed `v & keep_i`.
 codes.checked_code, which re-checks every code either route returns, keeps
 the definition.
 
+The same identity lets the branch and bound drop every message no served
+user demands. Let Q zero those coordinates. Q commutes with each P_i and
+fixes each e_d_i, so e_d_i in span(P_i C) gives e_d_i = Q e_d_i in
+span(P_i QC): a code C yields the code QC, no longer than C (a column may
+vanish). A support only shrinks under Q, so the user sending a column of C
+can send its image. So the pool of transmittable columns supported on the
+demanded messages, a subset of the full pool with the same smallest sender
+for each column, holds a shortest code: kappa is unchanged. acyclic_sets
+reads only demands, so LB is unchanged. Q maps each user's candidate rows
+to candidate rows over the demanded messages, and each stack to one of no
+larger rank, so the stage-one optimum is unchanged too. Nothing is
+re-embedded: the projected pool's columns are vectors of the original
+instance with zeros on the dropped coordinates. The oracle keeps the full
+pool, so it stays the check on this argument.
+
 Both routes accept an optional `users` subset and then answer for the
 sub-problem in which only those users must decode while every user of the
 instance may still transmit.
@@ -129,7 +144,8 @@ def build_candidates(inst: EicpInstance, users=None,
 
     A row is transmittable when its support sits inside some other user's
     side information. The rows are read off the transmission pool (built
-    here unless passed in): user i's rows are the pool directions v with
+    here over every message unless passed in; minrank_bnb passes the pool
+    over the demanded messages): user i's rows are the pool directions v with
     v[d_i] != 0 and support inside K_i + {d_i}, scaled so that v[d_i] = 1.
     Such a direction's sender holds d_i, so it is never i itself. The unit
     vector of the demand always survives (someone else holds the demand on a
@@ -137,7 +153,7 @@ def build_candidates(inst: EicpInstance, users=None,
     """
     users = _resolve_users(inst, users)
     if pool is None:
-        pool = _transmission_pool(inst)
+        pool = _transmission_pool(inst, set(inst.messages))
     inv = inverse_table(inst.q)
     supports = [message_support(vec) for vec, _sender in pool]
     out = []
@@ -516,9 +532,10 @@ def minrank_bnb(inst: EicpInstance, users=None,
     only this stage sees them. It visits each span once, through its
     pool-order greedy basis, and finds a last column by lookup instead of
     scanning the pool (_column_search). Both stages read one transmission
-    pool and one packed space `gf.packed_space` with one demand mask per
-    acyclic set, all built once per call; the reference kernel only
-    extracts and checks the answer.
+    pool, over the messages the served users demand (the projection of the
+    module docstring), and one packed space `gf.packed_space` with one
+    demand mask per acyclic set, all built once per call; the reference
+    kernel only extracts and checks the answer, on the original instance.
 
     The acyclic-set bound LB (acyclic_sets) is used three times. At the root,
     stage two is skipped when the row rank equals LB. Each stage stops as
@@ -548,16 +565,19 @@ def minrank_bnb(inst: EicpInstance, users=None,
     `stats` holds the node counts of the two stages (`nodes_explored`, rows
     tried, and `column_nodes_explored`, columns tested), the candidate
     counts, the uncoded length `incumbent_initial`, `lower_bound` (LB),
-    `row_rank_bound` (the stage-one optimum) and `column_pool_size` (0 when
-    stage two did not run).
+    `row_rank_bound` (the stage-one optimum), `column_pool_size` (0 when
+    stage two did not run) and `messages_projected`, the number of messages
+    no served user demands, 0 when none. The node counts, the candidate
+    counts and `column_pool_size` are those of the projected pool.
     """
     require_valid(inst)
     users = _resolve_users(inst, users)
     limit = DEFAULT_NODE_LIMIT if node_limit is None else _checked_int(node_limit, "node limit")
-    pool = _transmission_pool(inst)
+    demanded = {inst.demand(i) for i in users}
+    pool = _transmission_pool(inst, demanded)
     candidate_sets = build_candidates(inst, users, pool)
     order = sorted(candidate_sets, key=lambda cs: len(cs.vectors))
-    start_incumbent = len({inst.demand(i) for i in users})
+    start_incumbent = len(demanded)
 
     q = inst.q
     dim = inst.num_messages
@@ -600,22 +620,26 @@ def minrank_bnb(inst: EicpInstance, users=None,
         "row_rank_bound": row_rank,
         "column_nodes_explored": column_budget.used,
         "column_pool_size": pool_size,
+        "messages_projected": inst.num_messages - len(demanded),
     }
     return MinrankResult(kappa, users, witness, code, stats)
 
 
-def _transmission_pool(inst: EicpInstance) -> list[tuple[GfVector, int]]:
-    """Every transmittable column up to scalar, with its smallest sender.
+def _transmission_pool(inst: EicpInstance, messages: set[int]) -> list[tuple[GfVector, int]]:
+    """Every transmittable column supported on `messages`, up to scalar, with its smallest sender.
 
     Scaling a column never changes what any user can decode, so one
     representative per direction (leading coefficient 1) is exhaustive.
+    Sender j combines the messages of K_j inside `messages`, so the pool
+    over every message is the full pool and the pool over the demanded
+    messages is the projected one of the module docstring.
     """
     q = inst.q
     m = inst.num_messages
     inv = inverse_table(q)
     seen: dict[tuple[int, ...], int] = {}
     for j in inst.users:
-        side = sorted(inst.knows(j))
+        side = sorted(inst.knows(j) & messages)
         total = q ** len(side)
         if total > CANDIDATES_PER_USER_LIMIT:
             raise GuardExceededError(
@@ -662,7 +686,7 @@ def minrank_oracle(inst: EicpInstance, l_max: int | None = None, users=None,
         l_max = len({inst.demand(i) for i in users})
     else:
         _checked_int(l_max, "l_max", minimum=None)
-    pool = _transmission_pool(inst)
+    pool = _transmission_pool(inst, set(inst.messages))
     vectors = [vec for vec, _sender in pool]
     empty = EchelonBasis.empty(inst.q, inst.num_messages)
     start = []

@@ -447,4 +447,4 @@ def test_cli_output_pinned(capsys, tmp_path, monkeypatch):
         records.append(repr((argv, code, out, err, written)))
     assert len(records) == 162
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
-    assert digest == "2863f3539739c51215e7adc9b4d0a42fa0b6664cea93ede3ded64e26d46426a4"
+    assert digest == "f127259cf712263da2570b465a92586e7ba3b39dd377b9f2c619543ff4fece4c"

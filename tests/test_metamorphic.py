@@ -6,9 +6,11 @@ search. Renumbering users and messages changes every search order but not
 the problem, so kappa, the acyclic-set bound and the stage-one row rank must
 not move (node counts may). A copy of a user asks nothing new, so kappa
 must not move either; the exhaustive studies rely on this to solve one
-demand vector per orbit. Dropping users to decode can only shorten the
-optimal code, and every cover plan is a code, so no cover is shorter than
-kappa.
+demand vector per orbit. A message no user demands need never be decoded,
+so adding one, held by some users, moves neither kappa nor the bounds; the
+solver drops such messages from its pool, and this relation makes it drop
+one more. Dropping users to decode can only shorten the optimal code, and
+every cover plan is a code, so no cover is shorter than kappa.
 """
 
 import itertools
@@ -76,6 +78,20 @@ def test_a_copied_user_keeps_kappa(solved):
                                side_info=inst.side_info + (inst.side_info[u],),
                                demands=inst.demands + (inst.demands[u],))
         assert minrank_bnb(doubled).kappa == kappa
+
+
+def test_an_undemanded_message_keeps_kappa_and_both_bounds(solved):
+    rng = random.Random(13)
+    for inst, answer in solved:
+        extra = inst.num_messages + 1
+        holders = set(rng.sample(list(inst.users), rng.randrange(1, inst.num_users)))
+        grown = EicpInstance(inst.q, inst.num_users, extra,
+                             side_info=tuple(k + (extra,) if u in holders else k
+                                             for u, k in zip(inst.users, inst.side_info)),
+                             demands=inst.demands)
+        r = minrank_bnb(grown)
+        assert r.stats["messages_projected"] == extra - len(set(inst.demands))
+        assert (r.kappa, r.stats["lower_bound"], r.stats["row_rank_bound"]) == answer
 
 
 def test_no_cover_is_shorter_than_kappa(solved):

@@ -95,17 +95,18 @@ def test_candidates_empty_side_info():
 def test_bnb_example_artifacts(mixed4):
     # mixed4: stage one beats the four distinct demands and records its
     # witness on the way. gen_random(4, 4, 2, .5, 0): nothing beats the three
-    # distinct demands, so the witness is the demand unit rows.
+    # distinct demands, so the witness is the demand unit rows; no user
+    # demands message 4, so each user keeps only its demand's unit row.
     cases = [
         (mixed4, ((1, 1, 0, 0), (0, 0, 0, 1), (1, 1, 0, 0), (0, 0, 1, 0)),
          [(2, (1, 1, 0, 0)), (3, (0, 0, 0, 1)), (2, (0, 0, 1, 0))],
          {"nodes_explored": 8, "candidates_total": 7, "product_size": 8,
-          "incumbent_initial": 4, "lower_bound": 2}),
+          "incumbent_initial": 4, "lower_bound": 2, "messages_projected": 0}),
         (gen_random(4, 4, 2, 0.5, 0),
          ((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 1, 0, 0)),
          [(3, (1, 0, 0, 0)), (1, (0, 0, 1, 0)), (2, (0, 1, 0, 0))],
-         {"nodes_explored": 1, "candidates_total": 7, "product_size": 8,
-          "incumbent_initial": 3, "lower_bound": 2}),
+         {"nodes_explored": 1, "candidates_total": 4, "product_size": 1,
+          "incumbent_initial": 3, "lower_bound": 2, "messages_projected": 1}),
     ]
     for inst, rows, transmissions, stats in cases:
         r = minrank_bnb(inst)
@@ -189,8 +190,11 @@ def test_row_stage_matches_product_enumeration():
 def test_stage_one_witness_is_first_in_its_span():
     # Where stage one stands, each witness row is its user's first candidate
     # inside the span of the witness rows, checked on the reference kernel.
-    # Half of these solves have a product above what the enumeration test
-    # above reaches.
+    # The candidates are read off the full pool: a row in the span of rows
+    # with zeros on the undemanded messages has zeros there too, so it is a
+    # candidate of the projected pool the solver searched. 12 of the 41
+    # solves have a projected product above what the enumeration test above
+    # reaches.
     instances = _seeded_corpus(2, range(6, 10), 3) + _seeded_corpus(3, (5, 6), 3)
     instances += [regular_tree_instance(n, q) for q in (2, 3) for n in range(4, 9)]
     stands = beyond_enumeration = 0
@@ -205,7 +209,7 @@ def test_stage_one_witness_is_first_in_its_span():
             span = basis_insert(span, row)[0]
         for cs, row in zip(build_candidates(inst, r.users), r.witness.row_vectors()):
             assert next(v for v in cs.vectors if in_span(span, v)) == row
-    assert (stands, beyond_enumeration) == (41, 21)
+    assert (stands, beyond_enumeration) == (41, 12)
 
 
 def test_stage_one_solves_its_former_guard_trips():
@@ -220,6 +224,22 @@ def test_stage_one_solves_its_former_guard_trips():
     assert r.stats["nodes_explored"] < 100_000
 
 
+@pytest.mark.parametrize("args, kappa, pool", [
+    ((8, 8, 2, 0.5, 3), 6, 24),
+    ((6, 6, 5, 0.5, 4), 4, 161),
+], ids=["gr(8,8,2,.5,3)", "gr(6,6,5,.5,4)"])
+def test_projection_solves_former_frontier_rows(args, kappa, pool):
+    # On the full pools, of 93 and 806 columns, stage two took 713 k and
+    # 412 k nodes to refute kappa - 1 = LB. Over the demanded messages it
+    # takes 3.7 k and 12.8 k. The oracle cannot reach the second row.
+    inst = gen_random(*args)
+    r = minrank_bnb(inst, node_limit=20_000)
+    assert r.kappa == r.stats["row_rank_bound"] == r.stats["lower_bound"] + 1 == kappa
+    assert r.stats["messages_projected"] > 0
+    assert r.stats["column_pool_size"] == pool
+    assert verify_code(r.code, inst).overall
+
+
 def test_bnb_matches_oracle_on_random_batch():
     for inst in _small_random_instances(40, seed=7):
         r = minrank_bnb(inst)
@@ -228,6 +248,31 @@ def test_bnb_matches_oracle_on_random_batch():
         assert verify_code(r.code, inst).overall
         assert verify_code(o.code, inst).overall
         assert r.kappa <= len(set(inst.demands))
+
+
+def test_projected_solves_match_the_oracle_on_the_full_pool():
+    # gen_random(n, n + e, ...) leaves messages undemanded, more of them in a
+    # users-subset solve, so the branch and bound searches a projected pool
+    # while the oracle searches the full one on the original instance.
+    draws = [(q, n, e, d, s)
+             for q, sizes, seeds in ((2, (3, 4, 5), 3), (3, (3, 4), 3), (5, (3,), 6))
+             for n in sizes for e in (0, 1, 2) for d in (0.3, 0.5, 0.7) for s in range(seeds)]
+    projected = shrunk = 0
+    for q, n, e, d, s in draws:
+        inst = gen_random(n, n + e, q, d, s)
+        full_pool = len(_transmission_pool(inst, set(inst.messages)))
+        for users in (None, inst.users[::2]):
+            r = minrank_bnb(inst, users=users)
+            o = minrank_oracle(inst, users=users)
+            assert r.kappa == o.kappa, (q, n, e, d, s, users)
+            report = verify_code(r.code, inst)
+            assert not report.support_violations
+            assert all(u.decodable for u in report.per_user if u.user in r.users)
+            assert o.stats["pool_size"] == full_pool
+            assert r.stats["column_pool_size"] <= full_pool
+            projected += r.stats["messages_projected"] > 0
+            shrunk += 0 < r.stats["column_pool_size"] < full_pool
+    assert (len(draws), projected, shrunk) == (189, 358, 153)
 
 
 def test_two_stage_improvement_on_chain():
@@ -271,12 +316,13 @@ def test_odd_q_stage_two_matches_oracle():
 
 
 def test_stage_two_exhausts_a_q5_pool_within_100k_nodes():
-    # Two of the four users hold nothing, so LB = 3 is one short of the row
-    # rank 4, which equals kappa: stage two must rule out every 3-column span
-    # of the 161-column pool. A walk over every basis of each span needs
-    # 494 k nodes; one over each span once needs about 24 k.
-    inst = gen_random(4, 5, 5, 0.3, 850)
+    # LB = 3 is one short of the row rank 4, which equals kappa: stage two
+    # must rule out every 3-column span of the 161-column pool. A walk over
+    # every basis of each span needs 360 k nodes; one over each span once
+    # needs about 53 k. Every message is demanded, so the pool is the full one.
+    inst = random_single_unicast(5, 5, 0.5, 3)
     r = minrank_bnb(inst, node_limit=100_000)
+    assert r.stats["messages_projected"] == 0
     assert (r.kappa, r.stats["lower_bound"], r.stats["column_pool_size"]) == (4, 3, 161)
     assert verify_code(r.code, inst).overall
 
@@ -284,33 +330,37 @@ def test_stage_two_exhausts_a_q5_pool_within_100k_nodes():
 # kappa, witness rows and transmissions recorded from the search on the
 # reference GF kernel; the packed kernel must replay the same answers. Stage
 # two returns the first minimal serving subset in search order. The node
-# counts are those of the search that visits each span once.
+# counts are those of the search that visits each span once, over the pool
+# of the demanded messages: the three gen_random solves leave two undemanded.
 PINNED_SEARCHES = [
     # q = 2 gap: stage two beats the row rank 3.
     (gen_random(6, 6, 2, 0.5, 1), None, 2,
      ((1, 1, 0, 0, 1, 0), (1, 0, 0, 0, 0, 1), (0, 1, 0, 0, 1, 1),
       (0, 1, 0, 0, 1, 1), (1, 1, 0, 0, 1, 0), (1, 0, 0, 0, 0, 1)),
      [(1, (1, 0, 0, 0, 0, 1)), (6, (1, 1, 0, 0, 1, 0))],
-     {"nodes_explored": 19, "candidates_total": 70,
-      "candidates_per_user": {1: 12, 2: 8, 3: 5, 4: 5, 5: 20, 6: 20},
-      "product_size": 960000, "incumbent_initial": 4, "lower_bound": 2,
-      "row_rank_bound": 3, "column_nodes_explored": 33, "column_pool_size": 51}),
+     {"nodes_explored": 18, "candidates_total": 26,
+      "candidates_per_user": {1: 6, 2: 2, 3: 3, 4: 3, 5: 6, 6: 6},
+      "product_size": 3888, "incumbent_initial": 4, "lower_bound": 2,
+      "row_rank_bound": 3, "column_nodes_explored": 16, "column_pool_size": 13,
+      "messages_projected": 2}),
     # The same instance with a users subset.
     (gen_random(6, 6, 2, 0.5, 1), (1, 2, 3, 5), 2,
      ((1, 1, 0, 0, 1, 0), (1, 0, 0, 0, 0, 1), (0, 1, 0, 0, 1, 1), (1, 1, 0, 0, 1, 0)),
      [(1, (1, 0, 0, 0, 0, 1)), (6, (1, 1, 0, 0, 1, 0))],
-     {"nodes_explored": 14, "candidates_total": 45,
-      "candidates_per_user": {1: 12, 2: 8, 3: 5, 5: 20},
-      "product_size": 9600, "incumbent_initial": 4, "lower_bound": 2,
-      "row_rank_bound": 3, "column_nodes_explored": 33, "column_pool_size": 51}),
+     {"nodes_explored": 14, "candidates_total": 17,
+      "candidates_per_user": {1: 6, 2: 2, 3: 3, 5: 6},
+      "product_size": 216, "incumbent_initial": 4, "lower_bound": 2,
+      "row_rank_bound": 3, "column_nodes_explored": 16, "column_pool_size": 13,
+      "messages_projected": 2}),
     # q = 3 gap.
     (gen_random(5, 5, 3, 0.7, 5), None, 2,
      ((1, 0, 1, 0, 0), (1, 0, 1, 0, 0), (1, 0, 1, 0, 0), (2, 0, 0, 0, 1), (1, 0, 0, 0, 2)),
      [(2, (0, 0, 1, 0, 1)), (4, (1, 0, 1, 0, 0))],
-     {"nodes_explored": 35, "candidates_total": 75,
-      "candidates_per_user": {1: 3, 2: 9, 3: 27, 4: 27, 5: 9},
-      "product_size": 177147, "incumbent_initial": 3, "lower_bound": 2,
-      "row_rank_bound": 3, "column_nodes_explored": 19, "column_pool_size": 67}),
+     {"nodes_explored": 1, "candidates_total": 13,
+      "candidates_per_user": {1: 3, 2: 3, 3: 3, 4: 3, 5: 1},
+      "product_size": 81, "incumbent_initial": 3, "lower_bound": 2,
+      "row_rank_bound": 3, "column_nodes_explored": 9, "column_pool_size": 7,
+      "messages_projected": 2}),
     # q = 5, stage one stands after 280 column nodes.
     (gen_random(4, 4, 5, 0.5, 3), None, 3,
      ((0, 1, 1, 0), (0, 0, 0, 1), (0, 1, 1, 0), (1, 0, 0, 0)),
@@ -318,7 +368,8 @@ PINNED_SEARCHES = [
      {"nodes_explored": 10, "candidates_total": 48,
       "candidates_per_user": {1: 9, 2: 5, 3: 9, 4: 25},
       "product_size": 10125, "incumbent_initial": 4, "lower_bound": 2,
-      "row_rank_bound": 3, "column_nodes_explored": 280, "column_pool_size": 40}),
+      "row_rank_bound": 3, "column_nodes_explored": 280, "column_pool_size": 40,
+      "messages_projected": 0}),
     # q = 5 gap.
     (regular_tree_instance(4, 5), None, 3,
      ((1, 0, 4, 0), (0, 1, 0, 0), (4, 0, 1, 0), (1, 0, 0, 1)),
@@ -326,7 +377,8 @@ PINNED_SEARCHES = [
      {"nodes_explored": 1, "candidates_total": 16,
       "candidates_per_user": {1: 1, 2: 5, 3: 5, 4: 5},
       "product_size": 125, "incumbent_initial": 4, "lower_bound": 3,
-      "row_rank_bound": 4, "column_nodes_explored": 68, "column_pool_size": 16}),
+      "row_rank_bound": 4, "column_nodes_explored": 68, "column_pool_size": 16,
+      "messages_projected": 0}),
 ]
 
 
@@ -357,14 +409,16 @@ def _solver_outputs():
 def test_solver_output_pinned():
     # Kappa, witness rows, code and the two bounds of 170 solves at q = 2, 3
     # and 5. Node counts are left out: pruning that keeps the answers keeps
-    # this digest.
+    # this digest. Searching the pool of the demanded messages moved the
+    # witness and code of two users-subset solves, never a kappa or a bound.
     outputs = list(_solver_outputs())
     assert len(outputs) == 170
     digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
-    assert digest == "214815878fc9ba57908ab7ad911d729bba4d9fc20a4dbc69a45e972c4c148f57"
+    assert digest == "b19674514c6df3ea64290fdd7cd8cb59f41d81a47377c1240f304ae9078710e5"
 
 
-@pytest.mark.parametrize("inst", [gen_random(8, 8, 2, 0.3, 7), regular_tree_instance(6, 5)])
+@pytest.mark.parametrize("inst", [random_single_unicast(8, 2, 0.5, 9),
+                                  regular_tree_instance(6, 5)])
 def test_search_loops_stay_off_the_reference_kernel(inst, monkeypatch):
     # Only the code extraction and the checker may use the reference kernel:
     # codes.checked_code decodes each user once and decode_coeffs recovers
@@ -372,7 +426,8 @@ def test_search_loops_stay_off_the_reference_kernel(inst, monkeypatch):
     # side-info units, so n users and m messages bound the calls whatever
     # the number of search nodes. On both instances stage two beats the row
     # rank (kappa 5 < 6), so the witness rows come from decode_coeffs; on
-    # the first the acyclic bound, 4, is below kappa too.
+    # the first the acyclic bound, 4, is below kappa too. Both demand every
+    # message, so the search runs on the full pool.
     calls = {"basis_insert": 0, "in_span": 0}
 
     def counting(name, fn):
@@ -387,6 +442,7 @@ def test_search_loops_stay_off_the_reference_kernel(inst, monkeypatch):
     r = minrank_bnb(inst)
     n, m = inst.num_users, inst.num_messages
     assert r.kappa < r.stats["row_rank_bound"]
+    assert r.stats["messages_projected"] == 0
     assert r.stats["column_nodes_explored"] >= 2000
     assert 0 < calls["basis_insert"] <= 2 * n * (n + m)
     assert 0 < calls["in_span"] <= n
@@ -485,7 +541,7 @@ def test_projection_rule_matches_the_decoding_definition():
                                   (0.3, 0.5, 0.7)[seed % 3], seed)
             except GenerationError:
                 continue
-            pool = [vec for vec, _sender in _transmission_pool(inst)]
+            pool = [vec for vec, _sender in _transmission_pool(inst, set(inst.messages))]
             for _ in range(8):
                 cols = rng.sample(pool, rng.randint(0, min(4, len(pool))))
                 for i in inst.users:
@@ -501,7 +557,7 @@ def test_projection_rule_matches_the_decoding_definition():
 
 def test_transmission_pool_is_scalar_free():
     inst = gen_random(4, 4, 3, 0.6, 2)
-    pool = _transmission_pool(inst)
+    pool = _transmission_pool(inst, set(inst.messages))
     for (v, sender) in pool:
         assert not v.is_zero()
         assert message_support(v) <= inst.knows(sender)
@@ -511,6 +567,16 @@ def test_transmission_pool_is_scalar_free():
     for (a, _), (b, _) in itertools.combinations(pool, 2):
         scaled = {tuple((c * s) % 3 for c in a.coords) for s in (1, 2)}
         assert tuple(b.coords) not in scaled
+
+
+def test_projected_pool_is_the_full_pool_on_the_kept_messages():
+    # The pool over a message set is the full pool's columns supported on
+    # it, each with the same smallest sender, in the same order.
+    for inst in (gen_random(4, 4, 3, 0.6, 2), gen_random(5, 6, 2, 0.5, 1)):
+        full = _transmission_pool(inst, set(inst.messages))
+        for kept in ({1, 2}, {inst.demand(i) for i in inst.users}, {2, 3, 4}):
+            expected = [(v, j) for v, j in full if message_support(v) <= kept]
+            assert _transmission_pool(inst, kept) == expected
 
 
 def test_candidates_equal_direct_enumeration():
