@@ -37,7 +37,6 @@ from .graphs import (
     canonical_form,
     is_connected,
     prune_degree_one,
-    uniq_demanded,
     verify_structure,
 )
 from .minrank import (

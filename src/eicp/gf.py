@@ -89,11 +89,6 @@ class GfVector:
             raise ValueError("vectors live in different spaces")
         return GfVector(self.q, tuple((a + b) % self.q for a, b in zip(self.coords, other.coords)))
 
-    def __sub__(self, other: "GfVector") -> "GfVector":
-        if self.q != other.q or len(self.coords) != len(other.coords):
-            raise ValueError("vectors live in different spaces")
-        return GfVector(self.q, tuple((a - b) % self.q for a, b in zip(self.coords, other.coords)))
-
     def scale(self, a: int) -> "GfVector":
         return GfVector(self.q, tuple(a * c for c in self.coords))  # reduced mod q on creation
 

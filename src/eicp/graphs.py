@@ -172,14 +172,6 @@ def prune_degree_one(g: SideInfoBipartiteGraph) -> PrunedGraph:
     return PrunedGraph(g, x_prime, adjacency)
 
 
-def uniq_demanded(demands, message_subset=None) -> int:
-    """Number of distinct demanded messages, optionally restricted to a subset."""
-    wanted = set(demands)
-    if message_subset is not None:
-        wanted &= set(message_subset)
-    return len(wanted)
-
-
 @dataclass(frozen=True)
 class StructureWitness:
     """An embedded structure on msg_seq, in slot order; user m demands message m.

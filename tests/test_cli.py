@@ -448,3 +448,12 @@ def test_cli_output_pinned(capsys, tmp_path, monkeypatch):
     assert len(records) == 162
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
     assert digest == "f127259cf712263da2570b465a92586e7ba3b39dd377b9f2c619543ff4fece4c"
+
+
+def test_theorem2_json_output_pinned(capsys):
+    # test_cli_output_pinned runs fig5 and lemma-sweep only; theorem2's JSON
+    # report (rows, verdict, details) is pinned here.
+    code, out, err = run(capsys, "experiment", "theorem2", "--json")
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "2eecb58faf0fd654a5be0cf4108b67699faf114839b67394364a625b145354c3"

@@ -1,12 +1,13 @@
 """Experiment drivers: instance families and the three study reports."""
 
+import dataclasses
 import hashlib
 import itertools
 import random
 
 import pytest
 
-from eicp import experiments
+from eicp import cli, experiments
 from eicp.gf import FieldOrder
 from eicp.graphs import (
     SideInfoBipartiteGraph,
@@ -109,6 +110,23 @@ def test_lemma_sweep_report():
         ("clique", n, covered) for n in range(3, 6) for covered in (False, True)]
 
 
+def test_contradicting_solves_fail_every_study(monkeypatch, capsys):
+    # Every solve answers the plain scheme's length, the number of distinct
+    # demands of the users it serves, which contradicts each study's claim.
+    def plain(inst, *args, **kwargs):
+        result = minrank_bnb(inst, *args, **kwargs)
+        return dataclasses.replace(result, kappa=len({inst.demand(u) for u in result.users}))
+
+    monkeypatch.setattr(experiments, "minrank_bnb", plain)
+    assert experiment_fig5().verdict == "fail"
+    assert experiment_lemma_sweep().verdict == "fail"
+    report = experiment_theorem2()
+    assert report.verdict == "fail"
+    # users, messages, classes, hypothesis, corollary, violations, disconnected better
+    assert [row[5] for row in report.rows] == [row[3] for row in report.rows]
+    assert cli.main(["experiment", "fig5"]) == 3
+
+
 @pytest.fixture(scope="module")
 def theorem2_run():
     """One run of experiment_theorem2 and the number of minrank_bnb calls it made."""
@@ -180,12 +198,12 @@ def test_equal_orbit_keys_mean_equal_kappa():
     # 2,072 at 4 users and 4 messages. Both scopes must merge some vectors.
     merged = 0
     for n, m in itertools.product((2, 3), repeat=2):
-        pairs = [(family, demands) for family in _canonical_family_reps(n, m)
-                 for demands in enumerate_demands(family, m)]
+        pairs = [(g.adjacency, demands) for g in _canonical_family_reps(n, m)
+                 for demands in enumerate_demands(g.adjacency, m)]
         merged += len(pairs) - _orbit_solves(pairs, m)
     assert merged > 0
-    everything = [(family, demands) for family in _canonical_family_reps(4, 4)
-                  for demands in enumerate_demands(family, 4)]
+    everything = [(g.adjacency, demands) for g in _canonical_family_reps(4, 4)
+                  for demands in enumerate_demands(g.adjacency, 4)]
     assert len(everything) == 2072
     sample = random.Random(0).sample(everything, 100)
     assert _orbit_solves(sample, 4) < len(sample)
@@ -223,7 +241,7 @@ def test_family_reps_match_the_full_product_dedupe():
             if _family_valid(masks, m):
                 family = _mask_family_to_sets(masks, m)
                 reps.setdefault(canonical_form(SideInfoBipartiteGraph(n, m, family)), family)
-        assert _canonical_family_reps(n, m) == list(reps.values())
+        assert [g.adjacency for g in _canonical_family_reps(n, m)] == list(reps.values())
 
 
 def test_canonical_keys_of_every_visited_family_pinned():

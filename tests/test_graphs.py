@@ -24,7 +24,6 @@ from eicp.graphs import (
     search_bicliques,
     search_regular_trees,
     tree_witness_edges,
-    uniq_demanded,
     verify_structure,
 )
 from eicp.graphs import (
@@ -133,13 +132,6 @@ def test_prune_preserves_connectivity_on_connected_graphs():
                 assert is_connected(pruned)
             checked += 1
     assert checked > 50
-
-
-def test_uniq_demanded(mixed4):
-    assert uniq_demanded(mixed4.demands) == 4
-    assert uniq_demanded((1, 1, 1)) == 1
-    assert uniq_demanded((2, 4, 1, 3), message_subset={1, 2, 4}) == 3
-    assert uniq_demanded((2, 4, 1, 3), message_subset=set()) == 0
 
 
 def test_verify_structure_tree():
