@@ -5,7 +5,9 @@ failed verification, bad arguments), 2 a resource guard tripped, 3 two
 independent computations of the same quantity disagreed.
 
 Results are tab-separated lines on stdout; --json switches to a JSON object
-and --out redirects the payload to a file.
+and --out redirects the payload to a file. Where the library returns a
+dataclass (a study's report, a code's decode report, an instance's class),
+the JSON object holds its fields, in their order.
 """
 
 from __future__ import annotations
@@ -79,18 +81,10 @@ def _parse_users(raw: str | None):
 def _cmd_validate(args) -> int:
     inst = _load_instance(args.instance, check=False)
     violations = model.validate(inst)
-    cls = model.classify(inst)
-    payload = {
-        "valid": not violations,
-        "violations": violations,
-        "single_unicast": cls.single_unicast,
-        "single_uniprior": cls.single_uniprior,
-    }
-    rows = [
-        ("valid", _bool(not violations)),
-        ("single_unicast", _bool(cls.single_unicast)),
-        ("single_uniprior", _bool(cls.single_uniprior)),
-    ]
+    flags = dataclasses.asdict(model.classify(inst))
+    payload = {"valid": not violations, "violations": violations, **flags}
+    rows = [("valid", _bool(not violations))]
+    rows += [(k, _bool(v)) for k, v in flags.items()]
     rows += [("violation", v) for v in violations]
     _emit(args, payload, rows)
     return 0
@@ -158,20 +152,10 @@ def _cmd_verify(args) -> int:
     inst = _load_instance(args.instance)
     code = parse_code(Path(args.code).read_text(), inst)
     report = verify_code(code, inst)
-    payload = {
-        "overall": report.overall,
-        "length": report.length,
-        "per_user": [
-            {"user": u.user, "decodable": u.decodable,
-             "decodable_using_own": u.decodable_using_own}
-            for u in report.per_user
-        ],
-        "support_violations": list(report.support_violations),
-    }
     rows = [("overall", _bool(report.overall)), ("length", report.length)]
     rows += [("user", u.user, _bool(u.decodable)) for u in report.per_user]
     rows += [("violation", v) for v in report.support_violations]
-    _emit(args, payload, rows)
+    _emit(args, dataclasses.asdict(report), rows)
     return 0 if report.overall else 1
 
 
@@ -212,7 +196,7 @@ def _cmd_experiment(args) -> int:
     }[args.which]
     report = runner()
     rows = [report.columns, *report.rows, ("verdict", report.verdict)]
-    _emit(args, report.to_json_obj(), rows)
+    _emit(args, dataclasses.asdict(report), rows)
     return 0 if report.verdict == "pass" else 3
 
 

@@ -38,20 +38,13 @@ GENERATION_TRIES = 200
 
 @dataclass(frozen=True)
 class ExperimentReport:
+    """A study's table, its verdict and details; `eicp experiment --json` writes these fields."""
+
     name: str
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
     verdict: str
     details: dict
-
-    def to_json_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "columns": list(self.columns),
-            "rows": [list(r) for r in self.rows],
-            "verdict": self.verdict,
-            "details": dict(self.details),
-        }
 
 
 # ---------- fixture builders ----------

@@ -780,27 +780,15 @@ def complexity_report(inst: EicpInstance, users=None,
 
 
 def graph_candidate_supports(pg: BipartiteProblemGraph, user: int) -> set[frozenset[int]]:
-    """Candidate supports read off the directed problem graph alone.
+    """The largest candidate supports, read off the directed problem graph alone.
 
-    A support is the demanded message plus any subset of messages the user
-    both holds and shares with a transmitter that also holds the demand. Over
-    F_2 these are exactly the supports of build_candidates.
+    For each other user j with an edge to the demand d, the demand plus the
+    messages both the user and j hold: the largest support j can send that
+    the user can decode from. Over F_2, build_candidates' supports are
+    exactly the sets that hold d and lie inside one of these.
     """
     d = pg.user_in(user)[0]
     side = set(pg.user_out(user))
-    out: set[frozenset[int]] = set()
-    for j in range(1, pg.num_users + 1):
-        if j == user:
-            continue
-        held = set(pg.user_out(j))
-        if d not in held:
-            continue
-        shared = sorted(side & held)
-        if 2 ** len(shared) > CANDIDATES_PER_USER_LIMIT:
-            raise GuardExceededError(
-                f"support enumeration for users {user},{j} exceeds {CANDIDATES_PER_USER_LIMIT}"
-            )
-        for r in range(len(shared) + 1):
-            for combo in itertools.combinations(shared, r):
-                out.add(frozenset({d, *combo}))
-    return out
+    return {frozenset({d} | side & set(pg.user_out(j)))
+            for j in range(1, pg.num_users + 1)
+            if j != user and d in pg.user_out(j)}

@@ -17,7 +17,7 @@ import itertools
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Iterator
 
@@ -291,15 +291,11 @@ def parse_instance(text: str, check: bool = True) -> EicpInstance:
 
 
 def serialize_instance(inst: EicpInstance) -> str:
-    """Inverse of parse_instance for single-demand instances (round-trips exactly)."""
-    obj = {
-        "q": int(inst.q),
-        "num_users": inst.num_users,
-        "num_messages": inst.num_messages,
-        "side_info": [list(k) for k in inst.side_info],
-        "demands": list(inst.demands),
-    }
-    return json.dumps(obj)
+    """Inverse of parse_instance for single-demand instances (round-trips exactly).
+
+    The file's keys are EicpInstance's fields, in their order.
+    """
+    return json.dumps(asdict(inst))
 
 
 # ---------- generators ----------

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -212,7 +213,7 @@ def test_equal_orbit_keys_mean_equal_kappa():
 def test_report_serialization():
     report = ExperimentReport(
         "demo", ("a", "b"), ((1, "x"), (2, "y")), "pass", {"k": 3})
-    obj = report.to_json_obj()
+    obj = json.loads(json.dumps(dataclasses.asdict(report)))
     assert obj["rows"] == [[1, "x"], [2, "y"]]
     assert obj["details"] == {"k": 3}
 

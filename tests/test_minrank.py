@@ -629,12 +629,17 @@ def test_checker_rejection_raises_consistency_error(mixed4, dense4, monkeypatch)
 
 
 def test_graph_supports_match_candidates():
+    # Over F_2 the candidate supports are the sets that hold the demand and
+    # lie inside one of the largest supports the problem graph gives.
     for inst in _small_random_instances(30, seed=55):
         pg = build_problem_graph(inst)
-        sets = build_candidates(inst)
-        for cs in sets:
-            expected = {message_support(v) for v in cs.vectors}
-            assert graph_candidate_supports(pg, cs.user) == expected
+        for cs in build_candidates(inst):
+            d = inst.demand(cs.user)
+            inside = {frozenset({d, *extra})
+                      for top in graph_candidate_supports(pg, cs.user)
+                      for r in range(len(top))
+                      for extra in itertools.combinations(top - {d}, r)}
+            assert {message_support(v) for v in cs.vectors} == inside
 
 
 def test_complexity_report_numbers(mixed4, dense4):

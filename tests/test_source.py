@@ -176,7 +176,7 @@ def test_permutations_only_order_users_or_rename_through_model():
 def test_one_guard_raise_in_minrank_searches():
     # Stage one, stage two and the oracle count their nodes on one _Budget,
     # so its spend is the only GuardExceededError raised once a search is
-    # running. The two size pre-checks refuse an enumeration before it starts.
+    # running. The pool's size pre-check refuses an enumeration before it starts.
     tree = ast.parse((PACKAGE_DIR / "minrank.py").read_text())
     functions = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
     functions += [(f"{node.name}.{m.name}", m) for node in tree.body
@@ -186,7 +186,7 @@ def test_one_guard_raise_in_minrank_searches():
         isinstance(node, ast.Raise) and any(
             isinstance(n, ast.Name) and n.id == "GuardExceededError" for n in ast.walk(node))
         for node in ast.walk(func)))
-    assert raisers == ["_Budget.spend", "_transmission_pool", "graph_candidate_supports"], raisers
+    assert raisers == ["_Budget.spend", "_transmission_pool"], raisers
 
 
 def test_package_parses_as_python_3_10():
