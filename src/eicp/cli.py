@@ -54,9 +54,9 @@ def _csv(values) -> str:
     return ",".join(str(v) for v in values)
 
 
-def _structure_row(label: str, w) -> tuple:
+def _structure_row(label: str, w, demander) -> tuple:
     return (label, w.kind, _csv(w.msg_seq),
-            w.covering_user if w.covering_user is not None else "-")
+            demander[w.covering_user] if w.covering_user is not None else "-")
 
 
 def _transmission_rows(code) -> list[tuple]:
@@ -142,7 +142,7 @@ def _cmd_cover(args) -> int:
     rows = [("scheme", plan.scheme), ("length", plan.counts["length"])]
     rows += [(k, v) for k, v in plan.counts.items() if k != "length"]
     rows += [(k, _bool(v)) for k, v in plan.flags.items()]
-    rows += [_structure_row("structure", w) for w in plan.structures]
+    rows += [_structure_row("structure", w, plan.demander) for w in plan.structures]
     rows += _transmission_rows(plan.code)
     _emit(args, plan.to_json_obj(), rows)
     return 0
@@ -176,14 +176,14 @@ def _cmd_gen(args) -> int:
 
 def _cmd_structures(args) -> int:
     inst = _load_instance(args.instance)
-    graph, _ = covers.demand_relabeling(inst)
+    graph, demander = covers.demand_relabeling(inst)
     found = {
         "covered_pairs": graphs.find_covered_pairs(graph),
         "trees": graphs.search_regular_trees(graph),
         "cliques": graphs.search_bicliques(graph),
     }
-    payload = {key: [w.to_json_obj() for w in ws] for key, ws in found.items()}
-    rows = [_structure_row(key, w) for key, ws in found.items() for w in ws]
+    payload = {key: [w.to_json_obj(demander) for w in ws] for key, ws in found.items()}
+    rows = [_structure_row(key, w, demander) for key, ws in found.items() for w in ws]
     _emit(args, payload, rows)
     return 0
 

@@ -2,9 +2,9 @@
 
 Both schemes need one demand per message (a single unicast instance). Users
 are relabeled by the message they demand, so structure witnesses can use one
-index sequence for users and messages; senders are mapped back to the actual
-user indices when transmissions are assembled. Message sets are bitmasks, the
-one member-set form of graphs.
+index sequence for users and messages; senders, and the users a plan
+reports, are mapped back to the actual user indices. Message sets are
+bitmasks, the one member-set form of graphs.
 
 Costs come from one model, _cost, which charges each structure its
 transmissions and marks the ones the scheme counts as extra. Every block but
@@ -90,14 +90,16 @@ def _floor(left: int) -> int:
 class CoverPlan:
     """A structure partition plus the code it induces.
 
-    counts and flags are read off the structures and the code. Construction
-    checks that the code is as long as the cost model says
-    (ConsistencyError), so a plan can never misreport its own length.
+    The structures index the graph of demand_relabeling, and demander is its
+    slot -> user map. counts and flags are read off the structures and the
+    code. Construction checks that the code is as long as the cost model
+    says (ConsistencyError), so a plan can never misreport its own length.
     """
 
     scheme: str
     structures: tuple[StructureWitness, ...]
     code: EmbeddedIndexCode
+    demander: dict[int, int]
 
     def __post_init__(self):
         cost = sum(_cost(self.scheme, w)[0] for w in self.structures)
@@ -130,7 +132,7 @@ class CoverPlan:
             "length": self.code.length,
             "counts": self.counts,
             "flags": self.flags,
-            "structures": [w.to_json_obj() for w in self.structures],
+            "structures": [w.to_json_obj(self.demander) for w in self.structures],
             "transmissions": transmissions_json(self.code),
         }
 
@@ -201,7 +203,7 @@ def _finish_plan(inst, graph, demander, scheme: str,
     for w in structures:
         transmissions.extend(_structure_transmissions(inst, demander, w))
     code = checked_code(inst, inst.users, transmissions, f"the {scheme} cover")
-    return CoverPlan(scheme, tuple(structures), code)
+    return CoverPlan(scheme, tuple(structures), code, demander)
 
 
 def tree_cover(inst: EicpInstance, exact: bool = False) -> CoverPlan:

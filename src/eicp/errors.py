@@ -42,16 +42,11 @@ class GenerationError(EicpError, RuntimeError):
 
 
 class OracleExhaustedError(EicpError, RuntimeError):
-    """Exhaustive code search found nothing up to its length bound.
-
-    Carries the bound; the sentinel ``l_max + 1`` is available as
-    ``exhausted_length`` and is never a certified optimum.
-    """
+    """Exhaustive code search found nothing up to its length bound, which it carries."""
 
     def __init__(self, l_max: int):
         super().__init__(f"no code of length <= {l_max} exists")
         self.l_max = l_max
-        self.exhausted_length = l_max + 1
 
 
 class ConsistencyError(EicpError, RuntimeError):

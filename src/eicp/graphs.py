@@ -191,15 +191,16 @@ class StructureWitness:
     def size(self) -> int:
         return len(self.msg_seq)
 
-    def to_json_obj(self) -> dict:
+    def to_json_obj(self, demander: dict[int, int]) -> dict:
+        """The structure with its slots named as users through `demander`, slot -> user."""
         obj = {
             "kind": self.kind,
-            "users": list(self.msg_seq),
+            "users": [demander[m] for m in self.msg_seq],
             "messages": list(self.msg_seq),
             "covered": self.covered,
         }
         if self.covering_user is not None:
-            obj["covering_user"] = self.covering_user
+            obj["covering_user"] = demander[self.covering_user]
         return obj
 
 

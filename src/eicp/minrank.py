@@ -789,6 +789,6 @@ def graph_candidate_supports(pg: BipartiteProblemGraph, user: int) -> set[frozen
     """
     d = pg.user_in(user)[0]
     side = set(pg.user_out(user))
-    return {frozenset({d} | side & set(pg.user_out(j)))
+    return {frozenset({d} | (side & set(pg.user_out(j))))
             for j in range(1, pg.num_users + 1)
             if j != user and d in pg.user_out(j)}

@@ -358,6 +358,42 @@ def test_structures_tree_lines_pinned(capsys, tmp_path):
         assert _tree_lines(out) == expected
 
 
+def test_structure_reports_name_the_instances_users(capsys, tmp_path):
+    # Structures are searched on demand_relabeling's graph, but every cover
+    # and structures report names the instance's users: the user in each
+    # place demands the message in the same place, and a covering user holds
+    # all of the structure's messages and is none of its users. TSV rows give
+    # the messages and the covering user only.
+    draws = [random_single_unicast(n, 2, d, s)
+             for n in (6, 8) for d in (0.3, 0.5, 0.7) for s in (0, 1)]
+    argvs = [["cover", "--scheme", scheme, *exact]
+             for scheme in ("tree", "biclique") for exact in ([], ["--exact"])]
+    argvs.append(["structures"])
+    reports = 0
+    for idx, inst in enumerate([parse_instance(Path(MIXED4).read_text()), *draws]):
+        path = tmp_path / f"inst{idx}.json"
+        path.write_text(serialize_instance(inst))
+        for command, *flags in argvs:
+            code, out, err = run(capsys, command, str(path), *flags, "--json")
+            assert code == 0
+            obj = json.loads(out)
+            for w in obj["structures"] if command == "cover" else sum(obj.values(), []):
+                assert [inst.demand(u) for u in w["users"]] == w["messages"]
+                if w["covered"]:
+                    assert set(w["messages"]) <= inst.knows(w["covering_user"])
+                    assert w["covering_user"] not in w["users"]
+                reports += 1
+            code, out, err = run(capsys, command, str(path), *flags)
+            for row in out.splitlines():
+                label, *fields = row.split("\t")
+                if label in ("structure", "covered_pairs", "trees", "cliques") and fields[2] != "-":
+                    messages = {int(m) for m in fields[1].split(",")}
+                    covering = int(fields[2])
+                    assert messages <= inst.knows(covering)
+                    assert inst.demand(covering) not in messages
+    assert reports == 364
+
+
 def test_experiment_fig5(capsys):
     code, out, err = run(capsys, "experiment", "fig5")
     assert code == 0
@@ -447,7 +483,7 @@ def test_cli_output_pinned(capsys, tmp_path, monkeypatch):
         records.append(repr((argv, code, out, err, written)))
     assert len(records) == 162
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
-    assert digest == "f127259cf712263da2570b465a92586e7ba3b39dd377b9f2c619543ff4fece4c"
+    assert digest == "6eb21febaa87b8cd102912a2c1a509744cb397f2ab9f40bd29d108d174ed10d5"
 
 
 def test_theorem2_json_output_pinned(capsys):

@@ -97,16 +97,20 @@ def test_greedy_tree_cover_structures_pinned():
 
 
 def _plan_obj(scheme, counts, flags, structures, transmissions):
-    """A plan's to_json_obj() from (kind, messages, covering_user) and (user, coeffs)."""
+    """A plan's to_json_obj() from (kind, messages, users, covering_user) and (user, coeffs).
+
+    users None stands for users equal to the messages, as under identity demands.
+    """
     return {
         "scheme": scheme,
         "length": counts["length"],
         "counts": counts,
         "flags": flags,
         "structures": [
-            {"kind": kind, "users": list(msgs), "messages": list(msgs),
-             "covered": cov is not None, **({} if cov is None else {"covering_user": cov})}
-            for kind, msgs, cov in structures
+            {"kind": kind, "users": list(msgs if users is None else users),
+             "messages": list(msgs), "covered": cov is not None,
+             **({} if cov is None else {"covering_user": cov})}
+            for kind, msgs, users, cov in structures
         ],
         "transmissions": [{"user": u, "coeffs": list(c)} for u, c in transmissions],
     }
@@ -120,31 +124,32 @@ def test_exact_cover_plans_pinned(seven_user):
         (tree_cover, seven_user, _plan_obj(
             "tree", {"messages": 7, "structures": 3, "length": 4, "single_edges": 0},
             {"task_based": True, "all_covered": False},
-            [("covered_pair", (1, 2), 3), ("covered_pair", (3, 4), 1),
-             ("regular_tree", (5, 6, 7), None)],
+            [("covered_pair", (1, 2), None, 3), ("covered_pair", (3, 4), None, 1),
+             ("regular_tree", (5, 6, 7), None, None)],
             [(3, (1, 1, 0, 0, 0, 0, 0)), (1, (0, 0, 1, 1, 0, 0, 0)),
              (5, (0, 0, 0, 0, 0, 1, 1)), (6, (0, 0, 0, 0, 1, 0, 1))])),
         (biclique_cover, seven_user, _plan_obj(
             "biclique", {"messages": 7, "structures": 3, "length": 3, "uncovered": 0},
             {"task_based": True, "all_covered": True},
-            [("biclique", (1, 2, 3, 4), 5), ("single_edge", (5,), 6),
-             ("covered_pair", (6, 7), 5)],
+            [("biclique", (1, 2, 3, 4), None, 5), ("single_edge", (5,), None, 6),
+             ("covered_pair", (6, 7), None, 5)],
             [(5, (1, 1, 1, 1, 0, 0, 0)), (6, (0, 0, 0, 0, 1, 0, 0)),
              (5, (0, 0, 0, 0, 0, 1, 1))])),
         (tree_cover, rsu8, _plan_obj(
             "tree", {"messages": 8, "structures": 3, "length": 6, "single_edges": 1},
             {"task_based": False, "all_covered": False},
-            [("covered_pair", (1, 5), 3), ("regular_tree", (8, 6, 4, 2, 3), None),
-             ("single_edge", (7,), 4)],
+            [("covered_pair", (1, 5), (3, 5), 2),
+             ("regular_tree", (8, 6, 4, 2, 3), (7, 6, 4, 1, 2), None),
+             ("single_edge", (7,), (8,), 4)],
             [(2, (1, 0, 0, 0, 1, 0, 0, 0)), (7, (0, 0, 0, 1, 0, 1, 0, 0)),
              (6, (0, 1, 0, 1, 0, 0, 0, 0)), (4, (0, 1, 1, 0, 0, 0, 0, 0)),
              (1, (0, 0, 1, 0, 0, 0, 0, 1)), (4, (0, 0, 0, 0, 0, 0, 1, 0))])),
         (biclique_cover, rsu8, _plan_obj(
             "biclique", {"messages": 8, "structures": 6, "length": 6, "uncovered": 0},
             {"task_based": True, "all_covered": True},
-            [("single_edge", (1,), 3), ("covered_pair", (2, 4), 6),
-             ("single_edge", (3,), 2), ("covered_pair", (5, 6), 8),
-             ("single_edge", (7,), 4), ("single_edge", (8,), 2)],
+            [("single_edge", (1,), (3,), 2), ("covered_pair", (2, 4), (1, 4), 6),
+             ("single_edge", (3,), (2,), 1), ("covered_pair", (5, 6), (5, 6), 7),
+             ("single_edge", (7,), (8,), 4), ("single_edge", (8,), (7,), 1)],
             [(2, (1, 0, 0, 0, 0, 0, 0, 0)), (6, (0, 1, 0, 1, 0, 0, 0, 0)),
              (1, (0, 0, 1, 0, 0, 0, 0, 0)), (7, (0, 0, 0, 0, 1, 1, 0, 0)),
              (4, (0, 0, 0, 0, 0, 0, 1, 0)), (1, (0, 0, 0, 0, 0, 0, 0, 1))])),
@@ -378,10 +383,10 @@ def _cover_layer_instances():
 def _cover_layer_outputs():
     """Structure searches with their verdicts, then the four plans of each instance."""
     for k, inst in enumerate(_cover_layer_instances()):
-        graph, _ = demand_relabeling(inst)
+        graph, demander = demand_relabeling(inst)
         for search in (find_covered_pairs, search_regular_trees, search_bicliques):
             for w in search(graph):
-                yield f"{k} {json.dumps(w.to_json_obj())} {verify_structure(graph, w)}"
+                yield f"{k} {json.dumps(w.to_json_obj(demander))} {verify_structure(graph, w)}"
         for build in (tree_cover, biclique_cover):
             for exact in (False, True):
                 plan = build(inst, exact=exact)
@@ -395,7 +400,7 @@ def test_cover_layer_output_pinned():
     outputs = list(_cover_layer_outputs())
     assert len(outputs) == 808
     digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
-    assert digest == "3aafc4b55fedbd0c8a8b658c681651235d30c7beb8d3c6ac2ed73c945448769b"
+    assert digest == "6101609a1fcc3af4837460dcb32b65d48157bc8809030d097a33db37101818f9"
 
 
 def test_tree_cover_plans_pinned_past_n8():
@@ -404,7 +409,7 @@ def test_tree_cover_plans_pinned_past_n8():
     plans = [json.dumps(tree_cover(random_single_unicast(n, 2, d, 0), exact=exact).to_json_obj())
              for n in (10, 12) for d in (0.3, 0.5, 0.9) for exact in (False, True)]
     digest = hashlib.sha256("\n".join(plans).encode()).hexdigest()
-    assert digest == "74fd79cb60f4ba247f4e0f4eb79c87b6885bcff2599ffa9efe0d298ecc0bbb57"
+    assert digest == "026bd8cd5e8b33b8604c97ff9e06126ad2e1d3acd32a2f55d7fbd4c5540d923f"
 
 
 def test_biclique_plans_pinned_past_n8():
@@ -414,12 +419,12 @@ def test_biclique_plans_pinned_past_n8():
     for n in (10, 12):
         for d in (0.3, 0.5, 0.9):
             inst = random_single_unicast(n, 2, d, 0)
-            graph, _ = demand_relabeling(inst)
-            outputs.append(json.dumps([w.to_json_obj() for w in search_bicliques(graph)]))
+            graph, demander = demand_relabeling(inst)
+            outputs.append(json.dumps([w.to_json_obj(demander) for w in search_bicliques(graph)]))
             outputs += [json.dumps(biclique_cover(inst, exact=exact).to_json_obj())
                         for exact in (False, True)]
     digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
-    assert digest == "44fcba600a77a8cdf0a53555736fd46f9628cff986805d7118e94ebeee8bf075"
+    assert digest == "16859b832a750b64af0623ab2af8274effc5bf360b8962dad3f526840151bc29"
 
 
 def test_exact_plans_pinned_where_the_bound_prunes():
@@ -433,7 +438,7 @@ def test_exact_plans_pinned_where_the_bound_prunes():
                 plans += [json.dumps(build(inst, exact=True).to_json_obj())
                           for build in (tree_cover, biclique_cover)]
     digest = hashlib.sha256("\n".join(plans).encode()).hexdigest()
-    assert digest == "0debc8156b7517dbf122e49347b89234787d7fd9e0da0b85ddde4bd1e7541b3f"
+    assert digest == "eecc02c8a114641f2045954f5189bf6ae362e874f313f01abfea1dcfe082a723"
 
 
 def test_exact_tree_cover_skips_blocks_that_cannot_win(monkeypatch):

@@ -462,7 +462,6 @@ def test_oracle_certifies_lower_bound(mixed4):
     with pytest.raises(OracleExhaustedError) as e:
         minrank_oracle(mixed4, l_max=2)
     assert e.value.l_max == 2
-    assert e.value.exhausted_length == 3
 
 
 def test_oracle_budget_guard(mixed4):
