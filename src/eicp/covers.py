@@ -68,6 +68,11 @@ def _cost(scheme: str, w: StructureWitness) -> tuple[int, int]:
     return _size_cost(scheme, w.size), int(scheme == TREE_SCHEME and w.kind == SINGLE_EDGE)
 
 
+def _length(scheme: str, structures) -> int:
+    """Transmissions the scheme sends for `structures`."""
+    return sum(_cost(scheme, w)[0] for w in structures)
+
+
 def _size_cost(scheme: str, size: int) -> int:
     """Transmissions of a block of `size` messages, uncovered cliques aside.
 
@@ -102,7 +107,7 @@ class CoverPlan:
     demander: dict[int, int]
 
     def __post_init__(self):
-        cost = sum(_cost(self.scheme, w)[0] for w in self.structures)
+        cost = _length(self.scheme, self.structures)
         if self.code.length != cost:
             raise ConsistencyError(
                 f"{self.scheme} plan sends {self.code.length} transmissions "
@@ -209,24 +214,42 @@ def _finish_plan(inst, graph, demander, scheme: str,
 def tree_cover(inst: EicpInstance, exact: bool = False) -> CoverPlan:
     """Partition the messages into path patterns, covered pairs, and lone messages.
 
-    The default greedy pass takes covered pairs first (they deliver two
-    messages per transmission), then path patterns of ascending size, then
-    lone messages. exact=True searches every partition and minimizes the
-    transmission count outright.
+    The default greedy pass (_greedy_tree_structures) takes covered pairs
+    first (they deliver two messages per transmission), then path patterns
+    of ascending size, then lone messages. exact=True searches every
+    partition and minimizes the transmission count outright.
     """
     graph, demander = demand_relabeling(inst)
     if exact:
         structures = _exact_cover(inst, graph, TREE_SCHEME)
     else:
-        pairs = [(_mask(w.msg_seq), w) for w in find_covered_pairs(graph)]
-        # The first pair inside what is left is the lexicographically first
-        # covered pair there, as pairs is in lexicographic order.
-        structures, left = _pack(_member_pool(graph), lambda pool: next(
-            (w for pair, w in pairs if pair & pool == pair), None))
-        for n in range(3, left.bit_count() + 1):
-            trees, left = _pack(left, lambda pool: _find_tree(graph, pool, n))
-            structures += trees
-        structures += _lone_messages(graph, left)
+        structures = _greedy_tree_structures(graph)
+    return _finish_plan(inst, graph, demander, TREE_SCHEME, structures)
+
+
+def _greedy_tree_structures(graph: SideInfoBipartiteGraph) -> list[StructureWitness]:
+    """The greedy tree cover's partition of the messages of `graph` (tree_cover)."""
+    pairs = [(_mask(w.msg_seq), w) for w in find_covered_pairs(graph)]
+    # The first pair inside what is left is the lexicographically first
+    # covered pair there, as pairs is in lexicographic order.
+    structures, left = _pack(_member_pool(graph), lambda pool: next(
+        (w for pair, w in pairs if pair & pool == pair), None))
+    for n in range(3, left.bit_count() + 1):
+        trees, left = _pack(left, lambda pool: _find_tree(graph, pool, n))
+        structures += trees
+    return structures + _lone_messages(graph, left)
+
+
+def tree_cover_bound(inst: EicpInstance, below: int) -> CoverPlan | None:
+    """The greedy tree cover's plan if it sends fewer than `below` transmissions, else None.
+
+    The length is read off the greedy structures first, so the plan's code
+    is built and checked only when it is short enough.
+    """
+    graph, demander = demand_relabeling(inst)
+    structures = _greedy_tree_structures(graph)
+    if _length(TREE_SCHEME, structures) >= below:
+        return None
     return _finish_plan(inst, graph, demander, TREE_SCHEME, structures)
 
 

@@ -22,6 +22,29 @@ incumbent reaches LB; and each node is cut when its partial stack or column
 set, with its rank on some S's demand coordinates, already forces the
 incumbent's length.
 
+One upper bound, the paper's tree cover, can shorten stage two. Any code
+the checker accepts bounds kappa from above, so on a single-unicast
+instance with every user served and the row rank above LB, the greedy tree
+cover (covers.tree_cover_bound) is consulted after stage one. Its length is
+read off its structures, and its code is built and checked only when that
+length is below the row rank. If the length equals LB, the cover's code is
+optimal and stage two is skipped; otherwise stage two searches strictly
+below the cover's length, and the cover's code stands if the search finds
+nothing. Stage two returns the first minimal serving subset in search
+order from any incumbent above kappa (_column_search), so whenever kappa is
+below the cover's length its answer is the one it gives from the row rank.
+The bi-clique cover is never consulted: in its plans every user decodes its
+demand from one transmission, which is then one of that user's candidate
+rows, so those rows stack to rank at most the plan's length, and the row
+rank never exceeds it. The same holds for the tree cover's covered pairs,
+lone messages and three-message path patterns; each user of a longer
+pattern can take its demand's unit row, so the row rank is at most the
+cover's length plus its patterns of four or more messages. A partition of
+N messages sends N minus its structures other than lone messages, and with
+one pattern of four or more messages, every other such structure holding
+two or more, it sends at least ceil(N / 2) + 1. So the cover is consulted
+only when the row rank is above that too.
+
 Route two (minrank_oracle) exhaustively searches codes of increasing length
 and reports the first feasible length. It examines every column subset of
 each length, with no pruning at all, on the reference kernel. The two routes
@@ -88,8 +111,9 @@ from .gf import (
     packed_space,
     reduce,
 )
+from .covers import tree_cover_bound
 from .graphs import BipartiteProblemGraph
-from .model import EicpInstance, require_valid
+from .model import EicpInstance, classify, require_valid
 
 CANDIDATES_PER_USER_LIMIT = 2 ** 20
 # acyclic_sets is exact up to this many covered users and greedy above it.
@@ -526,19 +550,30 @@ def minrank_bnb(inst: EicpInstance, users=None,
     siblings, and a row that grows the span into an earlier sibling's grown
     span is skipped.
 
-    Stage two searches transmittable column subsets strictly smaller than the
-    stage-one rank; it usually finds nothing, but on chain-like instances the
-    shortest code's columns are not decodable rows for any single user and
-    only this stage sees them. It visits each span once, through its
-    pool-order greedy basis, and finds a last column by lookup instead of
-    scanning the pool (_column_search). Both stages read one transmission
-    pool, over the messages the served users demand (the projection of the
-    module docstring), and one packed space `gf.packed_space` with one
-    demand mask per acyclic set, all built once per call; the reference
-    kernel only extracts and checks the answer, on the original instance.
+    Stage two searches transmittable column subsets strictly smaller than its
+    incumbent: the stage-one rank, or the greedy tree cover's length when
+    that is shorter (covers.tree_cover_bound, consulted only on a
+    single-unicast instance with every user served and the row rank above
+    both LB and ceil(N / 2) + 1 for N messages, the least length of a tree
+    cover that can beat it). It usually finds nothing, but on chain-like
+    instances the shortest code's columns are not decodable rows for any
+    single user, and only this stage or the tree cover sees them. A checked
+    cover code bounds kappa, and from any incumbent above kappa stage two
+    returns the same subset, so the cover changes the answer only where its
+    length is kappa: its code then stands, and when that length is LB stage
+    two does not run. The bi-clique cover is never consulted: each of its
+    users decodes from one transmission, one of its candidate rows, so its
+    length is never below the row rank (module docstring). It visits each
+    span once, through its pool-order greedy basis, and finds a last column
+    by lookup instead of scanning the pool (_column_search). Both stages
+    read one transmission pool, over the messages the served users demand
+    (the projection of the module docstring), and one packed space
+    `gf.packed_space` with one demand mask per acyclic set, all built once
+    per call; the reference kernel only extracts and checks the answer, on
+    the original instance.
 
     The acyclic-set bound LB (acyclic_sets) is used three times. At the root,
-    stage two is skipped when the row rank equals LB. Each stage stops as
+    stage two is skipped when its incumbent equals LB. Each stage stops as
     soon as its incumbent reaches LB. Per node, with S one of the largest
     acyclic sets and rank_S the rank on S's demand coordinates, stage one
     cuts a partial stack A once rank(A) + |S| - rank_S(A) reaches the
@@ -559,16 +594,18 @@ def minrank_bnb(inst: EicpInstance, users=None,
     rows are each user's first candidate inside its span: an earlier one
     would make an earlier leaf of no larger rank. When stage two improves on
     stage one, the winning columns become the code, the first minimal serving
-    subset in search order, and each witness row is recomputed from its
-    user's decoding recipe.
+    subset in search order; when the tree cover stands, its plan's code is
+    the code. Either way each witness row is recomputed from its user's
+    decoding recipe.
 
     `stats` holds the node counts of the two stages (`nodes_explored`, rows
     tried, and `column_nodes_explored`, columns tested), the candidate
     counts, the uncoded length `incumbent_initial`, `lower_bound` (LB),
     `row_rank_bound` (the stage-one optimum), `column_pool_size` (0 when
-    stage two did not run) and `messages_projected`, the number of messages
-    no served user demands, 0 when none. The node counts, the candidate
-    counts and `column_pool_size` are those of the projected pool.
+    stage two did not run), `messages_projected`, the number of messages no
+    served user demands, 0 when none, and `code_source`, which of "stage
+    one", "stage two" and "tree cover" gave the code. The node counts, the
+    candidate counts and `column_pool_size` are those of the projected pool.
     """
     require_valid(inst)
     users = _resolve_users(inst, users)
@@ -591,21 +628,32 @@ def minrank_bnb(inst: EicpInstance, users=None,
         for search in ("rank search", "code search"))
     row_rank, choice = _row_search(order, start_incumbent, space, masks, lower_bound, budget)
 
+    cover = None
+    # Only a cover with a path pattern of four or more messages can beat the
+    # row rank, and such a cover is at least ceil(N / 2) + 1 long.
+    if (row_rank > max(lower_bound, (inst.num_messages + 1) // 2 + 1)
+            and len(users) == inst.num_users and classify(inst).single_unicast):
+        cover = tree_cover_bound(inst, row_rank)
+    incumbent = row_rank if cover is None else cover.code.length
+
     improvement = None
     pool_size = 0
-    if row_rank > lower_bound:
+    if incumbent > lower_bound:
         pool_size = len(pool)
-        improvement = _column_search(inst, users, pool, row_rank, space, masks, lower_bound,
+        improvement = _column_search(inst, users, pool, incumbent, space, masks, lower_bound,
                                      column_budget)
 
-    if improvement is None:
-        kappa = row_rank
-        witness = GfMatrix.from_rows(q, [choice[i].coords for i in users], num_cols=dim)
-        code = extract_code(inst, witness, users)
-    else:
-        kappa = len(improvement)
+    if improvement is not None:
+        source, kappa = "stage two", len(improvement)
         code = checked_code(inst, users, (Transmission(sender, vec) for vec, sender in improvement),
                             "the branch and bound's stage two")
+    elif cover is not None:
+        source, kappa, code = "tree cover", incumbent, cover.code
+    else:
+        source, kappa = "stage one", row_rank
+        witness = GfMatrix.from_rows(q, [choice[i].coords for i in users], num_cols=dim)
+        code = extract_code(inst, witness, users)
+    if source != "stage one":
         rows = [_decode_row(code, inst, i).coords for i in users]
         witness = GfMatrix.from_rows(q, rows, num_cols=dim)
     if code.length != kappa:
@@ -621,6 +669,7 @@ def minrank_bnb(inst: EicpInstance, users=None,
         "column_nodes_explored": column_budget.used,
         "column_pool_size": pool_size,
         "messages_projected": inst.num_messages - len(demanded),
+        "code_source": source,
     }
     return MinrankResult(kappa, users, witness, code, stats)
 

@@ -483,7 +483,7 @@ def test_cli_output_pinned(capsys, tmp_path, monkeypatch):
         records.append(repr((argv, code, out, err, written)))
     assert len(records) == 162
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
-    assert digest == "6eb21febaa87b8cd102912a2c1a509744cb397f2ab9f40bd29d108d174ed10d5"
+    assert digest == "b7fb1fd69ead30fde16ae28fd2cbd1850e32d5e7d89903a7d25081e7493f735d"
 
 
 def test_theorem2_json_output_pinned(capsys):

@@ -10,7 +10,9 @@ demand vector per orbit. A message no user demands need never be decoded,
 so adding one, held by some users, moves neither kappa nor the bounds; the
 solver drops such messages from its pool, and this relation makes it drop
 one more. Dropping users to decode can only shorten the optimal code, and
-every cover plan is a code, so no cover is shorter than kappa.
+every cover plan is a code, so no cover is shorter than kappa. A user that
+holds one more message decodes whatever it decoded and can send whatever it
+sent, so growing side information never raises kappa.
 """
 
 import itertools
@@ -92,6 +94,29 @@ def test_an_undemanded_message_keeps_kappa_and_both_bounds(solved):
         r = minrank_bnb(grown)
         assert r.stats["messages_projected"] == extra - len(set(inst.demands))
         assert (r.kappa, r.stats["lower_bound"], r.stats["row_rank_bound"]) == answer
+
+
+def test_growing_side_information_never_raises_kappa(solved):
+    # One seeded user gains one message that it neither holds nor demands
+    # and that at least one other user still lacks, so the instance stays
+    # valid; on 3 draws the seeded user has no such message. The grown
+    # random_single_unicast(6, 3, .5, 0) takes about 2 s of stage two.
+    rng = random.Random(17)
+    grown_count = 0
+    for inst, (kappa, _, _) in solved:
+        u = rng.choice(inst.users)
+        lacking = [m for m in inst.messages
+                   if m not in inst.knows(u) and m != inst.demand(u)
+                   and sum(m in inst.knows(v) for v in inst.users) < inst.num_users - 1]
+        if not lacking:
+            continue
+        side = list(inst.side_info)
+        side[u - 1] = tuple(sorted(side[u - 1] + (rng.choice(lacking),)))
+        grown = EicpInstance(inst.q, inst.num_users, inst.num_messages,
+                             side_info=tuple(side), demands=inst.demands)
+        assert minrank_bnb(grown).kappa <= kappa
+        grown_count += 1
+    assert grown_count == 45
 
 
 def test_no_cover_is_shorter_than_kappa(solved):

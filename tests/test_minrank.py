@@ -27,7 +27,7 @@ from eicp.errors import (
     OracleExhaustedError,
 )
 from eicp.gf import EchelonBasis, FieldOrder, GfMatrix, basis_insert, in_span, rank, reduce
-from eicp.graphs import build_problem_graph
+from eicp.graphs import REGULAR_TREE, build_problem_graph
 from eicp.minrank import (
     ACYCLIC_EXACT_USERS_LIMIT,
     ACYCLIC_SETS_KEPT,
@@ -275,16 +275,87 @@ def test_projected_solves_match_the_oracle_on_the_full_pool():
     assert (len(draws), projected, shrunk) == (189, 358, 153)
 
 
+def _twinned(inst, user):
+    """`inst` plus one more user with the side information and demand of `user`.
+
+    The twin decodes what `user` decodes and can send what `user` sends, so
+    kappa, LB, the row rank and the pool stay; but two users share a demand,
+    so the instance is not single unicast and the tree cover is not
+    consulted.
+    """
+    return EicpInstance(inst.q, inst.num_users + 1, inst.num_messages,
+                        inst.side_info + (inst.side_info[user - 1],),
+                        inst.demands + (inst.demand(user),))
+
+
 def test_two_stage_improvement_on_chain():
-    r = minrank_bnb(regular_tree_instance(4))
+    # On the chain itself the tree cover closes the gap; with a twin user
+    # stage two has to find the 3-column code.
+    r = minrank_bnb(_twinned(regular_tree_instance(4), 1))
     assert r.stats["row_rank_bound"] == 4
     assert r.kappa == 3
     assert r.stats["column_nodes_explored"] > 0
     assert r.code.length == 3
 
 
+def test_code_search_guard_trips_where_the_cover_does_not_close():
+    # Stage one takes one node on both; the twinned chain's stage two takes 23.
+    with pytest.raises(GuardExceededError, match=r"^code search visited more than 3 nodes"):
+        minrank_bnb(_twinned(regular_tree_instance(4), 1), node_limit=3)
+    r = minrank_bnb(regular_tree_instance(4), node_limit=3)
+    assert (r.kappa, r.stats["column_nodes_explored"], r.stats["code_source"]) == (
+        3, 0, "tree cover")
+
+
+def _cover_bound_corpus():
+    """The path patterns at n = 3-7 over q = 2, 3 and 5, then 18 single-unicast draws."""
+    return ([regular_tree_instance(n, q) for q in (2, 3, 5) for n in range(3, 8)]
+            + [random_single_unicast(n, 2, d, s)
+               for n in (4, 5, 6) for d in (0.3, 0.5, 0.7) for s in range(2)])
+
+
+def test_tree_cover_bound_matches_the_oracle():
+    # The cover's code stands exactly when it is optimal and shorter than the
+    # row rank: then stage two searches below it and finds nothing. On
+    # regular_tree_instance(7, 5) the oracle examines 728 k subsets (about
+    # 5 s), so that solve is certified by LB instead: the MAIS bound below
+    # and the checked code above.
+    covered = 0
+    for inst in _cover_bound_corpus():
+        r = minrank_bnb(inst)
+        if inst.q == 5 and inst.num_users == 7:
+            assert r.kappa == r.stats["lower_bound"]
+        else:
+            assert r.kappa == minrank_oracle(inst).kappa
+        assert verify_code(r.code, inst).overall
+        length = tree_cover(inst).code.length
+        by_cover = length == r.kappa < r.stats["row_rank_bound"]
+        assert (r.stats["code_source"] == "tree cover") == by_cover
+        covered += by_cover
+    assert covered == 12
+
+
+def test_covers_beat_the_row_rank_only_through_long_path_patterns():
+    # Every user decodes from one transmission of a bi-clique plan, a
+    # transmittable row of its own, so those rows stack to rank at most the
+    # plan's length: the row rank never exceeds it. In a tree plan the same
+    # holds outside path patterns of four or more messages, whose users can
+    # take their unit rows, so the row rank is at most the length plus the
+    # number of such patterns (minrank_bnb skips the cover on that count).
+    long_patterns = 0
+    for inst in _cover_bound_corpus():
+        row_rank = minrank_bnb(inst).stats["row_rank_bound"]
+        assert biclique_cover(inst).code.length >= row_rank
+        tree = tree_cover(inst)
+        long = sum(w.kind == REGULAR_TREE and w.size >= 4 for w in tree.structures)
+        assert tree.code.length + long >= row_rank
+        long_patterns += long
+    assert long_patterns == 12
+
+
 # Odd-q solves where stage two beats the row rank, as (instance, users);
 # the users subsets are every other user, from the first or the second.
+# The regular trees carry a twin user, so the tree cover does not close them.
 ODD_Q_GAP_SOLVES = [
     (gen_random(5, 5, 3, 0.7, 5), None),
     (gen_random(6, 6, 3, 0.3, 1), slice(1, None, 2)),
@@ -292,13 +363,13 @@ ODD_Q_GAP_SOLVES = [
     (gen_random(6, 6, 3, 0.7, 2), slice(None, None, 2)),
     (gen_random(6, 6, 3, 0.3, 9), slice(None, None, 2)),
     (random_single_unicast(6, 3, 0.3, 4), slice(None, None, 2)),
-    (regular_tree_instance(4, 3), None),
-    (regular_tree_instance(5, 3), None),
+    (_twinned(regular_tree_instance(4, 3), 1), None),
+    (_twinned(regular_tree_instance(5, 3), 1), None),
     (gen_random(5, 5, 5, 0.7, 5), None),
     (gen_random(6, 6, 5, 0.3, 9), slice(None, None, 2)),
     (random_single_unicast(6, 5, 0.3, 4), slice(None, None, 2)),
-    (regular_tree_instance(4, 5), None),
-    (regular_tree_instance(5, 5), None),
+    (_twinned(regular_tree_instance(4, 5), 1), None),
+    (_twinned(regular_tree_instance(5, 5), 1), None),
 ]
 
 
@@ -342,7 +413,7 @@ PINNED_SEARCHES = [
       "candidates_per_user": {1: 6, 2: 2, 3: 3, 4: 3, 5: 6, 6: 6},
       "product_size": 3888, "incumbent_initial": 4, "lower_bound": 2,
       "row_rank_bound": 3, "column_nodes_explored": 16, "column_pool_size": 13,
-      "messages_projected": 2}),
+      "messages_projected": 2, "code_source": "stage two"}),
     # The same instance with a users subset.
     (gen_random(6, 6, 2, 0.5, 1), (1, 2, 3, 5), 2,
      ((1, 1, 0, 0, 1, 0), (1, 0, 0, 0, 0, 1), (0, 1, 0, 0, 1, 1), (1, 1, 0, 0, 1, 0)),
@@ -351,7 +422,7 @@ PINNED_SEARCHES = [
       "candidates_per_user": {1: 6, 2: 2, 3: 3, 5: 6},
       "product_size": 216, "incumbent_initial": 4, "lower_bound": 2,
       "row_rank_bound": 3, "column_nodes_explored": 16, "column_pool_size": 13,
-      "messages_projected": 2}),
+      "messages_projected": 2, "code_source": "stage two"}),
     # q = 3 gap.
     (gen_random(5, 5, 3, 0.7, 5), None, 2,
      ((1, 0, 1, 0, 0), (1, 0, 1, 0, 0), (1, 0, 1, 0, 0), (2, 0, 0, 0, 1), (1, 0, 0, 0, 2)),
@@ -360,7 +431,7 @@ PINNED_SEARCHES = [
       "candidates_per_user": {1: 3, 2: 3, 3: 3, 4: 3, 5: 1},
       "product_size": 81, "incumbent_initial": 3, "lower_bound": 2,
       "row_rank_bound": 3, "column_nodes_explored": 9, "column_pool_size": 7,
-      "messages_projected": 2}),
+      "messages_projected": 2, "code_source": "stage two"}),
     # q = 5, stage one stands after 280 column nodes.
     (gen_random(4, 4, 5, 0.5, 3), None, 3,
      ((0, 1, 1, 0), (0, 0, 0, 1), (0, 1, 1, 0), (1, 0, 0, 0)),
@@ -369,16 +440,18 @@ PINNED_SEARCHES = [
       "candidates_per_user": {1: 9, 2: 5, 3: 9, 4: 25},
       "product_size": 10125, "incumbent_initial": 4, "lower_bound": 2,
       "row_rank_bound": 3, "column_nodes_explored": 280, "column_pool_size": 40,
-      "messages_projected": 0}),
-    # q = 5 gap.
-    (regular_tree_instance(4, 5), None, 3,
-     ((1, 0, 4, 0), (0, 1, 0, 0), (4, 0, 1, 0), (1, 0, 0, 1)),
+      "messages_projected": 0, "code_source": "stage one"}),
+    # q = 5 gap: the chain with a twin of user 1, so the tree cover does not
+    # close it. The code is the one pinned on the chain itself, and user 5's
+    # row is user 1's.
+    (_twinned(regular_tree_instance(4, 5), 1), None, 3,
+     ((1, 0, 4, 0), (0, 1, 0, 0), (4, 0, 1, 0), (1, 0, 0, 1), (1, 0, 4, 0)),
      [(1, (0, 1, 0, 0)), (2, (0, 0, 1, 1)), (3, (1, 0, 0, 1))],
-     {"nodes_explored": 1, "candidates_total": 16,
-      "candidates_per_user": {1: 1, 2: 5, 3: 5, 4: 5},
+     {"nodes_explored": 1, "candidates_total": 17,
+      "candidates_per_user": {1: 1, 2: 5, 3: 5, 4: 5, 5: 1},
       "product_size": 125, "incumbent_initial": 4, "lower_bound": 3,
       "row_rank_bound": 4, "column_nodes_explored": 68, "column_pool_size": 16,
-      "messages_projected": 0}),
+      "messages_projected": 0, "code_source": "stage two"}),
 ]
 
 
@@ -411,14 +484,17 @@ def test_solver_output_pinned():
     # and 5. Node counts are left out: pruning that keeps the answers keeps
     # this digest. Searching the pool of the demanded messages moved the
     # witness and code of two users-subset solves, never a kappa or a bound.
+    # Taking the tree cover's code moved those of the eight full-user solves
+    # of regular_tree_instance(4..7) at q = 2 and 3, again never a kappa or
+    # a bound.
     outputs = list(_solver_outputs())
     assert len(outputs) == 170
     digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
-    assert digest == "b19674514c6df3ea64290fdd7cd8cb59f41d81a47377c1240f304ae9078710e5"
+    assert digest == "0239c64f878c24ec4851be5ebf18633d68b408f93a3c3afcdaa16d870e2fc637"
 
 
 @pytest.mark.parametrize("inst", [random_single_unicast(8, 2, 0.5, 9),
-                                  regular_tree_instance(6, 5)])
+                                  _twinned(regular_tree_instance(6, 5), 1)])
 def test_search_loops_stay_off_the_reference_kernel(inst, monkeypatch):
     # Only the code extraction and the checker may use the reference kernel:
     # codes.checked_code decodes each user once and decode_coeffs recovers
@@ -426,8 +502,9 @@ def test_search_loops_stay_off_the_reference_kernel(inst, monkeypatch):
     # side-info units, so n users and m messages bound the calls whatever
     # the number of search nodes. On both instances stage two beats the row
     # rank (kappa 5 < 6), so the witness rows come from decode_coeffs; on
-    # the first the acyclic bound, 4, is below kappa too. Both demand every
-    # message, so the search runs on the full pool.
+    # the first the acyclic bound, 4, is below kappa too. The second is the
+    # chain with a twin user, which the tree cover does not close. Both
+    # demand every message, so the search runs on the full pool.
     calls = {"basis_insert": 0, "in_span": 0}
 
     def counting(name, fn):

@@ -1,8 +1,13 @@
 """Source hygiene checks over the package itself."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import eicp
 
@@ -259,3 +264,14 @@ def test_public_names_have_callers():
     stale = [name for name in UNCALLED_PUBLIC_NAMES if name not in uncalled]
     assert not unlisted, f"public names nothing calls: {unlisted}"
     assert not stale, f"listed as uncalled but now called: {stale}"
+
+
+@pytest.mark.parametrize("module", ["eicp.covers", "eicp.minrank"])
+def test_module_imports_first_in_a_fresh_interpreter(module):
+    # minrank imports covers at module level and covers imports minrank
+    # only inside compare_schemes; a module-level import back would be a
+    # cycle that fails whichever module is imported first.
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    proc = subprocess.run([sys.executable, "-c", f"import {module}"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
