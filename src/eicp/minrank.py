@@ -1,39 +1,37 @@
 """Exact optimal scalar linear code length via two independent routes.
 
-Route one (minrank_bnb) works in two stages. The first minimizes the rank of
-a stacked matrix with one row per user, where row i is the demand's unit
-vector plus a combination of user i's side-info messages, restricted to rows
-some other user could actually transmit. Any maximal independent subset of
-such rows is itself a working code, so this rank is always an achievable
-length, but it can overshoot: the shortest codes sometimes consist of columns
-that are not decodable rows for any single user (a user may need to sum
-several transmissions, as in the chain schemes of the covering module). The
-second stage closes that gap with a branch-and-bound over transmittable
-column subsets, pruned by the stage-one bound, and keeps whichever answer is
-smaller.
+Route one (minrank_bnb) runs four fixed steps around one record of the
+best code found so far: its length, its source and the code. The acyclic
+sets give the lower bound LB, stage one sets the record, the tree cover may
+shorten it, and stage two closes what is left of the gap to LB. Each
+paragraph below justifies one step.
 
-One lower bound closes both stages. A set S of covered users with distinct
-demands whose "u holds v's demand" digraph is acyclic forces rank |S| on
-the coordinates of S's demands, in every code serving S and in every full
-stack of rows (acyclic_sets; the MAIS bound of Bar-Yossef, Birk, Jayram and
-Kol). The largest such |S| is the lower bound LB. It is used three times:
-stage two is skipped when the row rank equals LB; each stage stops once its
-incumbent reaches LB; and each node is cut when its partial stack or column
-set, with its rank on some S's demand coordinates, already forces the
-incumbent's length.
+The acyclic sets. A set S of covered users with distinct demands whose "u
+holds v's demand" digraph is acyclic forces rank |S| on the coordinates of
+S's demands, in every code serving S and in every full stack of rows
+(acyclic_sets; the MAIS bound of Bar-Yossef, Birk, Jayram and Kol). The
+largest such |S| is the lower bound LB, so a record of length LB is
+optimal. Each search stops once its incumbent reaches LB, and cuts a node
+once its partial stack or column set, with its rank on some S's demand
+coordinates, already forces the incumbent's length.
 
-One upper bound, the paper's tree cover, can shorten stage two. Any code
-the checker accepts bounds kappa from above, so on a single-unicast
-instance with every user served and the row rank above LB, the greedy tree
-cover (covers.tree_cover_bound) is consulted after stage one. Its length is
-read off its structures, and its code is built and checked only when that
-length is below the row rank. If the length equals LB, the cover's code is
-optimal and stage two is skipped; otherwise stage two searches strictly
-below the cover's length, and the cover's code stands if the search finds
-nothing. Stage two returns the first minimal serving subset in search
-order from any incumbent above kappa (_column_search), so whenever kappa is
-below the cover's length its answer is the one it gives from the row rank.
-The bi-clique cover is never consulted: in its plans every user decodes its
+Stage one minimizes the rank of a stacked matrix with one row per user,
+where row i is the demand's unit vector plus a combination of user i's
+side-info messages, restricted to rows some other user could actually
+transmit. Any maximal independent subset of such rows is itself a working
+code, so this rank, the row rank, is an achievable length, and it starts
+the record. Its code is read off the rows only if no later step shortens
+the record. The row rank can overshoot: the shortest codes sometimes
+consist of columns that are not decodable rows for any single user (a user
+may need to sum several transmissions, as in the chain schemes of the
+covering module).
+
+The tree cover. Any code the checker accepts bounds kappa from above, so
+on a single-unicast instance with every user served and the row rank above
+LB, the greedy tree cover (covers.tree_cover_bound) is consulted. Its
+length is read off its structures, and its code is built and checked, and
+replaces the record, only when that length is below the row rank. The
+bi-clique cover is never consulted: in its plans every user decodes its
 demand from one transmission, which is then one of that user's candidate
 rows, so those rows stack to rank at most the plan's length, and the row
 rank never exceeds it. The same holds for the tree cover's covered pairs,
@@ -44,6 +42,14 @@ N messages sends N minus its structures other than lone messages, and with
 one pattern of four or more messages, every other such structure holding
 two or more, it sends at least ceil(N / 2) + 1. So the cover is consulted
 only when the row rank is above that too.
+
+Stage two is a branch and bound over transmittable column subsets. It runs
+only while the record's length is above LB, searches strictly below that
+length, and a subset it finds replaces the record. It returns the first
+minimal serving subset in search order from any incumbent above kappa
+(_column_search), so a tree cover changes the answer only where its length
+is kappa: whenever kappa is below the cover's length, stage two gives the
+answer it gives from the row rank.
 
 Route two (minrank_oracle) exhaustively searches codes of increasing length
 and reports the first feasible length. It examines every column subset of
@@ -226,12 +232,12 @@ class _Budget:
             raise GuardExceededError(self.message)
 
 
-def _row_search(order: list[CandidateSet], incumbent: int, space, masks: list[int],
+def _row_search(order: list[CandidateSet], space, masks: list[int],
                 lower_bound: int, budget: _Budget) -> tuple[int, dict[int, GfVector]]:
     """Smallest stacked rank, and the rows of the first leaf reaching it.
 
-    `incumbent` is the rank of the first leaf, each user's first candidate
-    (its demand's unit vector), which is the starting answer. Depth-first in
+    The starting incumbent is the rank of the first leaf, which stacks each
+    user's first candidate (its demand's unit vector). Depth-first in
     search order over the rows packed in `space`. A node with partial stack A
     is cut once rank(A) + LB - rank(A & mask) reaches the incumbent for one
     of the acyclic sets' demand `masks`, LB being `lower_bound`, each set's
@@ -258,6 +264,7 @@ def _row_search(order: list[CandidateSet], incumbent: int, space, masks: list[in
     best = ()
     for rows in packed:
         best = insert(best, rows[0])[0]
+    incumbent = len(best)
     last = len(order) - 1
 
     def walk(depth: int, basis: tuple, projections: list) -> None:
@@ -541,70 +548,33 @@ def minrank_bnb(inst: EicpInstance, users=None,
                 node_limit: int | None = None) -> MinrankResult:
     """Exact optimal code length by two-stage branch and bound.
 
-    Stage one minimizes the stacked-matrix rank. The uncoded scheme seeds the
-    incumbent at the number of distinct demands, users enter the search with
-    the smallest candidate sets first (ties in ascending user order), and a
-    subtree is cut as soon as its partial stack already reaches the
-    incumbent. Two sibling cuts drop leaves that an earlier leaf dominates
-    (_row_search): a row already inside the partial stack's span ends its
-    siblings, and a row that grows the span into an earlier sibling's grown
-    span is skipped.
+    The steps and the record of the best code are those of the module
+    docstring, which holds their proofs. Stage one seeds its incumbent with
+    the uncoded scheme, at the number of distinct demands, users enter its
+    search with the smallest candidate sets first (ties in ascending user
+    order), and two sibling cuts drop leaves that an earlier leaf dominates
+    (_row_search). Stage two visits each span once, through its pool-order
+    greedy basis, and finds a last column by lookup instead of scanning the
+    pool (_column_search). Both stages read one transmission pool, over the
+    messages the served users demand (the projection of the module
+    docstring), and one packed space `gf.packed_space` with one demand mask
+    per acyclic set, all built once per call; the reference kernel only
+    extracts and checks the answer, on the original instance.
 
-    Stage two searches transmittable column subsets strictly smaller than its
-    incumbent: the stage-one rank, or the greedy tree cover's length when
-    that is shorter (covers.tree_cover_bound, consulted only on a
-    single-unicast instance with every user served and the row rank above
-    both LB and ceil(N / 2) + 1 for N messages, the least length of a tree
-    cover that can beat it). It usually finds nothing, but on chain-like
-    instances the shortest code's columns are not decodable rows for any
-    single user, and only this stage or the tree cover sees them. A checked
-    cover code bounds kappa, and from any incumbent above kappa stage two
-    returns the same subset, so the cover changes the answer only where its
-    length is kappa: its code then stands, and when that length is LB stage
-    two does not run. The bi-clique cover is never consulted: each of its
-    users decodes from one transmission, one of its candidate rows, so its
-    length is never below the row rank (module docstring). It visits each
-    span once, through its pool-order greedy basis, and finds a last column
-    by lookup instead of scanning the pool (_column_search). Both stages
-    read one transmission pool, over the messages the served users demand
-    (the projection of the module docstring), and one packed space
-    `gf.packed_space` with one demand mask per acyclic set, all built once
-    per call; the reference kernel only extracts and checks the answer, on
-    the original instance.
-
-    The acyclic-set bound LB (acyclic_sets) is used three times. At the root,
-    stage two is skipped when its incumbent equals LB. Each stage stops as
-    soon as its incumbent reaches LB. Per node, with S one of the largest
-    acyclic sets and rank_S the rank on S's demand coordinates, stage one
-    cuts a partial stack A once rank(A) + |S| - rank_S(A) reaches the
-    incumbent, and stage two cuts a column set C that serves not everyone
-    once |C| + max(1, |S| - rank_S(C)) reaches its best size. The bound only
-    cuts subtrees with nothing strictly better in them, and stage two
-    accepts a serving subset only when strictly smaller than its best, so
-    neither stage's answer depends on the bound.
-
-    The returned artifacts are deterministic. When stage one stands, the
-    witness is the first row assignment in search order that attains the
-    optimum, and the code is read off its independent rows. Stage one starts
-    from the first leaf, each user's first candidate being the unit vector of
-    its demand, whose stack has the distinct-demand rank, and records the
-    stack of each strictly better leaf as it goes. Each cut drops only leaves
-    that follow a leaf of the same or a smaller span, so none of them drops
-    the first optimal leaf, and neither cut can move the answer. That leaf's
-    rows are each user's first candidate inside its span: an earlier one
-    would make an earlier leaf of no larger rank. When stage two improves on
-    stage one, the winning columns become the code, the first minimal serving
-    subset in search order; when the tree cover stands, its plan's code is
-    the code. Either way each witness row is recomputed from its user's
-    decoding recipe.
+    The returned artifacts are deterministic. When stage one's code stands,
+    the witness is the first row assignment in search order that attains the
+    optimum (_row_search), and the code is read off its independent rows.
+    Otherwise the record's code is the code, the first minimal serving
+    subset in search order or the tree cover plan's code, and each witness
+    row is recomputed from its user's decoding recipe.
 
     `stats` holds the node counts of the two stages (`nodes_explored`, rows
     tried, and `column_nodes_explored`, columns tested), the candidate
     counts, the uncoded length `incumbent_initial`, `lower_bound` (LB),
     `row_rank_bound` (the stage-one optimum), `column_pool_size` (0 when
     stage two did not run), `messages_projected`, the number of messages no
-    served user demands, 0 when none, and `code_source`, which of "stage
-    one", "stage two" and "tree cover" gave the code. The node counts, the
+    served user demands, 0 when none, and `code_source`, the record's
+    source: which of "stage one", "tree cover" and "stage two" gave the code. The node counts, the
     candidate counts and `column_pool_size` are those of the projected pool.
     """
     require_valid(inst)
@@ -614,7 +584,6 @@ def minrank_bnb(inst: EicpInstance, users=None,
     pool = _transmission_pool(inst, demanded)
     candidate_sets = build_candidates(inst, users, pool)
     order = sorted(candidate_sets, key=lambda cs: len(cs.vectors))
-    start_incumbent = len(demanded)
 
     q = inst.q
     dim = inst.num_messages
@@ -626,36 +595,33 @@ def minrank_bnb(inst: EicpInstance, users=None,
         _Budget(limit, f"{search} visited more than {limit} nodes; "
                        "raise node_limit (--node-limit) to keep going")
         for search in ("rank search", "code search"))
-    row_rank, choice = _row_search(order, start_incumbent, space, masks, lower_bound, budget)
+    row_rank, choice = _row_search(order, space, masks, lower_bound, budget)
+    # The best code so far: its length, its source and the code, which stays
+    # None while stage one's stands and is then read off stage one's rows.
+    best = (row_rank, "stage one", None)
 
-    cover = None
     # Only a cover with a path pattern of four or more messages can beat the
     # row rank, and such a cover is at least ceil(N / 2) + 1 long.
     if (row_rank > max(lower_bound, (inst.num_messages + 1) // 2 + 1)
-            and len(users) == inst.num_users and classify(inst).single_unicast):
-        cover = tree_cover_bound(inst, row_rank)
-    incumbent = row_rank if cover is None else cover.code.length
+            and len(users) == inst.num_users and classify(inst).single_unicast
+            and (plan := tree_cover_bound(inst, row_rank)) is not None):
+        best = (plan.code.length, "tree cover", plan.code)
 
-    improvement = None
     pool_size = 0
-    if incumbent > lower_bound:
+    if best[0] > lower_bound:
         pool_size = len(pool)
-        improvement = _column_search(inst, users, pool, incumbent, space, masks, lower_bound,
-                                     column_budget)
+        found = _column_search(inst, users, pool, best[0], space, masks, lower_bound,
+                               column_budget)
+        if found is not None:
+            best = (len(found), "stage two",
+                    checked_code(inst, users, (Transmission(sender, vec) for vec, sender in found),
+                                 "the branch and bound's stage two"))
 
-    if improvement is not None:
-        source, kappa = "stage two", len(improvement)
-        code = checked_code(inst, users, (Transmission(sender, vec) for vec, sender in improvement),
-                            "the branch and bound's stage two")
-    elif cover is not None:
-        source, kappa, code = "tree cover", incumbent, cover.code
-    else:
-        source, kappa = "stage one", row_rank
-        witness = GfMatrix.from_rows(q, [choice[i].coords for i in users], num_cols=dim)
+    kappa, code_source, code = best
+    rows = [(choice[i] if code is None else _decode_row(code, inst, i)).coords for i in users]
+    witness = GfMatrix.from_rows(q, rows, num_cols=dim)
+    if code is None:
         code = extract_code(inst, witness, users)
-    if source != "stage one":
-        rows = [_decode_row(code, inst, i).coords for i in users]
-        witness = GfMatrix.from_rows(q, rows, num_cols=dim)
     if code.length != kappa:
         raise ConsistencyError("extracted code length differs from the optimum")
     stats = {
@@ -663,13 +629,13 @@ def minrank_bnb(inst: EicpInstance, users=None,
         "candidates_total": sum(len(cs.vectors) for cs in candidate_sets),
         "candidates_per_user": {cs.user: len(cs.vectors) for cs in candidate_sets},
         "product_size": math.prod(len(cs.vectors) for cs in candidate_sets),
-        "incumbent_initial": start_incumbent,
+        "incumbent_initial": len(demanded),
         "lower_bound": lower_bound,
         "row_rank_bound": row_rank,
         "column_nodes_explored": column_budget.used,
         "column_pool_size": pool_size,
         "messages_projected": inst.num_messages - len(demanded),
-        "code_source": source,
+        "code_source": code_source,
     }
     return MinrankResult(kappa, users, witness, code, stats)
 

@@ -474,6 +474,14 @@ def _solver_outputs():
     for k, inst in enumerate(instances):
         for users in (None, tuple(inst.users)[::2]):
             r = minrank_bnb(inst, users=users)
+            # The best-code record: a code between the two bounds, from stage
+            # one exactly when nothing beat the row rank, and stage two
+            # skipped only once a code reached LB.
+            low, rank = r.stats["lower_bound"], r.stats["row_rank_bound"]
+            assert low <= r.kappa <= rank
+            assert (r.stats["code_source"] == "stage one") == (r.kappa == rank)
+            assert r.stats["column_pool_size"] or r.kappa == low
+            assert r.code.length == r.kappa
             sends = [(t.user, t.coeffs.coords) for t in r.code.transmissions]
             yield (f"{k} {r.kappa} {r.users} {r.witness.rows} {sends} "
                    f"{r.stats['lower_bound']} {r.stats['row_rank_bound']}")

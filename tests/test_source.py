@@ -208,7 +208,7 @@ UNCALLED_PUBLIC_NAMES = {
     "can_decode": "acceptance criterion 11 builds its invariance variants from it",
     "uncoded_scheme": "acceptance criterion 11 builds its invariance variants from it",
     "serialize_code": "it writes the code files that `eicp verify` reads",
-    "compare_schemes": "the fourth study of ROADMAP direction 1 reads it",
+    "compare_schemes": "the fourth study of ROADMAP direction 14 reads it",
     "GfMatrix.identity": "the property tests of the reference rank use it",
     "GfMatrix.transpose": "the property tests of the reference rank use it",
     "build_problem_graph": "the paper's bipartite problem graph",
