@@ -14,7 +14,7 @@ from .codes import (
     unit_vector,
     verify_code,
 )
-from .covers import CoverPlan, biclique_cover, compare_schemes, demand_relabeling, tree_cover
+from .covers import CoverPlan, biclique_cover, demand_relabeling, tree_cover
 from .errors import (
     ConsistencyError,
     EicpError,
@@ -28,6 +28,7 @@ from .errors import (
     NotSingleUnicastError,
     OracleExhaustedError,
 )
+from .experiments import compare_schemes
 from .gf import EchelonBasis, FieldOrder, GfMatrix, GfVector, basis_insert, field_inv, in_span, rank
 from .graphs import (
     SideInfoBipartiteGraph,

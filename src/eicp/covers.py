@@ -354,22 +354,3 @@ def _exact_cover(inst, graph, scheme: str) -> list[StructureWitness]:
     del solve  # it refers to itself: drop its caches now, not at a full collection
     return [w for _key, w in blocks]
 
-
-def compare_schemes(inst: EicpInstance) -> dict:
-    """Lengths of both greedy cover schemes next to the exact optimum.
-
-    Both covers are working codes, so the optimum can never exceed either
-    length; that is checked (ConsistencyError), not assumed.
-    """
-    from .minrank import minrank_bnb
-
-    tree = tree_cover(inst)
-    biclique = biclique_cover(inst)
-    result = minrank_bnb(inst)
-    if result.kappa > min(tree.counts["length"], biclique.counts["length"]):
-        raise ConsistencyError("the optimum exceeds a cover scheme's length")
-    return {
-        "tree_length": tree.counts["length"],
-        "biclique_length": biclique.counts["length"],
-        "kappa": result.kappa,
-    }

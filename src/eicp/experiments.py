@@ -3,7 +3,8 @@
 Each experiment returns an ExperimentReport: a small table plus a verdict
 string. A verdict of "pass" means every checked claim held; experiments never
 silently drop a failing case. A study's verdict and details are read off its
-rows.
+rows. compare_schemes, which sets both greedy cover lengths beside the
+optimum, lives here rather than in covers, because it calls the solver.
 
 Messages are renamed in one place in the package, model._renamed.
 itertools.permutations is called only by graphs.canonical_form, which
@@ -20,10 +21,11 @@ import random
 from dataclasses import dataclass
 
 from .covers import biclique_cover, tree_cover
-from .errors import GenerationError, OracleExhaustedError
+from .errors import ConsistencyError, GenerationError, OracleExhaustedError
 from .gf import FieldOrder
 from .graphs import (
     SideInfoBipartiteGraph,
+    _members,
     canonical_form,
     is_connected,
     path_pattern_edges,
@@ -163,16 +165,10 @@ def _matched_demands(side, n: int) -> list[int] | None:
 
 # ---------- experiments ----------
 
-def _family_valid(masks: tuple[int, ...], num_messages: int) -> bool:
-    """Whether every message is held by some user and by not every user."""
-    return (functools.reduce(operator.or_, masks) == (1 << num_messages) - 1
+def _family_valid(masks: tuple[int, ...], pool: int) -> bool:
+    """Whether every message of the `pool` mask is held by some user and by not every user."""
+    return (functools.reduce(operator.or_, masks) == pool
             and not functools.reduce(operator.and_, masks))
-
-
-def _mask_family_to_sets(masks: tuple[int, ...], num_messages: int):
-    return tuple(
-        tuple(m + 1 for m in range(num_messages) if k >> m & 1) for k in masks
-    )
 
 
 def _orbit_kappa(family, num_messages: int):
@@ -254,12 +250,12 @@ def _canonical_family_reps(num_users: int, num_messages: int):
     and the sorted families alone meet every class in the same order.
     """
     reps: dict[bytes, SideInfoBipartiteGraph] = {}
-    full = (1 << num_messages) - 1
-    for masks in itertools.combinations_with_replacement(range(full), num_users):
-        if not _family_valid(masks, num_messages):
+    pool = (1 << num_messages + 1) - 2
+    # Masks in graphs' form, bit m for message m; no user holds the whole pool.
+    for masks in itertools.combinations_with_replacement(range(0, pool, 2), num_users):
+        if not _family_valid(masks, pool):
             continue
-        graph = SideInfoBipartiteGraph(
-            num_users, num_messages, _mask_family_to_sets(masks, num_messages))
+        graph = SideInfoBipartiteGraph(num_users, num_messages, tuple(map(_members, masks)))
         reps.setdefault(canonical_form(graph), graph)
     return list(reps.values())
 
@@ -342,8 +338,8 @@ def experiment_lemma_sweep() -> ExperimentReport:
             shorter_exists = True
         except OracleExhaustedError:
             shorter_exists = False
-        row_ok = kappa == n - 1 and plan.counts["length"] == n - 1 and not shorter_exists
-        rows.append(("path", n, "-", kappa, plan.counts["length"],
+        row_ok = kappa == n - 1 and plan.code.length == n - 1 and not shorter_exists
+        rows.append(("path", n, "-", kappa, plan.code.length,
                      "pass" if row_ok else "fail"))
     for n in range(3, 6):
         for covered in (False, True):
@@ -358,9 +354,9 @@ def experiment_lemma_sweep() -> ExperimentReport:
                 sub.kappa == expected
                 and sub_oracle.kappa == expected
                 and full == 2
-                and plan.counts["length"] == 2
+                and plan.code.length == 2
             )
-            rows.append(("clique", n, covered, sub.kappa, plan.counts["length"],
+            rows.append(("clique", n, covered, sub.kappa, plan.code.length,
                          "pass" if row_ok else "fail"))
     return ExperimentReport(
         "lemma-sweep",
@@ -369,3 +365,17 @@ def experiment_lemma_sweep() -> ExperimentReport:
         "pass" if all(row[-1] == "pass" for row in rows) else "fail",
         {},
     )
+
+
+def compare_schemes(inst: EicpInstance) -> dict:
+    """Lengths of both greedy cover schemes next to the exact optimum.
+
+    Both covers are working codes, so the optimum can never exceed either
+    length; that is checked (ConsistencyError), not assumed.
+    """
+    tree = tree_cover(inst).code.length
+    biclique = biclique_cover(inst).code.length
+    kappa = minrank_bnb(inst).kappa
+    if kappa > min(tree, biclique):
+        raise ConsistencyError("the optimum exceeds a cover scheme's length")
+    return {"tree_length": tree, "biclique_length": biclique, "kappa": kappa}

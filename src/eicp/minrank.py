@@ -159,7 +159,7 @@ class MinrankResult:
 def _resolve_users(inst: EicpInstance, users) -> tuple[int, ...]:
     if users is None:
         return tuple(inst.users)
-    users = tuple(sorted(set(users)))
+    users = tuple(sorted({_checked_int(u, "user", None) for u in users}))
     if not users:
         raise ValueError("users subset must be non-empty")
     for u in users:

@@ -20,13 +20,14 @@ from eicp.codes import (
     uncoded_scheme,
     verify_code,
 )
-from eicp.covers import biclique_cover, compare_schemes, tree_cover
+from eicp.covers import biclique_cover, tree_cover
 from eicp.errors import GenerationError, OracleExhaustedError
 from eicp.gf import EchelonBasis, FieldOrder, GfMatrix, GfVector, basis_insert, rank
 from eicp.minrank import build_candidates, minrank_bnb, minrank_oracle
 from eicp.model import EicpInstance, gen_random, validate
 from eicp.experiments import (
     biclique_instance,
+    compare_schemes,
     experiment_fig5,
     experiment_theorem2,
     random_single_unicast,

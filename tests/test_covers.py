@@ -1,4 +1,4 @@
-"""Structure covers: both schemes, their cost identities, and scheme comparison."""
+"""Structure covers: both schemes and their cost identities."""
 
 import dataclasses
 import hashlib
@@ -17,7 +17,6 @@ from eicp.covers import (
     _floor,
     _size_cost,
     biclique_cover,
-    compare_schemes,
     demand_relabeling,
     tree_cover,
 )
@@ -351,13 +350,6 @@ def test_single_uniprior_cover_matches_optimum():
     assert kappa == 4  # singleton holdings leave nothing to combine
     assert t.counts["length"] == 4
     assert b.counts["length"] == 4
-
-
-def test_compare_schemes(seven_user):
-    got = compare_schemes(seven_user)
-    assert got == {"tree_length": 4, "biclique_length": 3, "kappa": 3}
-    got = compare_schemes(regular_tree_instance(4))
-    assert got == {"tree_length": 3, "biclique_length": 4, "kappa": 3}
 
 
 def test_greedy_tree_cover_transmissions_pinned():

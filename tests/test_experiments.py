@@ -1,4 +1,4 @@
-"""Experiment drivers: instance families and the three study reports."""
+"""Experiment drivers: instance families, the three study reports and scheme comparison."""
 
 import dataclasses
 import hashlib
@@ -12,6 +12,7 @@ from eicp import cli, experiments
 from eicp.gf import FieldOrder
 from eicp.graphs import (
     SideInfoBipartiteGraph,
+    _members,
     build_side_info_graph,
     canonical_form,
     is_connected,
@@ -22,9 +23,9 @@ from eicp.experiments import (
     ExperimentReport,
     _canonical_family_reps,
     _family_valid,
-    _mask_family_to_sets,
     _orbit_kappa,
     biclique_instance,
+    compare_schemes,
     experiment_fig5,
     experiment_lemma_sweep,
     experiment_theorem2,
@@ -238,9 +239,10 @@ def test_family_reps_match_the_full_product_dedupe():
     # canonical form is new.
     for n, m in itertools.product(range(1, 4), range(1, 5)):
         reps = {}
-        for masks in itertools.product(range((1 << m) - 1), repeat=n):
-            if _family_valid(masks, m):
-                family = _mask_family_to_sets(masks, m)
+        pool = (1 << m + 1) - 2
+        for masks in itertools.product(range(0, pool, 2), repeat=n):
+            if _family_valid(masks, pool):
+                family = tuple(map(_members, masks))
                 reps.setdefault(canonical_form(SideInfoBipartiteGraph(n, m, family)), family)
         assert [g.adjacency for g in _canonical_family_reps(n, m)] == list(reps.values())
 
@@ -249,10 +251,18 @@ def test_canonical_keys_of_every_visited_family_pinned():
     # The key bytes of every valid family _canonical_family_reps walks at
     # 2-4 users and messages; the keys are self-delimiting (users, messages,
     # then one byte per message), so they are hashed back to back.
-    keys = [canonical_form(SideInfoBipartiteGraph(n, m, _mask_family_to_sets(masks, m)))
+    keys = [canonical_form(SideInfoBipartiteGraph(n, m, tuple(map(_members, masks))))
             for n, m in itertools.product(range(2, 5), repeat=2)
-            for masks in itertools.combinations_with_replacement(range((1 << m) - 1), n)
-            if _family_valid(masks, m)]
+            for pool in [(1 << m + 1) - 2]
+            for masks in itertools.combinations_with_replacement(range(0, pool, 2), n)
+            if _family_valid(masks, pool)]
     assert len(keys) == 1821
     digest = hashlib.sha256(b"".join(keys)).hexdigest()
     assert digest == "34b5d2c379ac4733acef9eefce962683e26760ca3874af7cb25ee596a51ddf29"
+
+
+def test_compare_schemes(seven_user):
+    got = compare_schemes(seven_user)
+    assert got == {"tree_length": 4, "biclique_length": 3, "kappa": 3}
+    got = compare_schemes(regular_tree_instance(4))
+    assert got == {"tree_length": 3, "biclique_length": 4, "kappa": 3}

@@ -570,6 +570,20 @@ def test_oracle_rejects_a_bad_limit(mixed4, limits, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("solve", [minrank_bnb, minrank_oracle, acyclic_sets],
+                         ids=["bnb", "oracle", "acyclic_sets"])
+@pytest.mark.parametrize("users, message", [
+    ((1.0,), "user must be an integer, got 1.0"),
+    ((True,), "user must be an integer, got True"),
+    ((2, "1"), "user must be an integer, got '1'"),
+], ids=["float", "bool", "str"])
+def test_a_non_integer_user_is_rejected(mixed4, solve, users, message):
+    # 1.0 and True compare equal to user 1, so only the type check catches them.
+    with pytest.raises(ValueError) as info:
+        solve(mixed4, users=users)
+    assert str(info.value) == message
+
+
 def _oracle_instances():
     return (all_fixture_instances() + _seeded_corpus(2, range(3, 7), 2)
             + _seeded_corpus(3, range(3, 6), 2) + _seeded_corpus(5, range(3, 5), 2)

@@ -266,11 +266,40 @@ def test_public_names_have_callers():
     assert not stale, f"listed as uncalled but now called: {stale}"
 
 
+# The package's modules, lowest layer first.
+LAYERS = ["errors", "gf", "model", "codes", "graphs", "covers", "minrank", "experiments", "cli"]
+
+
+def test_modules_import_only_lower_layers():
+    # Every import sits at module level, and every relative import names a
+    # module earlier in LAYERS, so the package has no import cycle. A module
+    # not in LAYERS fails until it is given its place. __init__'s imports are
+    # the package's re-exports.
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        if path.stem not in LAYERS:
+            found.append(f"{path.name}: not in LAYERS")
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if node not in tree.body:
+                found.append(f"{path.name}:{node.lineno} import not at module level")
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets = [node.module] if node.module else [a.name for a in node.names]
+                found += [f"{path.name}:{node.lineno} imports {t}" for t in targets
+                          if t not in LAYERS[:LAYERS.index(path.stem)]]
+    assert not found, f"imports against the layer order: {found}"
+
+
 @pytest.mark.parametrize("module", ["eicp.covers", "eicp.minrank"])
 def test_module_imports_first_in_a_fresh_interpreter(module):
-    # minrank imports covers at module level and covers imports minrank
-    # only inside compare_schemes; a module-level import back would be a
-    # cycle that fails whichever module is imported first.
+    # Importing a module first runs __init__'s re-exports in their own order,
+    # not the layer order, and an import cycle would fail partway through.
+    # The layer rule above forbids cycles in the source; this runs the import.
     env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
     proc = subprocess.run([sys.executable, "-c", f"import {module}"], env=env,
                           capture_output=True, text=True, timeout=60)
