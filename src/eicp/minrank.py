@@ -53,8 +53,12 @@ answer it gives from the row rank.
 
 Route two (minrank_oracle) exhaustively searches codes of increasing length
 and reports the first feasible length. It examines every column subset of
-each length, with no pruning at all, on the reference kernel. The two routes
-must agree; the workbench treats disagreement as a defect, never as data.
+each length, with no pruning at all, on the reference kernel. A node of its
+walk judges each distinct projected column (below) once per unserved user
+and reads the verdict back for the other columns with that projection: a
+cache, not a cut, since a verdict depends only on the node's basis and the
+projected column. The two routes must agree; the workbench treats
+disagreement as a defect, never as data.
 
 Both column searches test decodability by one projection identity. With P_i
 the map that zeroes the coordinates of the messages user i holds,
@@ -684,14 +688,16 @@ def minrank_oracle(inst: EicpInstance, l_max: int | None = None, users=None,
     length's subsets are walked depth first in itertools.combinations order,
     and every one of them is examined, at most `budget` in all. Decodability
     is the projection identity of the module docstring: each user enters the
-    walk as an empty basis, its demand's unit vector, and every pool column
-    projected once by reduce(side_info_basis(inst, i), v), and a prefix's
-    bases are built once for all the subsets that extend it (see
-    _first_serving_subset). The winning subset is rebuilt as a code and
-    re-verified through the code checker before it is returned. Exhausting
-    l_max without an answer raises OracleExhaustedError; with the default
-    l_max the plain per-demand scheme guarantees an answer. A bool or
-    non-integer l_max or budget, or a budget below 1, is a ValueError.
+    walk as an empty basis, an empty verdict cache, its demand's unit vector,
+    every pool column projected once by reduce(side_info_basis(inst, i), v)
+    and each projection's id, one id per distinct projected `coords` in the
+    call. A prefix's bases are built once for all the subsets that extend it,
+    and a node judges each id once per user (see _first_serving_subset). The
+    winning subset is rebuilt as a code and re-verified through the code
+    checker before it is returned. Exhausting l_max without an answer raises
+    OracleExhaustedError; with the default l_max the plain per-demand scheme
+    guarantees an answer. A bool or non-integer l_max or budget, or a budget
+    below 1, is a ValueError.
     """
     require_valid(inst)
     users = _resolve_users(inst, users)
@@ -704,11 +710,13 @@ def minrank_oracle(inst: EicpInstance, l_max: int | None = None, users=None,
     pool = _transmission_pool(inst, set(inst.messages))
     vectors = [vec for vec, _sender in pool]
     empty = EchelonBasis.empty(inst.q, inst.num_messages)
+    id_of: dict[tuple[int, ...], int] = {}  # projected coords -> id, shared by equal projections
     start = []
     for i in users:
         side = side_info_basis(inst, i)
-        start.append((empty, unit_vector(inst.q, inst.num_messages, inst.demand(i)),
-                      [reduce(side, v) for v in vectors]))
+        cols = [reduce(side, v) for v in vectors]
+        start.append((empty, {}, (unit_vector(inst.q, inst.num_messages, inst.demand(i)), cols,
+                                  [id_of.setdefault(col.coords, len(id_of)) for col in cols])))
 
     for length in range(1, l_max + 1):
         found = _first_serving_subset(len(vectors), start, 0, length, examined)
@@ -731,19 +739,22 @@ def _first_serving_subset(size, pending, first, length, budget):
 
     Subsets are visited in itertools.combinations order, each spent from
     `budget` before it is tested; None if none serves. `pending` lists each
-    user the chosen prefix does not serve yet as (basis, demand, columns):
-    the basis of its projected prefix columns, its demand's unit vector, and
-    every pool column projected (the projection identity of the module
-    docstring). A user the prefix serves is dropped: spans only grow, so
-    every extension serves it too. The list's order is free (a subset serves
-    iff it serves every listed user), so a leaf moves the user that rejected
-    it to the front.
+    user the chosen prefix does not serve yet as (basis, verdicts, (demand,
+    columns, ids)): the basis of its projected prefix columns, the node's
+    verdict cache, its demand's unit vector, every pool column projected (the
+    projection identity of the module docstring) and each projection's id.
+    The cache maps an id to the (grown basis, served) pair _verdict computes
+    for it, so columns with equal projections are judged once per node. A
+    user the prefix serves is dropped: spans only grow, so every extension
+    serves it too. The list's order is free (a subset serves iff it serves
+    every listed user), so a leaf moves the user that rejected it to the
+    front.
     """
     if length == 1:
         for idx in range(first, size):
             budget.spend()
-            for k, (basis, demand, cols) in enumerate(pending):
-                if not in_span(basis_insert(basis, cols[idx])[0], demand):
+            for k, entry in enumerate(pending):
+                if not _verdict(entry, idx)[1]:
                     # the next leaf asks this user first
                     if k:
                         pending.insert(0, pending.pop(k))
@@ -753,14 +764,29 @@ def _first_serving_subset(size, pending, first, length, budget):
         return None
     for idx in range(first, size - length + 1):
         grown = []
-        for basis, demand, cols in pending:
-            basis, grew = basis_insert(basis, cols[idx])
-            if not (grew and in_span(basis, demand)):
-                grown.append((basis, demand, cols))
+        for entry in pending:
+            basis, served = _verdict(entry, idx)
+            if not served:
+                grown.append((basis, {}, entry[2]))
         found = _first_serving_subset(size, grown, idx + 1, length - 1, budget)
         if found is not None:
             return (idx, *found)
     return None
+
+
+def _verdict(entry, idx):
+    """The pending user `entry`'s basis grown by pool column `idx`, and whether it serves.
+
+    basis_insert and in_span judge the first column with a given projection
+    at this node; later ones read the node's cache, which keeps every
+    verdict, since a verdict depends only on the basis and the projection.
+    """
+    basis, verdicts, (demand, cols, ids) = entry
+    verdict = verdicts.get(ids[idx])
+    if verdict is None:
+        grown, grew = basis_insert(basis, cols[idx])
+        verdict = verdicts[ids[idx]] = (grown, grew and in_span(grown, demand))
+    return verdict
 
 
 def complexity_report(inst: EicpInstance, users=None,

@@ -625,6 +625,54 @@ def test_oracle_output_pinned():
     assert digest == "9680727f1da40aef722a35df04569c5bf15a0e88207b605b87b639a56199f191"
 
 
+def test_oracle_examines_every_subset_up_to_the_first_serving_one():
+    # Counted without reading the walk: itertools.combinations lists the full
+    # pool's subsets by length, codes.decodable_from judges each, and the
+    # oracle examines exactly the subsets up to the first serving one and
+    # sends exactly its columns.
+    draws = 0
+    for q, n, seeds in ((2, 5, range(6)), (2, 6, range(3)), (3, 4, range(4)),
+                        (3, 5, range(2)), (5, 4, range(3))):
+        for seed in seeds:
+            try:
+                inst = gen_random(n, n, q, (0.3, 0.5)[seed % 2], seed)
+            except GenerationError:
+                continue
+            pool = _transmission_pool(inst, set(inst.messages))
+            for users in (None, inst.users[::2]):
+                r = minrank_oracle(inst, users=users)
+                subsets = (s for length in range(1, r.kappa + 1)
+                           for s in itertools.combinations(pool, length))
+                for position, subset in enumerate(subsets, 1):
+                    if all(decodable_from(inst, [v for v, _j in subset], i) for i in r.users):
+                        break
+                else:
+                    raise AssertionError(f"no subset of at most {r.kappa} columns serves")
+                assert r.stats["subsets_examined"] == position
+                assert [(t.user, t.coeffs) for t in r.code.transmissions] == [
+                    (j, v) for v, j in subset]
+                draws += 1
+    assert draws == 36
+
+
+def test_oracle_judges_each_projected_column_once_per_node(seven_user, monkeypatch):
+    # A node judges each distinct projected column once per unserved user, so
+    # basis_insert and in_span run well below once per examined subset.
+    calls = {"basis_insert": 0, "in_span": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(eicp.minrank, name, counting(name, getattr(eicp.minrank, name)))
+    examined = minrank_oracle(seven_user).stats["subsets_examined"]
+    assert examined == 2744
+    assert 0 < calls["in_span"] <= calls["basis_insert"] <= examined // 2
+
+
 def test_projection_rule_matches_the_decoding_definition():
     # Both column searches rest on the projection identity of the minrank
     # module docstring: user i decodes from columns C iff its demand's unit

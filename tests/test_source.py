@@ -147,21 +147,35 @@ def test_one_recheck_for_built_codes():
 def test_oracle_names_no_packed_kernel():
     # The oracle is the independent route: it runs on the reference kernel
     # and shares neither the packed kernel nor the branch and bound's
-    # candidates and searches.
-    banned = {"packed_space", "PackedSpace", "build_candidates", "_row_search", "_column_search"}
+    # candidates and searches. The rule holds for minrank_oracle and every
+    # module-level function or class of minrank.py it reaches by name, so a
+    # helper the walk gains is held to it too. The walk's verdict cache is
+    # keyed by ids the oracle assigns to reference `coords`, never packed ints.
+    banned = {"packed_space", "PackedSpace", "pack", "build_candidates", "_row_search",
+              "_column_search"}
     tree = ast.parse((PACKAGE_DIR / "minrank.py").read_text())
-    bodies = {node.name: node for node in tree.body
-              if isinstance(node, ast.FunctionDef)
-              and node.name in ("minrank_oracle", "_first_serving_subset")}
-    assert sorted(bodies) == ["_first_serving_subset", "minrank_oracle"]
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    reached, todo = set(), ["minrank_oracle"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [node.id for node in ast.walk(defs[name])
+                     if isinstance(node, ast.Name) and node.id in defs]
+    assert {"minrank_oracle", "_first_serving_subset", "_verdict", "_Budget"} <= reached
     found = []
-    for name, func in bodies.items():
-        for node in ast.walk(func):
+    for name in sorted(reached):
+        for node in ast.walk(defs[name]):
             named = node.id if isinstance(node, ast.Name) else (
                 node.attr if isinstance(node, ast.Attribute) else None)
             if named in banned:
                 found.append(f"{name}:{node.lineno} {named}")
     assert not found, f"the oracle names the branch and bound's kernel: {found}"
+    keys = [node.args[0] for node in ast.walk(defs["minrank_oracle"])
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "setdefault"]
+    assert keys and all(isinstance(k, ast.Attribute) and k.attr == "coords" for k in keys), (
+        "the oracle's ids are not keyed by reference coords")
 
 
 def test_permutations_only_order_users_or_rename_through_model():
