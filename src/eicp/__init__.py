@@ -53,7 +53,6 @@ from .minrank import (
 from .model import (
     EicpInstance,
     InstanceClass,
-    RawEicp,
     classify,
     enumerate_demands,
     gen_random,
@@ -61,7 +60,6 @@ from .model import (
     parse_instance,
     require_valid,
     serialize_instance,
-    split_multi_demand,
     validate,
 )
 

@@ -27,7 +27,6 @@ from .errors import (
     GuardExceededError,
     OracleExhaustedError,
 )
-from .gf import FieldOrder
 
 
 def _write(text: str, out: str | None) -> None:
@@ -93,7 +92,7 @@ def _cmd_validate(args) -> int:
 def _cmd_minrank(args) -> int:
     inst = _load_instance(args.instance)
     if args.q_override is not None:
-        inst = dataclasses.replace(inst, q=FieldOrder(args.q_override))
+        inst = dataclasses.replace(inst, q=args.q_override)
     users = _parse_users(args.users)
     result = minrank.minrank_bnb(inst, users=users, node_limit=args.node_limit)
     oracle_kappa = None

@@ -21,14 +21,14 @@ from .errors import (
     InvalidInstanceError,
     NotDecodableError,
 )
-from .gf import EchelonBasis, FieldOrder, GfVector, basis_insert, in_span, reduce
+from .gf import EchelonBasis, GfVector, basis_insert, in_span, reduce
 from .model import EicpInstance, load_json
 
 
 def unit_vector(q: int, num_messages: int, message: int) -> GfVector:
     if not 1 <= message <= num_messages:
         raise ValueError(f"message {message} out of range 1..{num_messages}")
-    return GfVector(FieldOrder(q), tuple(1 if m == message else 0 for m in range(1, num_messages + 1)))
+    return GfVector(q, tuple(1 if m == message else 0 for m in range(1, num_messages + 1)))
 
 
 def message_support(v: GfVector) -> frozenset[int]:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from .covers import biclique_cover, tree_cover
 from .errors import ConsistencyError, GenerationError, OracleExhaustedError
-from .gf import FieldOrder
 from .graphs import (
     SideInfoBipartiteGraph,
     _members,
@@ -62,7 +61,7 @@ def regular_tree_instance(n: int, q: int = 2) -> EicpInstance:
     side: list[list[int]] = [[] for _ in range(n)]
     for slot, held in path_pattern_edges(n):
         side[slot].append(held + 1)
-    inst = EicpInstance(FieldOrder(q), n, n, tuple(side), tuple(range(1, n + 1)))
+    inst = EicpInstance(q, n, n, tuple(side), tuple(range(1, n + 1)))
     require_valid(inst)
     return inst
 
@@ -80,11 +79,11 @@ def biclique_instance(n: int, covered: bool) -> EicpInstance:
     if not covered:
         side = tuple(members)
         demands = tuple(range(1, n + 1))
-        inst = EicpInstance(FieldOrder(2), n, n, side, demands)
+        inst = EicpInstance(2, n, n, side, demands)
     else:
         side = [members[0] + (n + 1,)] + members[1:] + [tuple(range(1, n + 1))]
         demands = tuple(range(1, n + 2))
-        inst = EicpInstance(FieldOrder(2), n + 1, n + 1, tuple(side), demands)
+        inst = EicpInstance(2, n + 1, n + 1, tuple(side), demands)
     require_valid(inst)
     return inst
 
@@ -123,7 +122,7 @@ def random_single_unicast(n: int, q: int, density: float, seed: int) -> EicpInst
 
 def _permutation_instance(q: int, side, perm) -> EicpInstance:
     n = len(side)
-    return EicpInstance(FieldOrder(q), n, n, tuple(tuple(sorted(k)) for k in side), tuple(perm))
+    return EicpInstance(q, n, n, tuple(tuple(sorted(k)) for k in side), tuple(perm))
 
 
 def _demand_permutation(rng: random.Random, side, n: int):
@@ -198,7 +197,7 @@ def _orbit_kappa(family, num_messages: int):
         key = min(tuple(sorted({(k, image[d]) for k, d in zip(renamed, demands)}))
                   for renamed, image in autos)
         if key not in solved:
-            inst = EicpInstance(FieldOrder(2), len(family), num_messages, family, demands)
+            inst = EicpInstance(2, len(family), num_messages, family, demands)
             solved[key] = minrank_bnb(inst).kappa
         return solved[key]
 

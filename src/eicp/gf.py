@@ -6,9 +6,13 @@ coordinate) and zero on the pivots of the rows before it, so reducing a
 vector against the rows in order clears every pivot.
 
 The reference one (GfVector, GfMatrix, EchelonBasis, basis_insert, reduce,
-in_span, and rank, a separate full elimination) is immutable, validated and
+in_span, and rank, a separate full elimination) is immutable and
 deterministic. It is the API and the independent check route (the oracle,
-the code checker, the decoder, the covers).
+the code checker, the decoder, the covers). It validates where a value
+enters: GfVector and GfMatrix check q and reduce their entries, and
+EchelonBasis.empty checks q. A basis basis_insert grows inherits its field,
+and an EchelonBasis built directly trusts its q as it trusts its rows and
+pivots.
 
 The packed one (packed_space) holds each vector in one Python int and does
 no validation per operation. It is the kernel of the two search loops of
@@ -120,11 +124,11 @@ class GfMatrix:
             if not rows:
                 raise ValueError("num_cols is required for a matrix with no rows")
             num_cols = len(rows[0])
-        return cls(FieldOrder(q), rows, num_cols)
+        return cls(q, rows, num_cols)
 
     @classmethod
     def identity(cls, q: int, n: int) -> "GfMatrix":
-        return cls(FieldOrder(q), tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
+        return cls(q, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
 
     @property
     def num_rows(self) -> int:
@@ -194,9 +198,6 @@ class EchelonBasis:
     dim: int
     rows: tuple[tuple[int, ...], ...] = field(default=())
     pivots: tuple[int, ...] = field(default=())
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", FieldOrder(self.q))
 
     @classmethod
     def empty(cls, q: int, dim: int) -> "EchelonBasis":

@@ -2,9 +2,9 @@
 
 An instance has N users and M messages over F_q. User i holds the messages in
 side_info[i-1] and demands the single message demands[i-1]. All user and
-message indices are 1-based, in memory and on disk. A multi-demand problem
-(RawEicp) is normalized by splitting each user into one single-demand user per
-wanted message.
+message indices are 1-based, in memory and on disk. A file may give each user
+a list of wanted messages instead ("wants"); parse_instance splits such a user
+into one single-demand user per wanted message.
 
 Construction checks structure only (index ranges, shapes); the semantic
 validity rules live in validate() so that broken instances can still be
@@ -112,58 +112,6 @@ class InstanceClass:
     single_uniprior: bool
 
 
-@dataclass(frozen=True)
-class RawEicp:
-    """Multi-demand form: user i wants every message in wants[i-1]."""
-
-    q: FieldOrder
-    num_messages: int
-    wants: tuple[tuple[int, ...], ...]
-    side_info: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", FieldOrder(self.q))
-        if self.num_messages < 1:
-            raise InstanceFormatError("an instance needs at least one message")
-        if len(self.wants) != len(self.side_info):
-            raise InstanceFormatError("wants and side_info describe different user counts")
-        wants = []
-        side = []
-        for i, (w, k) in enumerate(zip(self.wants, self.side_info)):
-            w = _check_message_set(f"user {i + 1} wants", w, self.num_messages)
-            k = _check_message_set(f"user {i + 1} side info", k, self.num_messages)
-            overlap = set(w) & set(k)
-            if overlap:
-                raise InstanceFormatError(
-                    f"user {i + 1} wants messages it already holds: {sorted(overlap)}"
-                )
-            wants.append(w)
-            side.append(k)
-        object.__setattr__(self, "wants", tuple(wants))
-        object.__setattr__(self, "side_info", tuple(side))
-
-    @property
-    def num_users(self) -> int:
-        return len(self.wants)
-
-
-def split_multi_demand(raw: RawEicp) -> EicpInstance:
-    """Normalize a multi-demand problem to single demands.
-
-    User order is preserved; a user's demands are emitted in ascending message
-    index, each with a copy of that user's side information.
-    """
-    side = []
-    demands = []
-    for i, (w, k) in enumerate(zip(raw.wants, raw.side_info)):
-        if not w:
-            raise InvalidInstanceError(f"user {i + 1} demands nothing")
-        for m in w:
-            side.append(k)
-            demands.append(m)
-    return EicpInstance(raw.q, len(demands), raw.num_messages, tuple(side), tuple(demands))
-
-
 def validate(inst: EicpInstance) -> list[str]:
     """Semantic validity check; returns one message per violation (empty iff valid).
 
@@ -252,6 +200,10 @@ def load_json(text: str):
 def parse_instance(text: str, check: bool = True) -> EicpInstance:
     """Parse the JSON instance format; multi-demand input is split on load.
 
+    A "wants" user becomes one user per wanted message, in ascending order,
+    each with a copy of its side information; users keep their order. Every
+    user is checked before any is found to want nothing.
+
     With check=True (the default) a semantically invalid instance raises
     InvalidInstanceError listing every violation.
     """
@@ -276,15 +228,32 @@ def parse_instance(text: str, check: bool = True) -> EicpInstance:
     side = _expect_list_of_lists(obj, "side_info", n)
     if demand_key == "wants":
         wants = _expect_list_of_lists(obj, "wants", n)
-        raw = RawEicp(FieldOrder(q), m, tuple(tuple(w) for w in wants),
-                      tuple(tuple(k) for k in side))
-        inst = split_multi_demand(raw)
+        # EicpInstance checks q and num_messages again; checking them here
+        # first reports a bad one before any user's error.
+        q = FieldOrder(q)
+        if m < 1:
+            raise InstanceFormatError("an instance needs at least one message")
+        users = []
+        for i, (w, k) in enumerate(zip(wants, side), 1):
+            w = _check_message_set(f"user {i} wants", w, m)
+            k = _check_message_set(f"user {i} side info", k, m)
+            overlap = set(w) & set(k)
+            if overlap:
+                raise InstanceFormatError(
+                    f"user {i} wants messages it already holds: {sorted(overlap)}"
+                )
+            users.append((w, k))
+        for i, (w, _k) in enumerate(users, 1):
+            if not w:
+                raise InvalidInstanceError(f"user {i} demands nothing")
+        side = [k for w, k in users for _d in w]
+        demands = [d for w, _k in users for d in w]
+        n = len(demands)
     else:
         demands = obj["demands"]
         if not isinstance(demands, list) or len(demands) != n:
             raise InstanceFormatError(f"'demands' must be a list of {n} integers")
-        inst = EicpInstance(FieldOrder(q), n, m, tuple(tuple(k) for k in side),
-                            tuple(demands))
+    inst = EicpInstance(q, n, m, tuple(tuple(k) for k in side), tuple(demands))
     if check:
         require_valid(inst)
     return inst
@@ -339,7 +308,7 @@ def _draw_instance(rng: random.Random, q: int, side: list[set[int]],
     # _repair_family returns only after a pass in which no user held every
     # message, so no user's pool of demands is empty.
     demands = [rng.choice(sorted(full - k)) for k in side]
-    inst = EicpInstance(FieldOrder(q), len(side), num_messages,
+    inst = EicpInstance(q, len(side), num_messages,
                         tuple(tuple(sorted(k)) for k in side), tuple(demands))
     require_valid(inst)
     return inst

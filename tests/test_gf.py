@@ -38,6 +38,16 @@ def test_field_order_passes_a_field_order_through():
     assert GfVector(q, (1, 2)).q is q
 
 
+def test_basis_checks_its_field_once():
+    # EchelonBasis.empty is the checked constructor; a grown basis keeps the
+    # field object of the basis it grew from.
+    with pytest.raises(FieldError, match="prime"):
+        EchelonBasis.empty(4, 2)
+    b = EchelonBasis.empty(5, 3)
+    grown, grew = basis_insert(b, GfVector(5, (0, 2, 1)))
+    assert grew and grown.q is b.q
+
+
 def test_field_inv_examples():
     assert field_inv(1, 2) == 1
     assert field_inv(2, 5) == 3

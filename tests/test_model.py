@@ -16,7 +16,6 @@ from eicp.gf import FieldOrder
 from eicp.graphs import build_side_info_graph, is_connected
 from eicp.model import (
     EicpInstance,
-    RawEicp,
     _renamed,
     classify,
     enumerate_demands,
@@ -25,7 +24,6 @@ from eicp.model import (
     parse_instance,
     require_valid,
     serialize_instance,
-    split_multi_demand,
     validate,
 )
 
@@ -74,22 +72,22 @@ def test_parse_accepts_wants_form():
     assert inst.knows(1) == inst.knows(2) == frozenset({1})
 
 
-def test_raw_rejects_overlapping_want_and_side():
-    with pytest.raises(InstanceFormatError):
-        RawEicp(FieldOrder(2), 3, wants=((1,),), side_info=((1, 2),))
+def _wants_file(**changes):
+    obj = {"q": 2, "num_users": 2, "num_messages": 2, "side_info": [[1], [2]],
+           "wants": [[2], [1]]}
+    return json.dumps({**obj, **changes})
 
 
-def test_split_multi_demand_example():
-    raw = RawEicp(FieldOrder(2), 4,
-                  wants=((2, 4), (1,), (3,)),
-                  side_info=((1,), (2, 4), (1, 2)))
-    inst = split_multi_demand(raw)
+def test_parse_splits_wants_in_order():
+    text = _wants_file(num_users=3, num_messages=4, wants=[[4, 2], [1], [3]],
+                       side_info=[[1], [2, 4], [1, 2]])
+    inst = parse_instance(text, check=False)
     assert inst.num_users == 4
-    assert inst.side_info[0] == inst.side_info[1] == (1,)
-    assert inst.demands[:2] == (2, 4)
+    assert inst.side_info == ((1,), (1,), (2, 4), (1, 2))
+    assert inst.demands == (2, 4, 1, 3)
 
 
-def test_split_preserves_know_demand_pairs():
+def test_parse_wants_preserves_know_demand_pairs():
     rng = random.Random(5)
     for _ in range(50):
         m = rng.randint(2, 5)
@@ -97,19 +95,61 @@ def test_split_preserves_know_demand_pairs():
         for _ in range(rng.randint(1, 4)):
             msgs = list(range(1, m + 1))
             rng.shuffle(msgs)
-            cut = rng.randint(1, m - 1) if m > 1 else 1
-            wants = tuple(sorted(msgs[:cut][:rng.randint(1, max(1, cut))]))
-            side = tuple(sorted(msgs[cut:]))
-            users.append((wants, side))
-        raw = RawEicp(FieldOrder(2), m,
-                      wants=tuple(w for w, _ in users),
-                      side_info=tuple(s for _, s in users))
-        inst = split_multi_demand(raw)
-        expected = sorted(
-            (side, want) for want_set, side in users for want in want_set
-        )
-        got = sorted(zip(inst.side_info, inst.demands))
-        assert got == expected
+            cut = rng.randint(1, m - 1)
+            users.append((msgs[:cut][:rng.randint(1, cut)], msgs[cut:]))
+        text = _wants_file(num_users=len(users), num_messages=m,
+                           wants=[w for w, _ in users], side_info=[s for _, s in users])
+        inst = parse_instance(text, check=False)
+        expected = [(tuple(sorted(side)), want) for wants, side in users
+                    for want in sorted(wants)]
+        assert list(zip(inst.side_info, inst.demands)) == expected
+
+
+# Each malformed wants file raises the same error with check on and off:
+# the type and message of the first failing check, in the order q's type,
+# the shape of side_info and wants, q's field, num_messages, then each user
+# in turn (wants, side info, overlap), and only then a user wanting nothing.
+MALFORMED_WANTS = {
+    "wants-nothing": ({"wants": [[2], []]}, InvalidInstanceError, "user 2 demands nothing"),
+    "range-before-nothing": ({"wants": [[], [3]]}, InstanceFormatError,
+                             "user 2 wants: message index 3 out of range 1..2"),
+    "no-messages": ({"num_messages": 0}, InstanceFormatError,
+                    "an instance needs at least one message"),
+    "no-messages-empty-users": ({"num_messages": 0, "side_info": [[], []], "wants": [[], []]},
+                                InstanceFormatError, "an instance needs at least one message"),
+    "q-composite": ({"q": 4}, FieldError, "field order must be prime, got 4"),
+    "q-before-messages": ({"q": 4, "num_messages": 0}, FieldError,
+                          "field order must be prime, got 4"),
+    "q-too-large": ({"q": 256}, FieldError, "field order 256 exceeds the supported maximum 251"),
+    "wants-flat": ({"wants": [1, 2]}, InstanceFormatError, "'wants' must be a list of lists"),
+    "shape-before-q": ({"q": 4, "wants": [1, 2]}, InstanceFormatError,
+                       "'wants' must be a list of lists"),
+    "wants-short": ({"wants": [[2]]}, InstanceFormatError, "'wants' has 1 entries for 2 users"),
+    "wants-range": ({"wants": [[3], [1]]}, InstanceFormatError,
+                    "user 1 wants: message index 3 out of range 1..2"),
+    "side-range": ({"side_info": [[0], [2]]}, InstanceFormatError,
+                   "user 1 side info: message index 0 out of range 1..2"),
+    "wants-float": ({"wants": [[1.5], [1]]}, InstanceFormatError,
+                    "user 1 wants: message index 1.5 is not an integer"),
+    "wants-bool": ({"wants": [[True], [1]]}, InstanceFormatError,
+                   "user 1 wants: message index True is not an integer"),
+    "wants-string": ({"wants": [["2"], [1]]}, InstanceFormatError,
+                     "user 1 wants: message index '2' is not an integer"),
+    "overlap": ({"num_users": 1, "num_messages": 3, "wants": [[1]], "side_info": [[1, 2]]},
+                InstanceFormatError, "user 1 wants messages it already holds: [1]"),
+    "no-users": ({"num_users": 0, "side_info": [], "wants": []}, InstanceFormatError,
+                 "an instance needs at least one user"),
+}
+
+
+@pytest.mark.parametrize("check", [True, False])
+@pytest.mark.parametrize("case", MALFORMED_WANTS)
+def test_parse_rejects_malformed_wants(case, check):
+    changes, error, message = MALFORMED_WANTS[case]
+    with pytest.raises(error) as caught:
+        parse_instance(_wants_file(**changes), check=check)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
 
 
 def test_validate_names_each_violation():

@@ -115,6 +115,21 @@ def test_no_environment_reads_or_warnings_in_package():
     assert not found, f"environment reads or warnings in the package: {found}"
 
 
+def test_field_order_built_only_where_a_field_enters():
+    # A field enters through gf's constructors or through an instance (model),
+    # and each checks its q. Every other module passes on a q one of them has
+    # checked, so wrapping it in FieldOrder there checks nothing new.
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name in ("gf.py", "model.py"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and "FieldOrder" in (
+                      getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert not found, f"FieldOrder called outside gf and model: {found}"
+
+
 def test_one_recheck_for_built_codes():
     # A code the program builds is re-checked by codes.checked_code alone;
     # verify_code is the report `eicp verify` prints, and only codes raises
