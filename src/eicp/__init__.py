@@ -29,7 +29,7 @@ from .errors import (
     OracleExhaustedError,
 )
 from .experiments import compare_schemes
-from .gf import EchelonBasis, FieldOrder, GfMatrix, GfVector, basis_insert, field_inv, in_span, rank
+from .gf import EchelonBasis, FieldOrder, GfVector, basis_insert, field_inv, in_span, rank
 from .graphs import (
     SideInfoBipartiteGraph,
     StructureWitness,

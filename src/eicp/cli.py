@@ -107,7 +107,7 @@ def _cmd_minrank(args) -> int:
     payload = {
         "kappa": result.kappa,
         "users": list(result.users),
-        "witness": [list(row) for row in result.witness.rows],
+        "witness": [list(row.coords) for row in result.witness],
         "transmissions": transmissions_json(result.code),
     }
     rows = [("kappa", result.kappa)]
@@ -115,8 +115,8 @@ def _cmd_minrank(args) -> int:
         payload["oracle_kappa"] = oracle_kappa
         rows.append(("oracle_kappa", oracle_kappa))
     rows += [
-        ("witness_row", u, _csv(row))
-        for u, row in zip(result.users, result.witness.rows)
+        ("witness_row", u, _csv(row.coords))
+        for u, row in zip(result.users, result.witness)
     ]
     rows += _transmission_rows(result.code)
     if args.stats:

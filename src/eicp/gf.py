@@ -5,14 +5,15 @@ in insertion order, each with a leading 1 on its pivot (its first nonzero
 coordinate) and zero on the pivots of the rows before it, so reducing a
 vector against the rows in order clears every pivot.
 
-The reference one (GfVector, GfMatrix, EchelonBasis, basis_insert, reduce,
-in_span, and rank, a separate full elimination) is immutable and
-deterministic. It is the API and the independent check route (the oracle,
-the code checker, the decoder, the covers). It validates where a value
-enters: GfVector and GfMatrix check q and reduce their entries, and
-EchelonBasis.empty checks q. A basis basis_insert grows inherits its field,
-and an EchelonBasis built directly trusts its q as it trusts its rows and
-pivots.
+The reference one (GfVector, EchelonBasis, basis_insert, reduce, in_span,
+and rank, a separate full elimination) is immutable and deterministic. A
+matrix is a tuple of its GfVector rows. It is the API and the independent
+check route (the oracle, the code checker, the decoder, the covers). It
+validates where a value enters: FieldOrder and GfVector take only integers
+(a float or a string raises TypeError), GfVector checks q and reduces its
+entries, and EchelonBasis.empty checks q. A basis basis_insert grows
+inherits its field, and an EchelonBasis built directly trusts its q as it
+trusts its rows and pivots.
 
 The packed one (packed_space) holds each vector in one Python int and does
 no validation per operation. It is the kernel of the two search loops of
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from operator import itemgetter
+from operator import index, itemgetter
 
 from .errors import FieldError
 
@@ -44,7 +45,7 @@ class FieldOrder(int):
     def __new__(cls, q) -> "FieldOrder":
         if type(q) is cls:
             return q
-        q = int(q)
+        q = index(q)
         if q > MAX_FIELD_ORDER:
             raise FieldError(f"field order {q} exceeds the supported maximum {MAX_FIELD_ORDER}")
         if q not in _PRIMES:
@@ -83,7 +84,7 @@ class GfVector:
     def __post_init__(self):
         q = FieldOrder(self.q)
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "coords", tuple([int(c) % q for c in self.coords]))
+        object.__setattr__(self, "coords", tuple([index(c) % q for c in self.coords]))
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -100,58 +101,21 @@ class GfVector:
         return not any(self.coords)
 
 
-@dataclass(frozen=True)
-class GfMatrix:
-    """Immutable row-major matrix over F_q. num_cols is explicit so empty matrices keep shape."""
+def rank(rows) -> int:
+    """Rank over F_q of the stacked GfVector `rows`, 0 for no rows.
 
-    q: FieldOrder
-    rows: tuple[tuple[int, ...], ...]
-    num_cols: int
-
-    def __post_init__(self):
-        q = FieldOrder(self.q)
-        object.__setattr__(self, "q", q)
-        rows = tuple(tuple(int(c) % q for c in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
-        for row in rows:
-            if len(row) != self.num_cols:
-                raise ValueError(f"row of length {len(row)} in a {self.num_cols}-column matrix")
-
-    @classmethod
-    def from_rows(cls, q: int, rows, num_cols: int | None = None) -> "GfMatrix":
-        rows = tuple(tuple(r) for r in rows)
-        if num_cols is None:
-            if not rows:
-                raise ValueError("num_cols is required for a matrix with no rows")
-            num_cols = len(rows[0])
-        return cls(q, rows, num_cols)
-
-    @classmethod
-    def identity(cls, q: int, n: int) -> "GfMatrix":
-        return cls(q, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.rows)
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.rows)
-
-    def transpose(self) -> "GfMatrix":
-        return GfMatrix(self.q, tuple(self.column(j) for j in range(self.num_cols)), self.num_rows)
-
-    def row_vectors(self) -> list[GfVector]:
-        return [GfVector(self.q, row) for row in self.rows]
-
-
-def rank(m: GfMatrix) -> int:
-    """Rank over F_q by forward elimination with normalized pivots.
-
-    Pivot choice: first nonzero entry left-to-right, top-to-bottom.
+    Forward elimination with normalized pivots; pivot choice: first nonzero
+    entry left-to-right, top-to-bottom. Raises ValueError when the rows'
+    fields or lengths differ.
     """
-    q = m.q
-    work = [list(row) for row in m.rows]
-    n_rows, n_cols = len(work), m.num_cols
+    rows = tuple(rows)
+    if not rows:
+        return 0
+    q, n_cols = rows[0].q, len(rows[0].coords)
+    if any(v.q != q or len(v.coords) != n_cols for v in rows):
+        raise ValueError("rows live in different spaces")
+    work = [list(v.coords) for v in rows]
+    n_rows = len(work)
     r = 0
     for col in range(n_cols):
         pivot = next((i for i in range(r, n_rows) if work[i][col]), None)

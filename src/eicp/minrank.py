@@ -113,7 +113,6 @@ from .errors import (
 )
 from .gf import (
     EchelonBasis,
-    GfMatrix,
     GfVector,
     basis_insert,
     in_span,
@@ -145,7 +144,8 @@ class CandidateSet:
 
 @dataclass(frozen=True)
 class MinrankResult:
-    """Answer plus artifacts. `witness` rows follow `users` in ascending order.
+    """Answer plus artifacts. `witness` is a tuple of GfVector rows, one per
+    user of `users`, in the same ascending order.
 
     The branch-and-bound route fills both `witness` and `code`; each witness
     row is a combination its user can decode (the demand's unit vector plus a
@@ -155,7 +155,7 @@ class MinrankResult:
 
     kappa: int
     users: tuple[int, ...]
-    witness: GfMatrix | None
+    witness: tuple[GfVector, ...] | None
     code: EmbeddedIndexCode | None
     stats: dict = field(default_factory=dict)
 
@@ -301,19 +301,20 @@ def _row_search(order: list[CandidateSet], space, masks: list[int],
                        for cs, rows in zip(order, packed)}
 
 
-def extract_code(inst: EicpInstance, witness: GfMatrix, users) -> EmbeddedIndexCode:
-    """Turn a stacked witness into transmissions: first-seen independent rows.
+def extract_code(inst: EicpInstance, witness: tuple[GfVector, ...], users) -> EmbeddedIndexCode:
+    """Turn witness rows, one per user of `users` in ascending order, into
+    transmissions: the first-seen independent rows.
 
     The transmitter of a row is the smallest user, other than the row's
     owner, whose side information contains the row's support. The result is
     re-checked by codes.checked_code before it is returned.
     """
     users = _resolve_users(inst, users)
-    if witness.num_rows != len(users):
+    if len(witness) != len(users):
         raise InvalidCodeError("witness has one row per covered user")
     basis = EchelonBasis.empty(inst.q, inst.num_messages)
     transmissions = []
-    for owner, row in zip(users, witness.row_vectors()):
+    for owner, row in zip(users, witness):
         basis, grew = basis_insert(basis, row)
         if not grew:
             continue
@@ -589,9 +590,7 @@ def minrank_bnb(inst: EicpInstance, users=None,
     candidate_sets = build_candidates(inst, users, pool)
     order = sorted(candidate_sets, key=lambda cs: len(cs.vectors))
 
-    q = inst.q
-    dim = inst.num_messages
-    space = packed_space(q, dim)
+    space = packed_space(inst.q, inst.num_messages)
     sets = acyclic_sets(inst, users)
     lower_bound = len(sets[0])
     masks = [space.mask(inst.demand(u) - 1 for u in s) for s in sets]
@@ -622,8 +621,7 @@ def minrank_bnb(inst: EicpInstance, users=None,
                                  "the branch and bound's stage two"))
 
     kappa, code_source, code = best
-    rows = [(choice[i] if code is None else _decode_row(code, inst, i)).coords for i in users]
-    witness = GfMatrix.from_rows(q, rows, num_cols=dim)
+    witness = tuple(choice[i] if code is None else _decode_row(code, inst, i) for i in users)
     if code is None:
         code = extract_code(inst, witness, users)
     if code.length != kappa:

@@ -22,7 +22,7 @@ from eicp.codes import (
 )
 from eicp.covers import biclique_cover, tree_cover
 from eicp.errors import GenerationError, OracleExhaustedError
-from eicp.gf import EchelonBasis, FieldOrder, GfMatrix, GfVector, basis_insert, rank
+from eicp.gf import EchelonBasis, FieldOrder, GfVector, basis_insert, rank
 from eicp.minrank import build_candidates, minrank_bnb, minrank_oracle
 from eicp.model import EicpInstance, gen_random, validate
 from eicp.experiments import (
@@ -268,12 +268,11 @@ def _rank_agreement_trials(count):
         q = rng.choice((2, 3, 5))
         n = rng.randint(1, 6)
         m = rng.randint(1, 6)
-        rows = [tuple(rng.randrange(q) for _ in range(m)) for _ in range(n)]
-        mat = GfMatrix.from_rows(q, rows, num_cols=m)
+        rows = [GfVector(q, tuple(rng.randrange(q) for _ in range(m))) for _ in range(n)]
         basis = EchelonBasis.empty(q, m)
         for row in rows:
-            basis, _ = basis_insert(basis, GfVector(q, row))
-        if rank(mat) != basis.rank:
+            basis, _ = basis_insert(basis, row)
+        if rank(rows) != basis.rank:
             failures += 1
     return failures
 

@@ -11,6 +11,8 @@ import pytest
 import eicp.codes
 import eicp.minrank
 from eicp.codes import (
+    Transmission,
+    checked_code,
     decodable_from,
     message_support,
     side_info_basis,
@@ -26,7 +28,9 @@ from eicp.errors import (
     InvalidCodeError,
     OracleExhaustedError,
 )
-from eicp.gf import EchelonBasis, FieldOrder, GfMatrix, basis_insert, in_span, rank, reduce
+from eicp.gf import (
+    EchelonBasis, FieldOrder, GfVector, basis_insert, in_span, packed_space, rank, reduce,
+)
 from eicp.graphs import REGULAR_TREE, build_problem_graph
 from eicp.minrank import (
     ACYCLIC_EXACT_USERS_LIMIT,
@@ -39,7 +43,7 @@ from eicp.minrank import (
     minrank_bnb,
     minrank_oracle,
 )
-from eicp.minrank import _greedy_acyclic_set, _transmission_pool
+from eicp.minrank import _Budget, _column_search, _greedy_acyclic_set, _transmission_pool
 from eicp.model import EicpInstance, gen_random, validate
 
 from conftest import all_fixture_instances, random_corpus
@@ -112,7 +116,7 @@ def test_bnb_example_artifacts(mixed4):
         r = minrank_bnb(inst)
         assert r.kappa == 3
         assert r.users == (1, 2, 3, 4)
-        assert r.witness.rows == rows
+        assert tuple(v.coords for v in r.witness) == rows
         assert [(t.user, t.coeffs.coords) for t in r.code.transmissions] == transmissions
         assert {k: r.stats[k] for k in stats} == stats
         assert r.stats["row_rank_bound"] == 3
@@ -133,7 +137,7 @@ def test_bnb_user_subset(dense4):
     r = minrank_bnb(dense4, users=(2, 3))
     assert r.users == (2, 3)
     assert r.kappa == 2
-    assert r.witness.num_rows == 2
+    assert len(r.witness) == 2
 
 
 def test_bnb_node_limit_guard(dense4):
@@ -171,16 +175,14 @@ def test_row_stage_matches_product_enumeration():
         if math.prod(len(cs.vectors) for cs in order) > 7000:
             continue
         assignments = list(itertools.product(*[cs.vectors for cs in order]))
-        ranks = [rank(GfMatrix.from_rows(inst.q, [v.coords for v in choice],
-                                         num_cols=inst.num_messages))
-                 for choice in assignments]
+        ranks = [rank(choice) for choice in assignments]
         best = min(ranks)
         r = minrank_bnb(inst)
         assert r.stats["row_rank_bound"] == best
         if r.kappa < best:
             continue
         first = dict(zip((cs.user for cs in order), assignments[ranks.index(best)]))
-        assert r.witness.rows == tuple(first[i].coords for i in r.users)
+        assert r.witness == tuple(first[i] for i in r.users)
         improved += best < r.stats["incumbent_initial"]
     assert improved >= 10
     r = minrank_bnb(twins)
@@ -205,9 +207,9 @@ def test_stage_one_witness_is_first_in_its_span():
         stands += 1
         beyond_enumeration += r.stats["product_size"] > 7000
         span = EchelonBasis.empty(inst.q, inst.num_messages)
-        for row in r.witness.row_vectors():
+        for row in r.witness:
             span = basis_insert(span, row)[0]
-        for cs, row in zip(build_candidates(inst, r.users), r.witness.row_vectors()):
+        for cs, row in zip(build_candidates(inst, r.users), r.witness):
             assert next(v for v in cs.vectors if in_span(span, v)) == row
     assert (stands, beyond_enumeration) == (41, 12)
 
@@ -459,7 +461,7 @@ PINNED_SEARCHES = [
 def test_bnb_search_pinned(inst, users, kappa, rows, transmissions, stats):
     r = minrank_bnb(inst, users=users)
     assert r.kappa == kappa
-    assert r.witness.rows == rows
+    assert tuple(v.coords for v in r.witness) == rows
     assert [(t.user, t.coeffs.coords) for t in r.code.transmissions] == transmissions
     assert r.stats == stats
 
@@ -483,7 +485,7 @@ def _solver_outputs():
             assert r.stats["column_pool_size"] or r.kappa == low
             assert r.code.length == r.kappa
             sends = [(t.user, t.coeffs.coords) for t in r.code.transmissions]
-            yield (f"{k} {r.kappa} {r.users} {r.witness.rows} {sends} "
+            yield (f"{k} {r.kappa} {r.users} {tuple(v.coords for v in r.witness)} {sends} "
                    f"{r.stats['lower_bound']} {r.stats['row_rank_bound']}")
 
 
@@ -536,11 +538,11 @@ def test_search_loops_stay_off_the_reference_kernel(inst, monkeypatch):
 def test_witness_rows_decode_for_their_users():
     for inst in all_fixture_instances() + [regular_tree_instance(4), regular_tree_instance(5)]:
         r = minrank_bnb(inst)
-        for user, row in zip(r.users, r.witness.row_vectors()):
+        for user, row in zip(r.users, r.witness):
             d = inst.demand(user)
             assert row.coords[d - 1] == 1
             assert message_support(row) <= inst.knows(user) | {d}
-        assert r.witness.num_rows == len(r.users)
+        assert len(r.witness) == len(r.users)
 
 
 def test_oracle_certifies_lower_bound(mixed4):
@@ -804,8 +806,8 @@ def test_complexity_report_numbers(mixed4, dense4):
 
 
 def test_extract_code_picks_smallest_sender(mixed4):
-    witness = GfMatrix.from_rows(2, [(1, 1, 0, 0), (0, 0, 0, 1),
-                                     (1, 1, 0, 0), (0, 0, 1, 0)], num_cols=4)
+    witness = tuple(GfVector(2, c) for c in [(1, 1, 0, 0), (0, 0, 0, 1),
+                                             (1, 1, 0, 0), (0, 0, 1, 0)])
     code = extract_code(mixed4, witness, (1, 2, 3, 4))
     assert [(t.user, t.coeffs.coords) for t in code.transmissions] == [
         (2, (1, 1, 0, 0)), (3, (0, 0, 0, 1)), (2, (0, 0, 1, 0))]
@@ -813,8 +815,8 @@ def test_extract_code_picks_smallest_sender(mixed4):
 
 def test_extract_code_rejects_untransmittable_row(mixed4):
     # row 2's support {1, 2, 3} is held only by its own user
-    witness = GfMatrix.from_rows(2, [(1, 1, 0, 0), (1, 1, 1, 0),
-                                     (1, 0, 0, 0), (0, 0, 1, 0)], num_cols=4)
+    witness = tuple(GfVector(2, c) for c in [(1, 1, 0, 0), (1, 1, 1, 0),
+                                             (1, 0, 0, 0), (0, 0, 1, 0)])
     with pytest.raises(InvalidCodeError, match="no other user can transmit"):
         extract_code(mixed4, witness, (1, 2, 3, 4))
 
@@ -996,3 +998,34 @@ def test_searches_leave_no_cyclic_garbage(mixed4):
         if enabled:
             gc.enable()
     assert garbage == 0
+
+
+def test_column_search_answer_does_not_depend_on_the_incumbent():
+    # The tree cover may lower stage two's starting incumbent. That is safe
+    # because, from any incumbent above kappa, stage two returns the first
+    # minimal serving subset in search order; from kappa itself it finds
+    # nothing. The highest incumbents let a subset serve everyone above the
+    # leaf level, in the walk's interior, before the search closes on kappa.
+    instances = [inst for q in (2, 3, 5) for inst in _seeded_corpus(q, (3, 4, 5), 2)]
+    searches = 0
+    for inst in instances:
+        users = tuple(inst.users)
+        demanded = {inst.demand(i) for i in users}
+        pool = _transmission_pool(inst, demanded)
+        space = packed_space(inst.q, inst.num_messages)
+        sets = acyclic_sets(inst, users)
+        masks = [space.mask(inst.demand(u) - 1 for u in s) for s in sets]
+        kappa = minrank_bnb(inst).kappa
+
+        def search(incumbent):
+            budget = _Budget(10 ** 6, "column search")
+            return _column_search(inst, users, pool, incumbent, space, masks, len(sets[0]), budget)
+
+        assert search(kappa) is None
+        answers = {search(incumbent) for incumbent in range(kappa + 1, len(demanded) + 4)}
+        searches += len(demanded) + 3 - kappa
+        assert len(answers) == 1
+        found = answers.pop()
+        assert len(found) == kappa
+        checked_code(inst, users, (Transmission(sender, vec) for vec, sender in found), "test")
+    assert (len(instances), searches) == (54, 183)
