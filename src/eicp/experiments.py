@@ -8,8 +8,9 @@ optimum, lives here rather than in covers, because it calls the solver.
 
 Messages are renamed in one place in the package, model._renamed.
 itertools.permutations is called only by graphs.canonical_form, which
-orders users, and by _orbit_kappa, which renames messages through
-model._renamed.
+orders users, and by _canonical_family_reps, whose one walk over the
+message renamings, through model._renamed, both marks each class and
+yields the automorphisms _orbit_kappa reads.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .errors import ConsistencyError, GenerationError, OracleExhaustedError
 from .graphs import (
     SideInfoBipartiteGraph,
     _members,
-    canonical_form,
     is_connected,
     path_pattern_edges,
     prune_degree_one,
@@ -170,34 +170,29 @@ def _family_valid(masks: tuple[int, ...], pool: int) -> bool:
             and not functools.reduce(operator.and_, masks))
 
 
-def _orbit_kappa(family, num_messages: int):
-    """kappa(demands) over F_2 for `family`, solving one demand vector per orbit.
+def _orbit_kappa(graph: SideInfoBipartiteGraph, autos):
+    """kappa(demands) over F_2 for `graph`'s family, solving one demand vector per orbit.
 
-    The automorphisms are the renamings of the messages (model._renamed)
-    that map the family onto itself. The returned function keys each demand
-    vector by the least, over them, of the sorted distinct (renamed side
-    information, renamed demand) pairs of its users, and calls minrank_bnb
-    only on a key it has not met; its memo lives as long as the function,
-    one family.
+    `autos` lists the automorphisms, the renamings of the messages
+    (model._renamed) that map the family onto itself, each as its (renamed
+    family, image) pair (_canonical_family_reps). The returned function keys
+    each demand vector by the least, over them, of the sorted distinct
+    (renamed side information, renamed demand) pairs of its users, and calls
+    minrank_bnb only on a key it has not met; its memo lives as long as the
+    function, one family.
 
     Why one solve per key is exact. kappa reads a demand vector only as its
     pair set P and does not change under a renaming (model._renamed). Equal
     keys are equal images sigma(P) == tau(P') of two pair sets, so
     P' == tau^-1 sigma(P), and the two vectors have equal kappa.
     """
-    autos = []
-    for perm in itertools.permutations(range(1, num_messages + 1)):
-        image = (0,) + perm
-        renamed = _renamed(family, image)
-        if sorted(renamed) == sorted(family):
-            autos.append((renamed, image))
     solved: dict[tuple, int] = {}
 
     def kappa(demands) -> int:
         key = min(tuple(sorted({(k, image[d]) for k, d in zip(renamed, demands)}))
                   for renamed, image in autos)
         if key not in solved:
-            inst = EicpInstance(2, len(family), num_messages, family, demands)
+            inst = EicpInstance(2, graph.num_users, graph.num_messages, graph.adjacency, demands)
             solved[key] = minrank_bnb(inst).kappa
         return solved[key]
 
@@ -213,11 +208,11 @@ def experiment_fig5() -> ExperimentReport:
     under test: that happens exactly for the connected classes. Its kappas
     come from _orbit_kappa, one solve per demand orbit, as in theorem2.
     """
-    classes = sorted(_canonical_family_reps(3, 3), key=operator.attrgetter("adjacency"))
+    classes = sorted(_canonical_family_reps(3, 3), key=lambda rep: rep[0].adjacency)
     rows = []
-    for idx, graph in enumerate(classes, start=1):
+    for idx, (graph, autos) in enumerate(classes, start=1):
         family = graph.adjacency
-        kappa_of = _orbit_kappa(family, 3)
+        kappa_of = _orbit_kappa(graph, autos)
         kappas = [kappa_of(demands) for demands in enumerate_demands(family, 3)
                   if len(set(demands)) == 3]
         rows.append((
@@ -243,20 +238,34 @@ def experiment_fig5() -> ExperimentReport:
 
 
 def _canonical_family_reps(num_users: int, num_messages: int):
-    """The graph of one valid family per isomorphism class, each the lexicographically first.
+    """The lexicographically first valid family of each isomorphism class, with its automorphisms.
+
+    Each class comes as (graph, autos): autos lists the renamings of the
+    messages (model._renamed) that map the family onto itself, each as its
+    (renamed family, image) pair, for _orbit_kappa.
 
     A class is closed under user reordering, so its first family is sorted,
-    and the sorted families alone meet every class in the same order.
+    and the sorted families alone meet every class in the same order. They
+    are walked in order; the first one not yet marked is the next class's
+    family, and its images under every renaming, sorted, are marked: those
+    are exactly the sorted families of its class (isomorph rejection by orbit
+    marking), so no canonical key is computed. graphs.canonical_form is the
+    key they are tested against.
     """
-    reps: dict[bytes, SideInfoBipartiteGraph] = {}
+    reps, marked = [], set()
     pool = (1 << num_messages + 1) - 2
+    images = [(0,) + perm for perm in itertools.permutations(range(1, num_messages + 1))]
     # Masks in graphs' form, bit m for message m; no user holds the whole pool.
     for masks in itertools.combinations_with_replacement(range(0, pool, 2), num_users):
-        if not _family_valid(masks, pool):
+        if masks in marked or not _family_valid(masks, pool):
             continue
-        graph = SideInfoBipartiteGraph(num_users, num_messages, tuple(map(_members, masks)))
-        reps.setdefault(canonical_form(graph), graph)
-    return list(reps.values())
+        family = tuple(map(_members, masks))
+        renamings = [(_renamed(family, image), image) for image in images]
+        keys = [tuple(sorted(sum(1 << m for m in k) for k in renamed)) for renamed, _ in renamings]
+        marked.update(keys)
+        autos = [pair for pair, key in zip(renamings, keys) if key == masks]
+        reps.append((SideInfoBipartiteGraph(num_users, num_messages, family), autos))
+    return reps
 
 
 def experiment_theorem2() -> ExperimentReport:
@@ -283,11 +292,11 @@ def experiment_theorem2() -> ExperimentReport:
             corollary_count = 0
             violations = 0
             disconnected_better = 0
-            for graph in classes:
+            for graph, autos in classes:
                 connected = is_connected(graph)
                 pruned = prune_degree_one(graph)
                 x_prime = set(pruned.x_prime)
-                kappa_of = _orbit_kappa(graph.adjacency, m)
+                kappa_of = _orbit_kappa(graph, autos)
                 for demands in enumerate_demands(graph.adjacency, m):
                     uniq = len(set(demands))
                     hyp = connected and x_prime and x_prime <= set(demands)

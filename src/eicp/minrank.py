@@ -173,35 +173,48 @@ def _resolve_users(inst: EicpInstance, users) -> tuple[int, ...]:
 
 
 def build_candidates(inst: EicpInstance, users=None,
-                     pool: list[tuple[GfVector, int]] | None = None) -> list[CandidateSet]:
+                     pool: list[tuple[tuple[int, ...], int]] | None = None) -> list[CandidateSet]:
     """Candidate rows per user: demand unit plus side-info combination, transmittable.
 
     A row is transmittable when its support sits inside some other user's
     side information. The rows are read off the transmission pool (built
-    here over every message unless passed in; minrank_bnb passes the pool
+    here over every message unless passed in; minrank_bnb searches the pool
     over the demanded messages): user i's rows are the pool directions v with
     v[d_i] != 0 and support inside K_i + {d_i}, scaled so that v[d_i] = 1.
     Such a direction's sender holds d_i, so it is never i itself. The unit
     vector of the demand always survives (someone else holds the demand on a
-    valid instance), so no candidate set is empty.
+    valid instance), so no candidate set is empty. These are the rows stage
+    one searches (_candidate_rows), each wrapped as a GfVector.
     """
     users = _resolve_users(inst, users)
     if pool is None:
         pool = _transmission_pool(inst, set(inst.messages))
-    inv = inverse_table(inst.q)
-    supports = [message_support(vec) for vec, _sender in pool]
-    out = []
+    space = packed_space(inst.q, inst.num_messages)
+    columns = [space.pack(coords) for coords, _sender in pool]
+    return [CandidateSet(i, tuple(GfVector(inst.q, coords) for coords, _row in rows))
+            for i, rows in _candidate_rows(inst, users, pool, columns, space)]
+
+
+def _candidate_rows(inst: EicpInstance, users, pool, columns: list[int], space):
+    """Each user's candidate rows (build_candidates), as (user, [(coords, packed row), ...]).
+
+    User i's rows are read off the packed pool `columns`: a column whose lane
+    d_i is nonzero and that is zero outside K_i + {d_i}, scaled by
+    space.multiples to a 1 on lane d_i. They are ordered by (support size,
+    coords), the coords being the scaled reference coordinates.
+    """
+    q, inv = inst.q, inverse_table(inst.q)
     for i in users:
         d = inst.demand(i)
-        allowed = inst.knows(i) | {d}
-        vectors = []
-        for (vec, _sender), supp in zip(pool, supports):
-            lead = vec.coords[d - 1]
-            if lead and supp <= allowed:
-                vectors.append(vec.scale(inv[lead]))
-        vectors.sort(key=lambda v: (len(message_support(v)), v.coords))
-        out.append(CandidateSet(i, tuple(vectors)))
-    return out
+        shift = space.width * (d - 1)
+        outside = space.mask(m - 1 for m in inst.messages if m != d and m not in inst.knows(i))
+        rows = []
+        for (coords, _sender), col in zip(pool, columns):
+            if (lead := col >> shift & space.lane) and not col & outside:
+                scale = inv[lead]
+                rows.append((coords if scale == 1 else tuple(scale * c % q for c in coords),
+                             space.multiples(col)[scale - 1]))
+        yield i, sorted(rows, key=_support_order)
 
 
 def _checked_int(value, name: str, minimum: int | None = 1) -> int:
@@ -236,16 +249,16 @@ class _Budget:
             raise GuardExceededError(self.message)
 
 
-def _row_search(order: list[CandidateSet], space, masks: list[int],
+def _row_search(order: list, space, masks: list[int],
                 lower_bound: int, budget: _Budget) -> tuple[int, dict[int, GfVector]]:
     """Smallest stacked rank, and the rows of the first leaf reaching it.
 
     The starting incumbent is the rank of the first leaf, which stacks each
     user's first candidate (its demand's unit vector). Depth-first in
-    search order over the rows packed in `space`. A node with partial stack A
-    is cut once rank(A) + LB - rank(A & mask) reaches the incumbent for one
-    of the acyclic sets' demand `masks`, LB being `lower_bound`, each set's
-    size: every completion stacks all of a set's rows, whose rank on its
+    search order over each user's packed rows, `order` listing the (user,
+    rows) pairs of _candidate_rows. A node with partial stack A is cut once
+    rank(A) + LB - rank(A & mask) reaches the incumbent for one of the
+    acyclic sets' demand `masks`, LB being `lower_bound`, each set's size: every completion stacks all of a set's rows, whose rank on its
     demand coordinates is LB. The same test, repeated as the incumbent falls,
     stops the walk once the incumbent is down to LB. The stack and its
     projection on each set are packed bases.
@@ -261,10 +274,11 @@ def _row_search(order: list[CandidateSet], space, masks: list[int],
 
     That leaf is recorded as its stack alone. Its rows are each user's first
     candidate, in candidate order, inside its span: an earlier candidate
-    inside it would make an earlier leaf of no larger rank.
+    inside it would make an earlier leaf of no larger rank. They are returned
+    by user, each built as a GfVector from its reference coords.
     """
     insert, reduce = space.insert, space.reduce
-    packed = [[space.pack(v.coords) for v in cs.vectors] for cs in order]
+    packed = [[row for _coords, row in rows] for _user, rows in order]
     best = ()
     for rows in packed:
         best = insert(best, rows[0])[0]
@@ -297,8 +311,8 @@ def _row_search(order: list[CandidateSet], space, masks: list[int],
         walk(0, (), [()] * len(masks))
     finally:
         del walk  # it refers to itself: free it on every exit, not at a full collection
-    return incumbent, {cs.user: next(v for v, row in zip(cs.vectors, rows) if not reduce(best, row))
-                       for cs, rows in zip(order, packed)}
+    return incumbent, {user: GfVector(space.q, next(c for c, row in rows if not reduce(best, row)))
+                       for user, rows in order}
 
 
 def extract_code(inst: EicpInstance, witness: tuple[GfVector, ...], users) -> EmbeddedIndexCode:
@@ -331,14 +345,14 @@ def extract_code(inst: EicpInstance, witness: tuple[GfVector, ...], users) -> Em
     return checked_code(inst, users, transmissions, "the branch and bound's stage one")
 
 
-def _column_search(inst: EicpInstance, users, pool, incumbent: int, space, masks: list[int],
-                   lower_bound: int, budget: _Budget):
-    """Smallest serving column subset strictly below `incumbent`, or None.
+def _column_search(inst: EicpInstance, users, columns: list[int], incumbent: int, space,
+                   masks: list[int], lower_bound: int, budget: _Budget):
+    """Pool indices of the smallest serving column subset strictly below `incumbent`, or None.
 
-    Depth-first over the scalar-normalized transmittable columns in pool
-    order, extending only with columns independent of those already chosen
-    (a dependent column never enlarges any user's decoding span, so minimal
-    serving subsets are independent). Decodability is the projection
+    Depth-first over the scalar-normalized transmittable columns, packed in
+    pool order in `columns`, extending only with columns independent of those
+    already chosen (a dependent column never enlarges any user's decoding
+    span, so minimal serving subsets are independent). Decodability is the projection
     identity of the module docstring, P_i c being `c & keep_i`, with keep_i
     the mask of the messages user i does not hold. `pending` carries, for
     each user still unserved, that mask, the packed basis of its projected
@@ -386,7 +400,6 @@ def _column_search(inst: EicpInstance, users, pool, incumbent: int, space, masks
     by the rule or a hit of the last-column lookup. Probes are not counted.
     """
     insert, reduce, add, multiples = space.insert, space.reduce, space.add, space.multiples
-    columns = [space.pack(vec.coords) for vec, _sender in pool]
     start_pending = [
         (space.mask(m - 1 for m in inst.messages if m not in inst.knows(i)), (),
          space.pack(unit_vector(inst.q, inst.num_messages, inst.demand(i)).coords))
@@ -433,7 +446,7 @@ def _column_search(inst: EicpInstance, users, pool, incumbent: int, space, masks
             if len(chosen) + 2 >= best_size:
                 last = last_column(idx, span, pending)
                 if last is not None:
-                    best, best_size = (*chosen, pool[last]), len(chosen) + 1
+                    best, best_size = (*chosen, last), len(chosen) + 1
                 return
             col = columns[idx]
             budget.spend()
@@ -451,7 +464,7 @@ def _column_search(inst: EicpInstance, users, pool, incumbent: int, space, masks
                     if not residue:
                         continue
                 new_pending.append((keep, basis, residue))
-            chosen.append(pool[idx])
+            chosen.append(idx)
             if not new_pending:
                 # |chosen| <= bound < best_size: strictly smaller than the best.
                 best, best_size = tuple(chosen), len(chosen)
@@ -560,11 +573,17 @@ def minrank_bnb(inst: EicpInstance, users=None,
     order), and two sibling cuts drop leaves that an earlier leaf dominates
     (_row_search). Stage two visits each span once, through its pool-order
     greedy basis, and finds a last column by lookup instead of scanning the
-    pool (_column_search). Both stages read one transmission pool, over the
-    messages the served users demand (the projection of the module
-    docstring), and one packed space `gf.packed_space` with one demand mask
-    per acyclic set, all built once per call; the reference kernel only
-    extracts and checks the answer, on the original instance.
+    pool (_column_search).
+
+    Both stages read one transmission pool, over the messages the served
+    users demand (the projection of the module docstring), enumerated once
+    per call as reference coords. The packed kernel begins there: each pool
+    column is packed once into one `gf.packed_space`, stage one's candidate
+    rows are read off the packed columns (_candidate_rows), stage two
+    searches the packed columns themselves, and both cut with one packed
+    demand mask per acyclic set. GfVector is built only for what leaves the
+    solver, the witness rows and the code's columns; the reference kernel
+    extracts and checks the answer from them, on the original instance.
 
     The returned artifacts are deterministic. When stage one's code stands,
     the witness is the first row assignment in search order that attains the
@@ -587,10 +606,10 @@ def minrank_bnb(inst: EicpInstance, users=None,
     limit = DEFAULT_NODE_LIMIT if node_limit is None else _checked_int(node_limit, "node limit")
     demanded = {inst.demand(i) for i in users}
     pool = _transmission_pool(inst, demanded)
-    candidate_sets = build_candidates(inst, users, pool)
-    order = sorted(candidate_sets, key=lambda cs: len(cs.vectors))
-
     space = packed_space(inst.q, inst.num_messages)
+    columns = [space.pack(coords) for coords, _sender in pool]
+    candidates = list(_candidate_rows(inst, users, pool, columns, space))
+    order = sorted(candidates, key=lambda c: len(c[1]))
     sets = acyclic_sets(inst, users)
     lower_bound = len(sets[0])
     masks = [space.mask(inst.demand(u) - 1 for u in s) for s in sets]
@@ -613,12 +632,12 @@ def minrank_bnb(inst: EicpInstance, users=None,
     pool_size = 0
     if best[0] > lower_bound:
         pool_size = len(pool)
-        found = _column_search(inst, users, pool, best[0], space, masks, lower_bound,
+        found = _column_search(inst, users, columns, best[0], space, masks, lower_bound,
                                column_budget)
         if found is not None:
+            sent = (Transmission(pool[k][1], GfVector(inst.q, pool[k][0])) for k in found)
             best = (len(found), "stage two",
-                    checked_code(inst, users, (Transmission(sender, vec) for vec, sender in found),
-                                 "the branch and bound's stage two"))
+                    checked_code(inst, users, sent, "the branch and bound's stage two"))
 
     kappa, code_source, code = best
     witness = tuple(choice[i] if code is None else _decode_row(code, inst, i) for i in users)
@@ -628,9 +647,9 @@ def minrank_bnb(inst: EicpInstance, users=None,
         raise ConsistencyError("extracted code length differs from the optimum")
     stats = {
         "nodes_explored": budget.used,
-        "candidates_total": sum(len(cs.vectors) for cs in candidate_sets),
-        "candidates_per_user": {cs.user: len(cs.vectors) for cs in candidate_sets},
-        "product_size": math.prod(len(cs.vectors) for cs in candidate_sets),
+        "candidates_total": sum(len(rows) for _user, rows in candidates),
+        "candidates_per_user": {user: len(rows) for user, rows in candidates},
+        "product_size": math.prod(len(rows) for _user, rows in candidates),
         "incumbent_initial": len(demanded),
         "lower_bound": lower_bound,
         "row_rank_bound": row_rank,
@@ -642,14 +661,15 @@ def minrank_bnb(inst: EicpInstance, users=None,
     return MinrankResult(kappa, users, witness, code, stats)
 
 
-def _transmission_pool(inst: EicpInstance, messages: set[int]) -> list[tuple[GfVector, int]]:
+def _transmission_pool(inst: EicpInstance, messages: set[int]) -> list[tuple[tuple, int]]:
     """Every transmittable column supported on `messages`, up to scalar, with its smallest sender.
 
     Scaling a column never changes what any user can decode, so one
     representative per direction (leading coefficient 1) is exhaustive.
     Sender j combines the messages of K_j inside `messages`, so the pool
     over every message is the full pool and the pool over the demanded
-    messages is the projected one of the module docstring.
+    messages is the projected one of the module docstring. Each column is
+    its reference coords, with no GfVector, in (support size, coords) order.
     """
     q = inst.q
     m = inst.num_messages
@@ -672,9 +692,12 @@ def _transmission_pool(inst: EicpInstance, messages: set[int]) -> list[tuple[GfV
             for c, k in zip(combo, side):
                 coords[k - 1] = scale * c % q
             seen.setdefault(tuple(coords), j)
-    pool = [(GfVector(q, coords), sender) for coords, sender in seen.items()]
-    pool.sort(key=lambda p: (len(message_support(p[0])), p[0].coords))
-    return pool
+    return sorted(seen.items(), key=_support_order)
+
+
+def _support_order(entry) -> tuple:
+    """The sort key of a (coords, ...) pool entry or candidate row: (support size, coords)."""
+    return len(entry[0]) - entry[0].count(0), entry[0]
 
 
 def minrank_oracle(inst: EicpInstance, l_max: int | None = None, users=None,
@@ -706,7 +729,7 @@ def minrank_oracle(inst: EicpInstance, l_max: int | None = None, users=None,
     else:
         _checked_int(l_max, "l_max", minimum=None)
     pool = _transmission_pool(inst, set(inst.messages))
-    vectors = [vec for vec, _sender in pool]
+    vectors = [GfVector(inst.q, coords) for coords, _sender in pool]
     empty = EchelonBasis.empty(inst.q, inst.num_messages)
     id_of: dict[tuple[int, ...], int] = {}  # projected coords -> id, shared by equal projections
     start = []
@@ -720,8 +743,7 @@ def minrank_oracle(inst: EicpInstance, l_max: int | None = None, users=None,
         found = _first_serving_subset(len(vectors), start, 0, length, examined)
         if found is None:
             continue
-        subset = [pool[k] for k in found]
-        code = checked_code(inst, users, (Transmission(sender, vec) for vec, sender in subset),
+        code = checked_code(inst, users, (Transmission(pool[k][1], vectors[k]) for k in found),
                             "the oracle")
         stats = {
             "subsets_examined": examined.used,

@@ -18,7 +18,7 @@ from eicp.graphs import (
     is_connected,
 )
 from eicp.minrank import minrank_bnb
-from eicp.model import EicpInstance, enumerate_demands, serialize_instance, validate
+from eicp.model import EicpInstance, _renamed, enumerate_demands, serialize_instance, validate
 from eicp.experiments import (
     ExperimentReport,
     _canonical_family_reps,
@@ -174,8 +174,11 @@ def test_theorem2_solves_once_per_demand_orbit(theorem2_run):
     assert calls == 866
 
 
-def _orbit_solves(pairs, num_messages):
-    """Check _orbit_kappa against a direct solve on each (family, demands) pair; count its solves."""
+def _orbit_solves(pairs):
+    """Check _orbit_kappa against a direct solve on each (class, demands) pair; count its solves.
+
+    A class rep is a (graph, autos) pair of _canonical_family_reps.
+    """
     calls = 0
 
     def counted(*args, **kwargs):
@@ -186,10 +189,11 @@ def _orbit_solves(pairs, num_messages):
     kappa_of = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiments, "minrank_bnb", counted)
-        for family, demands in pairs:
+        for (graph, autos), demands in pairs:
+            family = graph.adjacency
             if family not in kappa_of:
-                kappa_of[family] = _orbit_kappa(family, num_messages)
-            inst = EicpInstance(FieldOrder(2), len(family), num_messages, family, demands)
+                kappa_of[family] = _orbit_kappa(graph, autos)
+            inst = EicpInstance(FieldOrder(2), len(family), graph.num_messages, family, demands)
             assert kappa_of[family](demands) == minrank_bnb(inst).kappa, (family, demands)
     return calls
 
@@ -200,15 +204,15 @@ def test_equal_orbit_keys_mean_equal_kappa():
     # 2,072 at 4 users and 4 messages. Both scopes must merge some vectors.
     merged = 0
     for n, m in itertools.product((2, 3), repeat=2):
-        pairs = [(g.adjacency, demands) for g in _canonical_family_reps(n, m)
-                 for demands in enumerate_demands(g.adjacency, m)]
-        merged += len(pairs) - _orbit_solves(pairs, m)
+        pairs = [(rep, demands) for rep in _canonical_family_reps(n, m)
+                 for demands in enumerate_demands(rep[0].adjacency, m)]
+        merged += len(pairs) - _orbit_solves(pairs)
     assert merged > 0
-    everything = [(g.adjacency, demands) for g in _canonical_family_reps(4, 4)
-                  for demands in enumerate_demands(g.adjacency, 4)]
+    everything = [(rep, demands) for rep in _canonical_family_reps(4, 4)
+                  for demands in enumerate_demands(rep[0].adjacency, 4)]
     assert len(everything) == 2072
     sample = random.Random(0).sample(everything, 100)
-    assert _orbit_solves(sample, 4) < len(sample)
+    assert _orbit_solves(sample) < len(sample)
 
 
 def test_report_serialization():
@@ -244,7 +248,43 @@ def test_family_reps_match_the_full_product_dedupe():
             if _family_valid(masks, pool):
                 family = tuple(map(_members, masks))
                 reps.setdefault(canonical_form(SideInfoBipartiteGraph(n, m, family)), family)
-        assert [g.adjacency for g in _canonical_family_reps(n, m)] == list(reps.values())
+        assert [g.adjacency for g, _autos in _canonical_family_reps(n, m)] == list(reps.values())
+
+
+def test_family_reps_match_the_canonical_form_dedupe_the_studies_walk():
+    # Every (n, m) the studies walk: the sorted families, kept when their
+    # canonical form is new (1,821 canonical_form calls), give the same reps
+    # in the same order as orbit marking, which computes no key.
+    calls = 0
+    for n, m in itertools.product(range(2, 5), repeat=2):
+        reps = {}
+        pool = (1 << m + 1) - 2
+        for masks in itertools.combinations_with_replacement(range(0, pool, 2), n):
+            if _family_valid(masks, pool):
+                family = tuple(map(_members, masks))
+                calls += 1
+                reps.setdefault(canonical_form(SideInfoBipartiteGraph(n, m, family)), family)
+        assert [g.adjacency for g, _autos in _canonical_family_reps(n, m)] == list(reps.values())
+    assert calls == 1821
+
+
+def test_family_rep_automorphisms_are_the_renamings_that_fix_it():
+    # Brute force: of all m! renamings through model._renamed, those mapping
+    # the family onto itself as a multiset of side-information sets, in
+    # permutation order, each with its renamed family.
+    autos_seen = 0
+    for n, m in itertools.product(range(1, 5), repeat=2):
+        for graph, autos in _canonical_family_reps(n, m):
+            family = graph.adjacency
+            expected = []
+            for perm in itertools.permutations(range(1, m + 1)):
+                image = (0,) + perm
+                renamed = _renamed(family, image)
+                if sorted(renamed) == sorted(family):
+                    expected.append((renamed, image))
+            assert autos == expected, (n, m, family)
+            autos_seen += len(autos)
+    assert autos_seen > 0
 
 
 def test_canonical_keys_of_every_visited_family_pinned():

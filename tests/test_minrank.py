@@ -640,7 +640,8 @@ def test_oracle_examines_every_subset_up_to_the_first_serving_one():
                 inst = gen_random(n, n, q, (0.3, 0.5)[seed % 2], seed)
             except GenerationError:
                 continue
-            pool = _transmission_pool(inst, set(inst.messages))
+            pool = [(GfVector(q, coords), j) for coords, j in _transmission_pool(
+                inst, set(inst.messages))]
             for users in (None, inst.users[::2]):
                 r = minrank_oracle(inst, users=users)
                 subsets = (s for length in range(1, r.kappa + 1)
@@ -689,7 +690,8 @@ def test_projection_rule_matches_the_decoding_definition():
                                   (0.3, 0.5, 0.7)[seed % 3], seed)
             except GenerationError:
                 continue
-            pool = [vec for vec, _sender in _transmission_pool(inst, set(inst.messages))]
+            pool = [GfVector(q, coords) for coords, _sender in _transmission_pool(
+                inst, set(inst.messages))]
             for _ in range(8):
                 cols = rng.sample(pool, rng.randint(0, min(4, len(pool))))
                 for i in inst.users:
@@ -705,7 +707,7 @@ def test_projection_rule_matches_the_decoding_definition():
 
 def test_transmission_pool_is_scalar_free():
     inst = gen_random(4, 4, 3, 0.6, 2)
-    pool = _transmission_pool(inst, set(inst.messages))
+    pool = [(GfVector(3, coords), j) for coords, j in _transmission_pool(inst, set(inst.messages))]
     for (v, sender) in pool:
         assert not v.is_zero()
         assert message_support(v) <= inst.knows(sender)
@@ -723,7 +725,8 @@ def test_projected_pool_is_the_full_pool_on_the_kept_messages():
     for inst in (gen_random(4, 4, 3, 0.6, 2), gen_random(5, 6, 2, 0.5, 1)):
         full = _transmission_pool(inst, set(inst.messages))
         for kept in ({1, 2}, {inst.demand(i) for i in inst.users}, {2, 3, 4}):
-            expected = [(v, j) for v, j in full if message_support(v) <= kept]
+            expected = [(c, j) for c, j in full
+                        if message_support(GfVector(inst.q, c)) <= kept]
             assert _transmission_pool(inst, kept) == expected
 
 
@@ -757,6 +760,48 @@ def test_candidates_equal_direct_enumeration():
                     assert [v.coords for v in cs.vectors] == expected
                     checked += 1
     assert checked >= 150
+
+
+def test_solver_searches_the_rows_build_candidates_lists(monkeypatch):
+    # Stage one's rows are read off the packed pool and scaled by the packed
+    # kernel. Unpacked, each user's rows are build_candidates' rows over the
+    # same (projected) pool, row for row, and so are the reference coords
+    # they are carried with. The pool itself is ordered by (support size,
+    # coords) with no direction twice.
+    searched = []
+    row_search = eicp.minrank._row_search
+
+    def recording(order, space, *args):
+        searched.append({user: ([c for c, _row in rows],
+                                [tuple(row >> space.width * k & space.lane for k in range(space.dim))
+                                 for _c, row in rows])
+                         for user, rows in order})
+        return row_search(order, space, *args)
+
+    monkeypatch.setattr(eicp.minrank, "_row_search", recording)
+    solves = projected = rows = scaled = 0
+    for q in (2, 3, 5):
+        for seed in range(12):
+            try:
+                inst = gen_random(3 + seed % 3, 3 + seed % 4, q, (0.3, 0.5, 0.7)[seed % 3], seed)
+            except GenerationError:
+                continue
+            for users in (None, inst.users[::2]):
+                r = minrank_bnb(inst, users=users)
+                pool = _transmission_pool(inst, {inst.demand(i) for i in r.users})
+                keys = [(len(message_support(GfVector(q, c))), c) for c, _sender in pool]
+                assert keys == sorted(set(keys))
+                expected = {cs.user: [v.coords for v in cs.vectors]
+                            for cs in build_candidates(inst, r.users, pool)}
+                assert searched.pop() == {u: (e, e) for u, e in expected.items()}
+                assert r.stats["candidates_per_user"] == {u: len(e) for u, e in expected.items()}
+                solves += 1
+                projected += r.stats["messages_projected"] > 0
+                rows += sum(map(len, expected.values()))
+                directions = {c for c, _sender in pool}
+                scaled += sum(c not in directions for e in expected.values() for c in e)
+    assert not searched
+    assert (solves, projected, rows, scaled) == (72, 66, 2119, 1068)
 
 
 def test_checker_rejection_raises_consistency_error(mixed4, dense4, monkeypatch):
@@ -1013,13 +1058,16 @@ def test_column_search_answer_does_not_depend_on_the_incumbent():
         demanded = {inst.demand(i) for i in users}
         pool = _transmission_pool(inst, demanded)
         space = packed_space(inst.q, inst.num_messages)
+        columns = [space.pack(coords) for coords, _sender in pool]
         sets = acyclic_sets(inst, users)
         masks = [space.mask(inst.demand(u) - 1 for u in s) for s in sets]
         kappa = minrank_bnb(inst).kappa
 
         def search(incumbent):
             budget = _Budget(10 ** 6, "column search")
-            return _column_search(inst, users, pool, incumbent, space, masks, len(sets[0]), budget)
+            found = _column_search(inst, users, columns, incumbent, space, masks, len(sets[0]),
+                                   budget)
+            return found and tuple(pool[k] for k in found)
 
         assert search(kappa) is None
         answers = {search(incumbent) for incumbent in range(kappa + 1, len(demanded) + 4)}
@@ -1027,5 +1075,6 @@ def test_column_search_answer_does_not_depend_on_the_incumbent():
         assert len(answers) == 1
         found = answers.pop()
         assert len(found) == kappa
-        checked_code(inst, users, (Transmission(sender, vec) for vec, sender in found), "test")
+        checked_code(inst, users, (Transmission(sender, GfVector(inst.q, coords))
+                                   for coords, sender in found), "test")
     assert (len(instances), searches) == (54, 183)

@@ -194,17 +194,22 @@ def test_oracle_names_no_packed_kernel():
 
 
 def test_permutations_only_order_users_or_rename_through_model():
-    # Messages are renamed by model._renamed alone; the one other walk over
-    # permutations orders users for canonical_form.
-    callers = []
+    # Messages are renamed by model._renamed alone, in one walk over the
+    # message renamings: _canonical_family_reps marks each class's orbit and
+    # hands the automorphisms it finds to _orbit_kappa. The one other walk
+    # over permutations orders users for canonical_form.
+    callers, names = [], {}
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for func in tree.body:
-            if isinstance(func, ast.FunctionDef) and any(
-                    getattr(node, "attr", getattr(node, "id", None)) == "permutations"
-                    for node in ast.walk(func)):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            named = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(func)}
+            if "permutations" in named:
                 callers.append(f"{path.stem}.{func.name}")
-    assert callers == ["experiments._orbit_kappa", "graphs.canonical_form"], callers
+                names[callers[-1]] = named
+    assert callers == ["experiments._canonical_family_reps", "graphs.canonical_form"], callers
+    assert "_renamed" in names["experiments._canonical_family_reps"]
 
 
 def test_one_guard_raise_in_minrank_searches():
@@ -255,6 +260,10 @@ UNCALLED_PUBLIC_NAMES = {
     "BipartiteProblemGraph.message_out": "the paper's bipartite problem graph",
     "BipartiteProblemGraph.message_in": "the paper's bipartite problem graph",
     "graph_candidate_supports": "the paper's bipartite problem graph",
+    "build_candidates": "the public view of stage one's rows; the solver's packed rows are tested"
+                        " against it",
+    "canonical_form": "the public isomorphism key; tests hold the study class reps to it",
+    "GfVector.scale": "the reference scaling; PackedSpace.multiples is tested against it",
 }
 
 
