@@ -53,12 +53,12 @@ answer it gives from the row rank.
 
 Route two (minrank_oracle) exhaustively searches codes of increasing length
 and reports the first feasible length. It examines every column subset of
-each length, with no pruning at all, on the reference kernel. A node of its
-walk judges each distinct projected column (below) once per unserved user
-and reads the verdict back for the other columns with that projection: a
-cache, not a cut, since a verdict depends only on the node's basis and the
-projected column. The two routes must agree; the workbench treats
-disagreement as a defect, never as data.
+each length, with no pruning at all, on the reference kernel. Its walk
+judges each distinct projected column (below) once per user and basis for
+the whole call, and reads the verdict back wherever that basis meets that
+projection again: a memo, not a cut, since a verdict depends only on the
+basis and the projected column. The two routes must agree; the workbench
+treats disagreement as a defect, never as data.
 
 Both column searches test decodability by one projection identity. With P_i
 the map that zeroes the coordinates of the messages user i holds,
@@ -709,16 +709,17 @@ def minrank_oracle(inst: EicpInstance, l_max: int | None = None, users=None,
     length's subsets are walked depth first in itertools.combinations order,
     and every one of them is examined, at most `budget` in all. Decodability
     is the projection identity of the module docstring: each user enters the
-    walk as an empty basis, an empty verdict cache, its demand's unit vector,
-    every pool column projected once by reduce(side_info_basis(inst, i), v)
-    and each projection's id, one id per distinct projected `coords` in the
-    call. A prefix's bases are built once for all the subsets that extend it,
-    and a node judges each id once per user (see _first_serving_subset). The
-    winning subset is rebuilt as a code and re-verified through the code
-    checker before it is returned. Exhausting l_max without an answer raises
-    OracleExhaustedError; with the default l_max the plain per-demand scheme
-    guarantees an answer. A bool or non-integer l_max or budget, or a budget
-    below 1, is a ValueError.
+    walk at basis state 0, the empty basis, with its demand's unit vector,
+    every pool column projected once by reduce(side_info_basis(inst, i), v),
+    each projection's id (one id per distinct projected `coords` in the
+    call) and its memo tables for the call (see _verdict). A prefix's bases
+    are built once for all the subsets that extend it, and each user judges
+    a projection id once per basis state in the whole call, at whichever
+    node first meets the pair. The winning subset is rebuilt as a code and
+    re-verified through the code checker before it is returned. Exhausting
+    l_max without an answer raises OracleExhaustedError; with the default
+    l_max the plain per-demand scheme guarantees an answer. A bool or
+    non-integer l_max or budget, or a budget below 1, is a ValueError.
     """
     require_valid(inst)
     users = _resolve_users(inst, users)
@@ -736,8 +737,9 @@ def minrank_oracle(inst: EicpInstance, l_max: int | None = None, users=None,
     for i in users:
         side = side_info_basis(inst, i)
         cols = [reduce(side, v) for v in vectors]
-        start.append((empty, {}, (unit_vector(inst.q, inst.num_messages, inst.demand(i)), cols,
-                                  [id_of.setdefault(col.coords, len(id_of)) for col in cols])))
+        start.append((0, (unit_vector(inst.q, inst.num_messages, inst.demand(i)), cols,
+                          [id_of.setdefault(col.coords, len(id_of)) for col in cols],
+                          [empty], {empty.rows: 0}, [{}])))
 
     for length in range(1, l_max + 1):
         found = _first_serving_subset(len(vectors), start, 0, length, examined)
@@ -759,16 +761,12 @@ def _first_serving_subset(size, pending, first, length, budget):
 
     Subsets are visited in itertools.combinations order, each spent from
     `budget` before it is tested; None if none serves. `pending` lists each
-    user the chosen prefix does not serve yet as (basis, verdicts, (demand,
-    columns, ids)): the basis of its projected prefix columns, the node's
-    verdict cache, its demand's unit vector, every pool column projected (the
-    projection identity of the module docstring) and each projection's id.
-    The cache maps an id to the (grown basis, served) pair _verdict computes
-    for it, so columns with equal projections are judged once per node. A
-    user the prefix serves is dropped: spans only grow, so every extension
-    serves it too. The list's order is free (a subset serves iff it serves
-    every listed user), so a leaf moves the user that rejected it to the
-    front.
+    user the chosen prefix does not serve yet as (state, tables): the id of
+    the basis of its projected prefix columns, and the user's tables for the
+    call (see _verdict). A user the prefix serves is dropped: spans only
+    grow, so every extension serves it too. The list's order is free (a
+    subset serves iff it serves every listed user), so a leaf moves the user
+    that rejected it to the front.
     """
     if length == 1:
         for idx in range(first, size):
@@ -785,9 +783,9 @@ def _first_serving_subset(size, pending, first, length, budget):
     for idx in range(first, size - length + 1):
         grown = []
         for entry in pending:
-            basis, served = _verdict(entry, idx)
+            state, served = _verdict(entry, idx)
             if not served:
-                grown.append((basis, {}, entry[2]))
+                grown.append((state, entry[1]))
         found = _first_serving_subset(size, grown, idx + 1, length - 1, budget)
         if found is not None:
             return (idx, *found)
@@ -795,17 +793,28 @@ def _first_serving_subset(size, pending, first, length, budget):
 
 
 def _verdict(entry, idx):
-    """The pending user `entry`'s basis grown by pool column `idx`, and whether it serves.
+    """The pending user `entry`'s state after pool column `idx`, and whether it serves.
 
-    basis_insert and in_span judge the first column with a given projection
-    at this node; later ones read the node's cache, which keeps every
-    verdict, since a verdict depends only on the basis and the projection.
+    A user's tables hold its demand, projected columns and projection ids,
+    then its memo for the call: the list of the bases it has reached, the
+    dict from a basis's `rows` to its state id (its index in that list) and
+    one verdict dict per state, mapping a projection id to (next state,
+    served). basis_insert and in_span judge the first time a state meets a
+    projection id, at whatever node; every later meeting reads the memo.
+    That is exact: `rows` fixes the basis (each row's pivot is its first
+    nonzero), equal ids are equal projected columns, and the verdict depends
+    on nothing else. States are ints, so a column that does not grow the
+    basis maps its state to itself without a reference cycle.
     """
-    basis, verdicts, (demand, cols, ids) = entry
-    verdict = verdicts.get(ids[idx])
+    state, (demand, cols, ids, bases, state_of, verdicts) = entry
+    verdict = verdicts[state].get(ids[idx])
     if verdict is None:
-        grown, grew = basis_insert(basis, cols[idx])
-        verdict = verdicts[ids[idx]] = (grown, grew and in_span(grown, demand))
+        grown, grew = basis_insert(bases[state], cols[idx])
+        after = state_of.setdefault(grown.rows, len(bases))
+        if after == len(bases):
+            bases.append(grown)
+            verdicts.append({})
+        verdict = verdicts[state][ids[idx]] = (after, grew and in_span(grown, demand))
     return verdict
 
 

@@ -319,16 +319,15 @@ def _cover_bound_corpus():
 def test_tree_cover_bound_matches_the_oracle():
     # The cover's code stands exactly when it is optimal and shorter than the
     # row rank: then stage two searches below it and finds nothing. On
-    # regular_tree_instance(7, 5) the oracle examines 728 k subsets (about
-    # 5 s), so that solve is certified by LB instead: the MAIS bound below
-    # and the checked code above.
+    # regular_tree_instance(7, 5) the oracle examines 728 k subsets (under
+    # 1 s, its verdicts kept per basis state for the call), and LB certifies
+    # that solve too: the MAIS bound below and the checked code above.
     covered = 0
     for inst in _cover_bound_corpus():
         r = minrank_bnb(inst)
         if inst.q == 5 and inst.num_users == 7:
             assert r.kappa == r.stats["lower_bound"]
-        else:
-            assert r.kappa == minrank_oracle(inst).kappa
+        assert r.kappa == minrank_oracle(inst).kappa
         assert verify_code(r.code, inst).overall
         length = tree_cover(inst).code.length
         by_cover = length == r.kappa < r.stats["row_rank_bound"]
@@ -676,6 +675,47 @@ def test_oracle_judges_each_projected_column_once_per_node(seven_user, monkeypat
     assert 0 < calls["in_span"] <= calls["basis_insert"] <= examined // 2
 
 
+@pytest.mark.parametrize("q, n, seed, every, pinned", [
+    (2, 6, 5, 1, (8204, 4237, 3893, 344)),
+    (2, 6, 5, 2, (1004, 641, 620, 21)),
+    (3, 6, 0, 1, (5937, 854, 747, 107)),
+    (5, 5, 1, 1, (3415, 519, 500, 19)),
+], ids=["q2", "q2-users", "q3", "q5"])
+def test_oracle_judges_each_projected_column_once_per_state(q, n, seed, every, pinned,
+                                                            monkeypatch):
+    # A user's basis state meets each projected column once in the whole
+    # call: basis_insert judges the pair, and in_span follows only where the
+    # basis grew. A projected column is tagged with the side-info basis that
+    # projected it, one per user, and a state is keyed by its basis's rows.
+    # The last pin counts the columns that do not grow the basis: the memo's
+    # self-loops, which test_searches_leave_no_cyclic_garbage runs too.
+    owner, judged, counts = {}, [], {"in_span": 0, "self_loops": 0}
+
+    def projecting(side, v):
+        col = reduce(side, v)
+        owner[id(col)] = (col, side)  # both kept alive, so their ids stay theirs
+        return col
+
+    def judging(basis, col):
+        judged.append((id(owner[id(col)][1]), basis.rows, col.coords))
+        grown, grew = basis_insert(basis, col)
+        counts["self_loops"] += not grew
+        return grown, grew
+
+    def spanning(basis, v):
+        counts["in_span"] += 1
+        return in_span(basis, v)
+
+    monkeypatch.setattr(eicp.minrank, "reduce", projecting)
+    monkeypatch.setattr(eicp.minrank, "basis_insert", judging)
+    monkeypatch.setattr(eicp.minrank, "in_span", spanning)
+    inst = gen_random(n, n, q, 0.5, seed)
+    r = minrank_oracle(inst, users=inst.users[::every])
+    assert len(set(judged)) == len(judged)
+    assert (r.stats["subsets_examined"], len(judged), counts["in_span"],
+            counts["self_loops"]) == pinned
+
+
 def test_projection_rule_matches_the_decoding_definition():
     # Both column searches rest on the projection identity of the minrank
     # module docstring: user i decodes from columns C iff its demand's unit
@@ -1001,10 +1041,12 @@ def test_searches_leave_no_cyclic_garbage(mixed4):
     # The self-recursive search closures (both stages' walks, the matching
     # behind random_single_unicast's fallback draws, the tree walk and the
     # exact cover's dynamic program) are dropped on every exit, a guard trip
-    # included, and the oracle's walk refers to nothing that refers back to
-    # it, so no solve, trip, draw or cover waits for a full collection to be
-    # freed. The handlers bind no name: an exception
-    # held in the test's own frame would be a cycle of the test's making.
+    # included, and neither the oracle's walk nor its memo refers to anything
+    # that refers back to it (a state is an int, so a column that does not
+    # grow the basis maps it to itself without a cycle), so no solve, trip,
+    # draw or cover waits for a full collection to be freed. The handlers
+    # bind no name: an exception held in the test's own frame would be a
+    # cycle of the test's making.
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
@@ -1016,6 +1058,10 @@ def test_searches_leave_no_cyclic_garbage(mixed4):
         for n in range(3, 6):
             for seed in range(3):
                 minrank_oracle(gen_random(n, n, 2, 0.5, seed))
+        # both meet columns that do not grow the basis: the memo's self-loops
+        minrank_oracle(gen_random(6, 6, 3, 0.5, 0))
+        inst = gen_random(6, 6, 2, 0.5, 5)
+        minrank_oracle(inst, users=inst.users[::2])
         for seed in range(5):
             try:
                 minrank_bnb(gen_random(7, 7, 2, 0.5, seed), node_limit=3)

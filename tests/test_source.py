@@ -164,8 +164,9 @@ def test_oracle_names_no_packed_kernel():
     # and shares neither the packed kernel nor the branch and bound's
     # candidates and searches. The rule holds for minrank_oracle and every
     # module-level function or class of minrank.py it reaches by name, so a
-    # helper the walk gains is held to it too. The walk's verdict cache is
-    # keyed by ids the oracle assigns to reference `coords`, never packed ints.
+    # helper the walk gains is held to it too. The walk's memo keys its basis
+    # states by reference `rows` and its verdicts by ids the oracle assigns to
+    # reference `coords`, never by packed ints.
     banned = {"packed_space", "PackedSpace", "pack", "build_candidates", "_row_search",
               "_column_search"}
     tree = ast.parse((PACKAGE_DIR / "minrank.py").read_text())
